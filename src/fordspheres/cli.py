@@ -4,7 +4,8 @@ Human-readable tables go to stdout; machine artifacts (CSV or JSON, always
 with a metadata header carrying the tool version, the full configuration
 echo, the constants bundle, and the seed) go to files.  Identical
 configurations produce byte-identical artifacts apart from the elapsed_s
-timing column, for any --threads value.
+timing column, for any --threads value (accepted for compatibility; no
+command starts worker processes).
 
 Exit codes: 0 success, 2 usage or parse error, 3 numeric domain or cap
 violation, 4 verification failure, 5 unwritable output path.
@@ -275,6 +276,8 @@ def cmd_report(args, config: RunConfig) -> int:
     if args.kind == "bsum":
         S_values = [int(tok) for tok in args.S_values.split(",") if tok]
         eps = args.epsilon
+        if not 0.0 < eps < 1.0:
+            raise DomainError("epsilon must be in (0, 1)")
         rows = []
         print(f"{'S':>6} {'B':>16} {'B/S^(1+eps)':>14}   eps = {eps}")
         for S, normalized in moment.sum_B_growth(S_values, epsilon=eps):
@@ -339,7 +342,22 @@ def _env_int(name: str, default: int) -> int:
     import os
 
     raw = os.environ.get(name)
-    return int(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,7 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed recorded in artifacts (default 0)")
-        p.add_argument("--threads", type=int, default=1, help="worker processes for sweeps")
+        p.add_argument(
+            "--threads", type=_thread_count, default=1,
+            help="accepted for compatibility and recorded in artifacts; starts no processes",
+        )
         p.add_argument("--out", choices=("csv", "json"), default="csv", help="artifact format")
         p.add_argument("--out-path", default=None, help="artifact file path")
 
@@ -420,7 +441,11 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     args = parser.parse_args(argv)
     config = RunConfig(
         command=args.command,

@@ -55,9 +55,6 @@ class GInt:
     def conj(self) -> "GInt":
         return GInt(self.re, -self.im)
 
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
     def __str__(self) -> str:
         return format_gint(self)
 
@@ -66,8 +63,6 @@ ZERO = GInt(0, 0)
 ONE = GInt(1, 0)
 I = GInt(0, 1)
 UNITS = (ONE, I, GInt(-1, 0), GInt(0, -1))
-
-_UNIT_INVERSE = {ONE: ONE, I: GInt(0, -1), GInt(-1, 0): GInt(-1, 0), GInt(0, -1): I}
 
 
 def norm(q: GInt) -> int:

@@ -172,19 +172,20 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
 
     Rational accumulation throughout; the float conversion happens once at
     the end.  Pair enumeration grows like S^8 in the worst case, hence the
-    cap; use the counting route beyond it.
+    cap; use the counting route beyond it.  elapsed excludes the main-term
+    constants, which are built (once per process) beforehand.
     """
     if S > cap:
         raise DomainError(
             f"direct method capped at S = {cap} (quartic pair scan); "
             f"use method='counting' for larger S"
         )
+    mt = main_term(S)
     t0 = time.perf_counter()
     total = Fraction(0)
     for f1, f2 in farey.consecutive_pairs(S):
         total += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
     value = float(total)
-    mt = main_term(S)
     return MomentReport(
         S=S,
         method="direct",
@@ -201,33 +202,43 @@ def _canonical_denominators(S: int) -> list[GInt]:
     return [GInt(int(x), int(y)) for x, y in zip(rex, imy)]
 
 
-def _partner_counts(args: tuple[int, list[tuple[int, int]]]) -> list[int]:
-    """Full-plane coprime region counts for a chunk of denominators."""
-    S, chunk = args
-    out = []
-    for a, b in chunk:
-        spec = region.OmegaSpec(GInt(a, b), S)
-        out.append(region.omega_lattice_count(spec, coprime_filter=True))
-    return out
-
-
-def consecutive_partner_counts(S: int, threads: int = 1) -> list[int]:
+def consecutive_partner_counts(S: int) -> list[int]:
     """N(s) for every canonical |s| <= S in sieve order (full-plane counts).
 
-    threads > 1 splits the denominator list into contiguous chunks handled
-    by worker processes; the reduction re-concatenates in the original
-    order, so the result is identical for any thread count.
+    Moebius regrouping of the per-denominator identity
+    N(s) = sum over squarefree d | s of mu(d) L(s/d, S^2 // |d|^2): each
+    squarefree canonical d with |d| <= S adds mu(d) L(t, B) to
+    N(canonical(d t)) for every canonical t with |t|^2 <= B = S^2 // |d|^2.
+    L is invariant under units, and B depends on d only through |d|, so the
+    kernel runs once per distinct B (O(S) of them) and the Moebius values
+    come from the sieve, with no factorization.
     """
-    denoms = [(q.re, q.im) for q in _canonical_denominators(S)]
-    if threads <= 1 or len(denoms) < 64:
-        return _partner_counts((S, denoms))
-    import multiprocessing as mp
-
-    chunk_size = (len(denoms) + threads - 1) // threads
-    chunks = [(S, denoms[i : i + chunk_size]) for i in range(0, len(denoms), chunk_size)]
-    with mp.Pool(processes=threads) as pool:
-        parts = pool.map(_partner_counts, chunks)
-    return [c for part in parts for c in part]
+    if S < 1:
+        raise DomainError("S must be >= 1")
+    sieve = arith.get_sieve(S * S)
+    sl = sieve.upto(S)
+    re, im, nrm, mu = sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.mu[sl]
+    squarefree = mu != 0
+    d_re, d_im = re[squarefree], im[squarefree]
+    d_mu = mu[squarefree].astype(np.int64)
+    bounds = (S * S) // nrm[squarefree]
+    # norms ascend, so each bound is one contiguous run of divisors
+    cuts = np.flatnonzero(np.diff(bounds)) + 1
+    W = S + 1  # flat cell index (re - 1) * W + im, as in CanonicalSieve
+    table = np.zeros(S * W, dtype=np.int64)
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(bounds)]):
+        B = int(bounds[lo])
+        k = int(np.searchsorted(nrm, B, side="right"))
+        t_re, t_im = re[:k], im[:k]
+        L = region.escape_counts(t_re, t_im, B)
+        step = max(1, region.BLOCK_ELEMENTS // k)
+        for j in range(lo, hi, step):
+            block = slice(j, min(j + step, hi))
+            a = d_re[block, None]
+            b = d_im[block, None]
+            cx, cy = arith.canonical_arrays(a * t_re - b * t_im, a * t_im + b * t_re)
+            np.add.at(table, ((cx - 1) * W + cy).ravel(), (d_mu[block, None] * L).ravel())
+    return table[(re - 1) * W + im].tolist()
 
 
 def moment_first_counting(
@@ -242,13 +253,17 @@ def moment_first_counting(
     coprime to s, full-plane or one-per-unit-orbit depending on the
     normalization.  Per-denominator counts are exact integers; the outer
     accumulation is a compensated float sum in fixed sieve order.
+    threads is accepted for compatibility and ignored: the route runs in
+    the calling process and starts no workers.  elapsed excludes the
+    main-term constants, which are built (once per process) beforehand.
     """
     if normalization not in NORMALIZATIONS:
         raise DomainError(f"unknown normalization {normalization!r}")
     if S > cap:
         raise DomainError(f"counting method capped at S = {cap}; raise cap= explicitly")
+    mt = main_term(S)
     t0 = time.perf_counter()
-    counts = consecutive_partner_counts(S, threads=threads)
+    counts = consecutive_partner_counts(S)
     denoms = _canonical_denominators(S)
     quarter = normalization == "omega_quarter"
     terms = []
@@ -256,7 +271,6 @@ def moment_first_counting(
         c_used = c // 4 if quarter else c
         terms.append(c_used / norm(q))
     value = 2.0 * math.fsum(terms)
-    mt = main_term(S)
     return MomentReport(
         S=S,
         method="counting",
@@ -425,7 +439,8 @@ def report_sweep(
     counting_cap: int = COUNTING_CAP_DEFAULT,
 ) -> SweepResult:
     """Run every (S, method) cell, collecting per-row failures instead of
-    aborting the sweep."""
+    aborting the sweep.  threads is passed on to the counting route, which
+    ignores it: no worker processes are started."""
     for m in methods:
         if m not in METHODS:
             raise DomainError(f"unknown method {m!r}")

@@ -17,19 +17,43 @@ region, then simplifying int cos^2 = (t + sin t cos t)/2) is
 which collapses to pi S^2 at |s| = S and to ~ 4 sqrt(2) S |s| as
 |s|/S -> 0.  It is validated against direct quadrature of the polar
 double integral and against Monte Carlo sampling.
+
+Lattice counts go through one kernel,
+
+    L(t, B) = #{w : |w|^2 <= B, max_u |w + u t|^2 > B},
+
+the number of points of the disc of norm bound B that leave at least one
+of the four translated discs about -u t.  It is counted row by row: in
+row x the disc is the integer interval |y| <= isqrt(B - x^2), the
+translate about -u t = -(p + qi) is |y + q| <= isqrt(B - (x + p)^2), and
+L adds the disc row lengths and subtracts the length of the intersection
+of the five intervals.  The intersection is symmetric under w -> -w, so
+only rows x >= 0 are visited; the row half-widths come from one table of
+exact integer square roots, so a call costs O(sqrt B) per t, not O(B).
+The table takes a float square root and corrects it by one either way,
+which is exact while B < 2^52 (the float carries every integer of the
+table exactly); beyond that the kernel raises ArithmeticError.
+
+Scaling by a divisor d turns the coprime count into kernel calls: d w
+lies in the region of (s, S) exactly when w lies in the region of s/d at
+the integer bound floor(S^2/|d|^2), because norms are integers.  Moebius
+inclusion-exclusion over the squarefree divisors of s then gives
+
+    #{z in region : gcd(z, s) = 1} = sum_{d | s} mu(d) L(s/d, floor(S^2/|d|^2)),
+
+and the unfiltered count is L(s, S^2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 from random import Random
 
 import numpy as np
 
-from .gint import DomainError, GInt, ONE, UNITS, is_coprime, norm
+from .gint import DomainError, GInt, ONE, UNITS, exact_div, is_coprime, norm
 
 
 @dataclass(frozen=True)
@@ -108,66 +132,85 @@ def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 
     return hits / samples * (2.0 * S) ** 2
 
 
-@lru_cache(maxsize=8)
-def _disc_points(R: int, bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (x, y, norm) int64 arrays over the full lattice points with
-    norm <= bound, R = isqrt(bound).  Cached; the level-S disc is reused
-    across every s of a sweep."""
-    xs = np.arange(-R, R + 1, dtype=np.int64)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    N = X * X + Y * Y
-    keep = N <= bound
-    return X[keep], Y[keep], N[keep]
+KERNEL_BOUND_LIMIT = 1 << 52  # float square roots of smaller integers are exact to within 1
+BLOCK_ELEMENTS = 1 << 18  # elements per vectorized step, which keeps peak memory flat
 
 
-def _count_scaled_members(d: GInt, spec: OmegaSpec) -> int:
-    """Number of lattice points w with d*w inside the region.
+def _half_widths(bound: int, reach: int) -> np.ndarray:
+    """isqrt(bound - x^2) for x in [-reach, reach], -1 where x^2 > bound."""
+    x = np.arange(-reach, reach + 1, dtype=np.int64)
+    n = bound - x * x
+    r = np.sqrt(np.maximum(n, 0).astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
 
-    Writing z = d w, membership needs norm(d) norm(w) <= S^2 and
-    norm(d) norm(w) + norm(s) + 2 max(|Re(z conj s)|, |Im(z conj s)|) > S^2,
-    and both linear forms are integer combinations of Re(w), Im(w).
+
+def escape_counts(t_re: np.ndarray, t_im: np.ndarray, bound: int) -> np.ndarray:
+    """L(t, bound) for each nonzero t = t_re + t_im i: the lattice points w
+    with |w|^2 <= bound and |w + u t|^2 > bound for at least one unit u.
+
+    Rows x >= 0 are counted and the rest follow from the symmetry
+    w -> -w of the four-disc intersection.  Beyond row
+    R - max(|Re t|, |Im t|) one of the translated discs has no points, so
+    each block of t stops at the last row any of its t can use.
     """
-    S2 = spec.S * spec.S
-    nd = norm(d)
-    bound = S2 // nd
-    if bound < 0:  # pragma: no cover
-        return 0
-    X, Y, N = _disc_points(isqrt(bound), bound)
-    a, b = spec.s.re, spec.s.im
-    c, e = d.re, d.im
-    alpha = a * c + b * e
-    beta = b * c - a * e
-    P = np.abs(alpha * X + beta * Y)
-    Q = np.abs(alpha * Y - beta * X)
-    return int(np.count_nonzero(nd * N + norm(spec.s) + 2 * np.maximum(P, Q) > S2))
-
-
-_MAX_SCAN_S = 4096  # the kernel materializes a (2S+1)^2 grid
+    if bound >= KERNEL_BOUND_LIMIT:
+        raise ArithmeticError(
+            f"lattice kernel is exact for norm bounds below 2^52; got {bound}"
+        )
+    t_re = np.asarray(t_re, dtype=np.int64)
+    t_im = np.asarray(t_im, dtype=np.int64)
+    R = isqrt(bound)
+    reach = np.maximum(np.abs(t_re), np.abs(t_im))
+    # rows run up to R - min(reach) and the translates shift them by up to
+    # max(reach), so the table must cover |x| <= R + pad
+    pad = int(reach.max() - reach.min()) if len(reach) else 0
+    half = _half_widths(bound, R + pad)
+    origin = R + pad  # index of x = 0 in half
+    disc = int(np.sum(2 * half[pad : pad + 2 * R + 1] + 1))
+    out = np.empty(len(t_re), dtype=np.int64)
+    t_step = max(1, BLOCK_ELEMENTS // (R + 1))
+    for i in range(0, len(t_re), t_step):
+        a = t_re[i : i + t_step, None]
+        b = t_im[i : i + t_step, None]
+        inside = np.zeros(len(a), dtype=np.int64)
+        last_row = R - int(reach[i : i + t_step].min())
+        row_step = max(1, BLOCK_ELEMENTS // len(a))
+        for x0 in range(0, last_row + 1, row_step):
+            X = np.arange(origin + x0, origin + min(x0 + row_step, last_row + 1))[None, :]
+            hi = low = half[X]  # the disc row is [-low, hi]
+            for p, q in ((a, b), (-b, a), (-a, -b), (b, -a)):  # u t for u = 1, i, -1, -i
+                r = half[X + p]
+                low = np.minimum(low, r + q)
+                hi = np.minimum(hi, r - q)
+            lengths = np.maximum(hi + low + 1, 0)
+            inside += 2 * lengths.sum(axis=1)
+            if x0 == 0:
+                inside -= lengths[:, 0]
+        out[i : i + t_step] = disc - inside
+    return out
 
 
 def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
     """Exact count of lattice points in the region (full plane, all four
     quadrants), optionally restricted to points coprime to s.
 
-    The coprime restriction is evaluated by Moebius inclusion-exclusion
-    over the squarefree divisors d of s: points divisible by d are the
-    d-multiples of the scaled region, counted vectorized.
+    Unfiltered this is L(s, S^2); the coprime restriction is the Moebius
+    sum over the squarefree divisors d of s of mu(d) L(s/d, S^2 // |d|^2).
     """
-    if spec.S > _MAX_SCAN_S:
-        raise ArithmeticError(
-            f"lattice scan is limited to S <= {_MAX_SCAN_S}; the grid would "
-            f"need ({2 * spec.S + 1})^2 points"
-        )
+    S2 = spec.S * spec.S
     if not coprime_filter:
-        return _count_scaled_members(ONE, spec)
+        return int(escape_counts([spec.s.re], [spec.s.im], S2)[0])
     from .gint import factor
 
-    total = 0
     square_free = [(ONE, 1)]
     for p, _a in factor(spec.s).factors:
         square_free += [(d * p, -m) for d, m in square_free]
+    total = 0
     for d, sign in square_free:
-        total += sign * _count_scaled_members(d, spec)
+        t = exact_div(spec.s, d)
+        total += sign * int(escape_counts([t.re], [t.im], S2 // norm(d))[0])
     return total
 
 

@@ -216,13 +216,11 @@ def check_zeta_truncation() -> tuple[bool, str]:
     ok_value = abs(zt.value - classical) < 1e-5
     ok_unit = arith.zeta_i_truncated(2, 1).value == 1.0
     ok_prod = True
-    prev = None
     for R in (10, 40, 160, 640):
         z = arith.zeta_i_truncated(2, R)
         gap = abs(z.value * z.inverse_value - 1.0)
         if gap > 20.0 / (R * R):
             ok_prod = False
-        prev = gap
     return ok_value and ok_unit and ok_prod, (
         f"value(2000) = {zt.value:.7f} vs {classical:.7f}; "
         f"product gap within 20/R^2 along radius ladder: {ok_prod}"
@@ -612,7 +610,8 @@ RESIDUAL_OVER_S15_BOUND = 3.0  # measured: 0.97, 0.73, 0.53
 
 
 def counting_convergence(threads: int = 1) -> list[tuple[int, float, float]]:
-    """(S, |value/main - 1|, residual/S^1.5) along the counting ladder."""
+    """(S, |value/main - 1|, residual/S^1.5) along the counting ladder.
+    threads is accepted for compatibility and starts no processes."""
     out = []
     for S in COUNTING_LADDER:
         rep = moment.moment_first_counting(S, threads=threads)

@@ -124,6 +124,22 @@ class TestMoment:
         code, _, _ = run(capsys, "moment", "--S", "3", "--method", "direct")
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["FORDSPHERES_DIRECT_CAP", "FORDSPHERES_COUNTING_CAP"])
+    def test_non_integer_cap_in_environment_is_usage_error(self, capsys, monkeypatch, name):
+        monkeypatch.setenv(name, "abc")
+        code, out, err = run(capsys, "moment", "--S", "2")
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and name in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["-3", "0", "two"])
+    def test_bad_thread_count_is_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["moment", "--S", "2", "--threads", value])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
+
     def test_unwritable_path(self, capsys):
         code, _, err = run(
             capsys, "moment", "--S", "1", "--method", "direct",
@@ -204,6 +220,13 @@ class TestReport:
         assert meta["boundary_surrogate"] == "8*pi*S"
         assert rows[0]["B"] == pytest.approx(8 * math.pi)
         assert rows[1]["B_over_S_1_eps"] == pytest.approx(rows[1]["B"] / 16**1.1)
+
+    @pytest.mark.parametrize("eps", ["1.5", "0", "-0.1"])
+    def test_bsum_epsilon_out_of_range_prints_nothing(self, capsys, eps):
+        code, out, err = run(capsys, "report", "--kind", "bsum", "--epsilon", eps)
+        assert code == cli.EXIT_NUMERIC
+        assert out == ""
+        assert "epsilon" in err
 
     def test_row_errors_reported(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

@@ -1,17 +1,24 @@
 import math
+from math import isqrt
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fordspheres import region
 from fordspheres.gint import DomainError, GInt, ONE, is_coprime
 from fordspheres.region import (
+    KERNEL_BOUND_LIMIT,
     OmegaSpec,
+    _half_widths,
     boundary_length_surrogate,
     coprime_count_prediction,
     omega_area,
     omega_area_bounds_check,
     omega_area_monte_carlo,
     omega_area_quadrature,
+    escape_counts,
     omega_contains,
     omega_lattice_count,
     omega_lattice_count_bruteforce,
@@ -104,6 +111,45 @@ class TestLatticeCount:
                 assert omega_lattice_count(spec, filt) == omega_lattice_count_bruteforce(
                     spec, filt
                 ), (s, S, filt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_kernel_equals_bruteforce_on_random_specs(self, data):
+        S = data.draw(st.integers(1, 40), label="S")
+        a = data.draw(st.integers(1, S), label="re")
+        b = data.draw(st.integers(0, isqrt(S * S - a * a)), label="im")
+        spec = OmegaSpec(g(a, b), S)
+        for filt in (False, True):
+            assert omega_lattice_count(spec, filt) == omega_lattice_count_bruteforce(spec, filt)
+
+    def test_kernel_is_unit_invariant_and_blockwise(self, monkeypatch):
+        # one batch over every t in the disc, then the same batch cut into
+        # blocks of one t and 16 rows, then single calls on every associate
+        B = 1000
+        xs, ys = np.meshgrid(np.arange(-31, 32), np.arange(-31, 32))
+        keep = (xs * xs + ys * ys <= B) & ((xs != 0) | (ys != 0))
+        t_re, t_im = xs[keep], ys[keep]
+        batch = escape_counts(t_re, t_im, B)
+        monkeypatch.setattr(region, "BLOCK_ELEMENTS", 16)
+        assert escape_counts(t_re, t_im, B).tolist() == batch.tolist()
+        for k in range(0, len(t_re), 97):
+            a, b = int(t_re[k]), int(t_im[k])
+            for u_re, u_im in ((a, b), (-b, a), (-a, -b), (b, -a)):
+                assert escape_counts([u_re], [u_im], B)[0] == batch[k]
+
+    def test_kernel_exactness_bound(self):
+        with pytest.raises(ArithmeticError):
+            escape_counts([1], [0], KERNEL_BOUND_LIMIT)
+        with pytest.raises(ArithmeticError):
+            omega_lattice_count(OmegaSpec(ONE, 1 << 26))
+        # the half-widths equal math.isqrt up to the bound; the last case,
+        # beyond it, is one where the plain float floor is off by one and
+        # the correction alone makes the table exact
+        k = (1 << 26) - 1
+        big = (1 << 27) - 1
+        for bound in (k * k - 1, k * k, k * k + 2 * k, KERNEL_BOUND_LIMIT - 1, big * big - 1):
+            got = _half_widths(bound, 64).tolist()
+            assert got == [isqrt(bound - x * x) for x in range(-64, 65)]
 
     def test_unit_orbit_structure(self):
         # the full-plane count is four times the count over canonical
