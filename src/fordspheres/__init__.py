@@ -28,6 +28,7 @@ from .arith import (
     mobius_divisor_sum,
     mobius_inversion_check,
     mu_i,
+    norm_coefficients,
     phi_i,
     phi_i_residues,
     r2,

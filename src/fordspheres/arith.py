@@ -7,17 +7,22 @@ The Moebius and Euler-phi analogues used here are
     phi_i(q) = number of units of Z[i]/(q)
              = prod over prime powers p^a || q of (|p|^2a - |p|^(2a-2)).
 
-Single values go through :func:`fordspheres.gint.factor`; bulk sweeps use
-:class:`CanonicalSieve`, a smallest-prime-first sieve over the canonical
-lattice points of norm <= max_norm that fills phi and mu tables in one
-pass (numpy-backed, a few seconds up to norm ~4*10^6).
+Single values go through :func:`fordspheres.gint.factor`; bulk sweeps that
+need phi or mu per lattice point use :class:`CanonicalSieve`, a
+smallest-prime-first sieve over the canonical lattice points of
+norm <= max_norm that fills phi and mu tables in one pass (numpy-backed).
+The sweeps build it at the scale they sum over, S^2 for a level S.
 
-Truncated zeta values are plain lattice sums
+Truncated zeta values are lattice sums
 
     zeta_i(s)      ~ sum of norm(q)^-s   over canonical q, |q| <= radius,
     zeta_i^{-1}(s) ~ same sum weighted by mu_i(q),
 
-whose tails die off like radius^(-2(s-1)).
+whose tails die off like radius^(-2(s-1)).  Both summands depend on q only
+through its norm, so they are taken per norm n from the Dirichlet
+coefficients of :func:`norm_coefficients`: a(n) canonical q of norm n and
+b(n) their Moebius sum, from one sieve over the rational primes up to
+radius with no per-point table.
 """
 
 from __future__ import annotations
@@ -346,18 +351,80 @@ class ZetaTruncation:
     inverse_value: float
 
 
+def norm_coefficients(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) int32 arrays indexed by n = 0..max_norm, the Dirichlet
+    coefficients of zeta_i(s) and 1/zeta_i(s):
+
+        a(n) = number of canonical q with norm(q) = n  (= r2(n) / 4),
+        b(n) = sum of mu_i(q) over those q;  a(0) = b(0) = 0.
+
+    Both are multiplicative in n, and their values on p^k follow from how
+    the rational prime p splits in Z[i]:
+
+        p = 2            one ramified prime of norm 2:   a = 1,     b = 1, -1, 0, ...
+        p = 1 (mod 4)    two primes of norm p:           a = k + 1, b = 1, -2, 1, 0, ...
+        p = 3 (mod 4)    one inert prime of norm p^2:    a = 1 for even k, else 0;
+                                                         b = 1, 0, -1, 0, ...
+
+    One pass per rational prime p <= sqrt(max_norm) multiplies in the
+    p-parts along the strided multiples of p.  What is left of n after
+    those primes is 1 or a single prime above sqrt(max_norm), whose factor
+    depends only on its residue mod 4; one vectorized pass applies it.
+    """
+    if not 1 <= max_norm < 2**31:
+        raise DomainError("max_norm must be in [1, 2^31): the tables are int32")
+    a = np.ones(max_norm + 1, dtype=np.int32)
+    b = np.ones(max_norm + 1, dtype=np.int32)
+    small_part = np.ones(max_norm + 1, dtype=np.int32)  # the p-parts for p <= root
+    root = isqrt(max_norm)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, isqrt(root) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    for p in np.flatnonzero(is_prime).tolist():
+        # exponent of p in each multiple p*j, j = 1..max_norm // p
+        exps = np.ones(max_norm // p, dtype=np.intp)
+        top, pk = 1, p * p
+        while pk <= max_norm:
+            exps[pk // p - 1 :: pk // p] += 1
+            top, pk = top + 1, pk * p
+        k = np.arange(top + 1, dtype=np.int32)
+        if p == 2:
+            a_pk, b_head = np.ones_like(k), (1, -1)
+        elif p % 4 == 1:
+            a_pk, b_head = k + 1, (1, -2, 1)
+        else:
+            a_pk, b_head = (k % 2 == 0).astype(np.int32), (1, 0, -1)
+        b_pk = np.zeros_like(k)
+        b_pk[: len(b_head)] = b_head  # top >= 2, since p^2 <= max_norm
+        a[p::p] *= a_pk[exps]
+        b[p::p] *= b_pk[exps]
+        small_part[p::p] *= (np.int32(p) ** k)[exps]
+    # the cofactor is 1 (no large prime) or a prime q > root; its residue
+    # class picks the factor: q = 1 (mod 4) splits, 3 (mod 4) is inert
+    # (odd exponent, so a = b = 0), and q = 2 occurs only when root < 2
+    cls = np.arange(max_norm + 1, dtype=np.int32) // small_part
+    cls[cls == 1] = 0
+    cls &= 3
+    a *= np.array([1, 2, 1, 0], dtype=np.int32)[cls]
+    b *= np.array([1, -2, -1, 0], dtype=np.int32)[cls]
+    a[0] = b[0] = 0
+    return a, b
+
+
 def zeta_i_truncated(s: float, radius: float) -> ZetaTruncation:
-    """Sum norm(q)^-s and mu_i(q) * norm(q)^-s over canonical |q| <= radius."""
+    """Sum norm(q)^-s and mu_i(q) * norm(q)^-s over canonical |q| <= radius,
+    grouped by norm n <= radius^2 through :func:`norm_coefficients`."""
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
     if radius < 1:
         raise DomainError("radius must be >= 1")
-    max_norm = int(radius * radius)
-    sieve = get_sieve(max_norm)
-    sl = slice(0, int(np.searchsorted(sieve.norms, max_norm, side="right")))
-    weights = sieve.norms[sl].astype(np.float64) ** (-float(s))
-    value = float(np.sum(weights))
-    inverse = float(np.sum(sieve.mu[sl].astype(np.float64) * weights))
+    a, b = norm_coefficients(int(radius * radius))
+    n = np.flatnonzero(a)  # b(n) = 0 wherever a(n) = 0
+    weights = n.astype(np.float64) ** (-float(s))
+    value = float(np.sum(a[n] * weights))
+    inverse = float(np.sum(b[n] * weights))
     return ZetaTruncation(s=float(s), radius=float(radius), value=value, inverse_value=inverse)
 
 

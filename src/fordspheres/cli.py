@@ -399,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--method", choices=("direct", "counting", "main-term"), default="counting")
     p.add_argument("--normalization", choices=("omega-full", "omega-quarter"), default="omega-full")
-    p.add_argument("--epsilon", type=float, default=0.1, help="exponent used by B-sum diagnostics")
     p.add_argument("--direct-cap", type=int, default=direct_cap)
     p.add_argument("--counting-cap", type=int, default=counting_cap)
     p.add_argument(

@@ -14,7 +14,8 @@ Three routes to the same quantity:
               (exactly a quarter of the full count);
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
-              C = -int_0^{1/sqrt 2} ln(sqrt 2 u) sqrt(1 - u^2) du.
+              C = -int_0^{1/sqrt 2} ln(sqrt 2 u) sqrt(1 - u^2) du, summed
+              from its termwise series (the quadratures are oracles).
 
 The counting value under 'omega_full' converges to the main term.  The
 direct value agrees with 'omega_quarter' up to the contribution of
@@ -32,9 +33,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .gint import DomainError, GInt, norm
+from .gint import DomainError, norm
 from . import arith, farey, region
 
 DIRECT_CAP_DEFAULT = 12
@@ -82,12 +82,27 @@ class MomentReport:
     elapsed: float
 
 
-def constant_C(tol: float = 1e-10) -> float:
-    """-int_0^{1/sqrt2} ln(sqrt2 u) sqrt(1-u^2) du by adaptive quadrature.
+def constant_C(terms: int = 60) -> float:
+    """-int_0^{1/sqrt2} ln(sqrt2 u) sqrt(1-u^2) du from its series.
 
-    The integrand has an integrable logarithmic singularity at 0 that
-    Gauss-Kronrod subdivision absorbs without help.
+    Expanding sqrt(1-u^2) = sum a_k u^(2k) and integrating termwise gives
+    C = sum a_k 2^(-k-1/2) / (2k+1)^2; the terms shrink like 2^-k, so 60
+    of them reach double precision (40 and 80 give the same float).
     """
+    total = 0.0
+    a_k = 1.0
+    for k in range(terms):
+        total += a_k * 2.0 ** (-k - 0.5) / (2 * k + 1) ** 2
+        a_k *= (2 * k - 1) / (2 * k + 2)
+    return total
+
+
+def constant_C_quad(tol: float = 1e-10) -> float:
+    """Same integral by adaptive Gauss-Kronrod quadrature (scipy), an
+    independent scheme.  The integrand has an integrable logarithmic
+    singularity at 0 that the subdivision absorbs without help."""
+    from scipy.integrate import quad
+
     val, err = quad(
         lambda u: -math.log(math.sqrt(2.0) * u) * math.sqrt(1.0 - u * u),
         0.0,
@@ -111,17 +126,6 @@ def constant_C_tanh_sinh(dps: int = 25) -> float:
             [0, 1 / mpmath.sqrt(2)],
         )
         return float(val)
-
-
-def constant_C_series(terms: int = 60) -> float:
-    """Series oracle: expanding sqrt(1-u^2) = sum a_k u^(2k) and integrating
-    termwise gives C = sum a_k 2^(-k-1/2) / (2k+1)^2, geometrically fast."""
-    total = 0.0
-    a_k = 1.0
-    for k in range(terms):
-        total += a_k * 2.0 ** (-k - 0.5) / (2 * k + 1) ** 2
-        a_k *= (2 * k - 1) / (2 * k + 2)
-    return total
 
 
 _bundle_cache: dict[tuple[float, bool], ConstantsBundle] = {}
@@ -197,13 +201,9 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     )
 
 
-def _canonical_denominators(S: int) -> list[GInt]:
-    rex, imy, _ = arith.canonical_cells(S * S)
-    return [GInt(int(x), int(y)) for x, y in zip(rex, imy)]
-
-
-def consecutive_partner_counts(S: int) -> list[int]:
-    """N(s) for every canonical |s| <= S in sieve order (full-plane counts).
+def consecutive_partner_counts(S: int) -> np.ndarray:
+    """N(s) for every canonical |s| <= S in sieve order (full-plane counts),
+    as an int64 array aligned with the sieve's cells up to radius S.
 
     Moebius regrouping of the per-denominator identity
     N(s) = sum over squarefree d | s of mu(d) L(s/d, S^2 // |d|^2): each
@@ -238,7 +238,7 @@ def consecutive_partner_counts(S: int) -> list[int]:
             b = d_im[block, None]
             cx, cy = arith.canonical_arrays(a * t_re - b * t_im, a * t_im + b * t_re)
             np.add.at(table, ((cx - 1) * W + cy).ravel(), (d_mu[block, None] * L).ravel())
-    return table[(re - 1) * W + im].tolist()
+    return table[(re - 1) * W + im]
 
 
 def moment_first_counting(
@@ -252,7 +252,8 @@ def moment_first_counting(
     N(s) is the number of lattice points of the consecutivity region
     coprime to s, full-plane or one-per-unit-orbit depending on the
     normalization.  Per-denominator counts are exact integers; the outer
-    accumulation is a compensated float sum in fixed sieve order.
+    accumulation is an exactly rounded float sum (math.fsum) of the
+    per-denominator quotients.
     threads is accepted for compatibility and ignored: the route runs in
     the calling process and starts no workers.  elapsed excludes the
     main-term constants, which are built (once per process) beforehand.
@@ -264,13 +265,12 @@ def moment_first_counting(
     mt = main_term(S)
     t0 = time.perf_counter()
     counts = consecutive_partner_counts(S)
-    denoms = _canonical_denominators(S)
-    quarter = normalization == "omega_quarter"
-    terms = []
-    for q, c in zip(denoms, counts):
-        c_used = c // 4 if quarter else c
-        terms.append(c_used / norm(q))
-    value = 2.0 * math.fsum(terms)
+    if normalization == "omega_quarter":
+        counts //= 4
+    sieve = arith.get_sieve(S * S)
+    # each int64 / int64 quotient is correctly rounded, as int / int is, and
+    # fsum is exact, so the value does not depend on the summation order
+    value = 2.0 * math.fsum(counts / sieve.norms[sieve.upto(S)])
     return MomentReport(
         S=S,
         method="counting",
@@ -283,8 +283,11 @@ def moment_first_counting(
 
 
 def moment_main_term_report(S: int) -> MomentReport:
+    """The main term as a report row; elapsed excludes the constants build,
+    as in the other routes."""
+    bundle = constants_bundle()
     t0 = time.perf_counter()
-    mt = main_term(S)
+    mt = main_term(S, bundle)
     return MomentReport(
         S=S,
         method="main_term",

@@ -161,6 +161,23 @@ def check_sieve_vs_factorization() -> tuple[bool, str]:
     return bad == 0, f"{len(tab)} values, {bad} sieve mismatches"
 
 
+@_check("arith", "per-norm zeta coefficients match the per-cell sieve")
+def check_norm_coefficients() -> tuple[bool, str]:
+    # a(n) counts the canonical cells of norm n and b(n) sums their mu;
+    # the sieve's cells, binned by norm, give both independently
+    sieve = arith.CanonicalSieve(EXACT_IDENTITY_MAX_NORM)
+    a, b = arith.norm_coefficients(EXACT_IDENTITY_MAX_NORM)
+    size = EXACT_IDENTITY_MAX_NORM + 1
+    cells = np.bincount(sieve.norms, minlength=size)
+    mu_sum = np.bincount(sieve.norms, weights=sieve.mu, minlength=size)
+    bad = int(np.count_nonzero(a != cells) + np.count_nonzero(b != mu_sum))
+    r2_bad = sum(1 for n in range(1, size) if 4 * int(a[n]) != arith.r2(n))
+    return bad == 0 and r2_bad == 0, (
+        f"n <= {EXACT_IDENTITY_MAX_NORM}: {bad} mismatches with the sieve's per-norm bins, "
+        f"{r2_bad} with r2(n) / 4"
+    )
+
+
 @_check("arith", "divisor-lattice machinery is self-consistent")
 def check_divisor_machinery() -> tuple[bool, str]:
     cells = _canonical_upto(300)
@@ -527,13 +544,13 @@ def check_constant_value() -> tuple[bool, str]:
     return ok, f"C = {c:.8f} vs {C_REFERENCE} (tol {C_TOLERANCE}), {dt*1000:.0f} ms"
 
 
-@_check("moment", "independent quadrature schemes agree")
+@_check("moment", "series and independent quadrature schemes agree")
 def check_constant_schemes() -> tuple[bool, str]:
     c1 = moment.constant_C()
-    c2 = moment.constant_C_tanh_sinh()
-    c3 = moment.constant_C_series()
+    c2 = moment.constant_C_quad()
+    c3 = moment.constant_C_tanh_sinh()
     worst = max(abs(c1 - c2), abs(c1 - c3))
-    return worst <= 1e-8, f"gauss-kronrod vs tanh-sinh vs series: max gap {worst:.2e}"
+    return worst <= 1e-8, f"series vs gauss-kronrod vs tanh-sinh: max gap {worst:.2e}"
 
 
 DIRECT_BASELINES = {
@@ -590,8 +607,8 @@ def check_direct_quarter_reconciliation() -> tuple[bool, str]:
         for f1, f2 in farey.consecutive_pairs(S):
             direct += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
         quarter = Fraction(0)
-        counts = moment.consecutive_partner_counts(S)
-        for q, c in zip(moment._canonical_denominators(S), counts):
+        counts = moment.consecutive_partner_counts(S).tolist()
+        for q, c in zip(_canonical_upto(S * S), counts):
             quarter += Fraction(c // 4, norm(q))
         quarter *= 2
         extra = Fraction(0)

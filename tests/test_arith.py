@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from fordspheres.arith import (
@@ -13,6 +14,7 @@ from fordspheres.arith import (
     mobius_divisor_sum,
     mobius_inversion_check,
     mu_i,
+    norm_coefficients,
     phi_i,
     phi_i_residues,
     r2,
@@ -176,7 +178,37 @@ class TestSieve:
             sieve.phi_of(g(99, 99))
 
 
+class TestNormCoefficients:
+    def test_counts_are_quarter_r2(self):
+        a, _ = norm_coefficients(2000)
+        assert a[0] == 0
+        assert [int(x) for x in a[1:]] == [r2(n) // 4 for n in range(1, 2001)]
+
+    # for X <= 3 no prime is sieved, so 2 and 3 take the large-prime pass;
+    # X = 4 and 5 are the first with 2 among the sieved primes
+    @pytest.mark.parametrize("X", [1, 2, 3, 4, 5, 10, 100, 3000, 10**5])
+    def test_match_per_norm_bins_of_the_sieve(self, X):
+        a, b = norm_coefficients(X)
+        sieve = CanonicalSieve(X)
+        assert len(a) == len(b) == X + 1
+        assert np.array_equal(a, np.bincount(sieve.norms, minlength=X + 1))
+        assert np.array_equal(b, np.bincount(sieve.norms, weights=sieve.mu, minlength=X + 1))
+
+    def test_domain(self):
+        # int32 tables: refused before anything is allocated
+        for bad in (0, 2**31):
+            with pytest.raises(DomainError):
+                norm_coefficients(bad)
+
+
 class TestZeta:
+    def test_values_pinned(self):
+        # the per-cell sum over the sieve gave these; summing per norm only
+        # reorders the float additions
+        zt = zeta_i_truncated(2, 2000)
+        assert zt.value == pytest.approx(1.5067028135730431, rel=1e-15)
+        assert zt.inverse_value == pytest.approx(0.6637008046406636, rel=1e-15)
+
     def test_radius_one_is_unit_term(self):
         zt = zeta_i_truncated(2, 1)
         assert zt.value == 1.0

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +142,13 @@ class TestMoment:
             cli.main(["moment", "--S", "2", "--threads", value])
         assert exc.value.code == cli.EXIT_USAGE
         assert "--threads" in capsys.readouterr().err
+
+    def test_epsilon_is_not_a_moment_option(self, capsys):
+        # the B-sum exponent belongs to report --kind bsum only
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["moment", "--S", "2", "--epsilon", "0.1"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--epsilon" in capsys.readouterr().err
 
     def test_unwritable_path(self, capsys):
         code, _, err = run(
@@ -281,3 +291,18 @@ class TestVersionAndUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestColdStart:
+    def test_import_loads_no_scipy(self):
+        # the constants build needs no quadrature; scipy stays an oracle
+        # dependency, imported only by the checks that use it
+        code = (
+            "import sys, fordspheres, fordspheres.cli\n"
+            "fordspheres.constants_bundle()\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"

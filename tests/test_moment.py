@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fordspheres import moment, region
+from fordspheres import arith, moment, region
 from fordspheres.gint import DomainError, GInt
 
 
@@ -23,9 +23,15 @@ class TestConstant:
         assert moment.constant_C() > 0.5
 
     def test_schemes_agree(self):
+        # the series against two independent quadratures
         c = moment.constant_C()
-        assert moment.constant_C_series() == pytest.approx(c, abs=1e-12)
+        assert moment.constant_C_quad() == pytest.approx(c, abs=1e-12)
         assert moment.constant_C_tanh_sinh() == pytest.approx(c, abs=1e-12)
+
+    def test_series_has_converged(self):
+        # terms shrink like 2^-k: 40, 60 and 80 of them give the same float
+        assert moment.constant_C(40) == moment.constant_C(60) == moment.constant_C(80)
+        assert moment.constant_C(10) != moment.constant_C(60)
 
 
 class TestBundle:
@@ -86,10 +92,10 @@ class TestCounting:
         # the sieve-driven Moebius scatter against the per-spec factorized sum
         for S in range(1, 25):
             counts = moment.consecutive_partner_counts(S)
-            denoms = moment._canonical_denominators(S)
-            assert len(counts) == len(denoms)
-            for q, c in zip(denoms, counts):
-                assert c == region.omega_lattice_count(region.OmegaSpec(q, S), True), (q, S)
+            re, im, _ = arith.canonical_cells(S * S)
+            assert len(counts) == len(re)
+            for x, y, c in zip(re.tolist(), im.tolist(), counts.tolist()):
+                assert c == region.omega_lattice_count(region.OmegaSpec(g(x, y), S), True), (x, y, S)
 
     # float.hex of the values the per-denominator grid scan gave before the
     # row-interval kernel replaced it; the fsum over exact counts in sieve
@@ -119,6 +125,8 @@ class TestCounting:
         assert moment.moment_first_counting(4).elapsed < 0.5
         monkeypatch.setattr(moment, "_bundle_cache", {})
         assert moment.moment_first_direct(4).elapsed < 0.5
+        monkeypatch.setattr(moment, "_bundle_cache", {})
+        assert moment.moment_main_term_report(4).elapsed < 0.5
 
     def test_threads_do_not_change_bytes(self):
         # threads is accepted and ignored; the value must not depend on it
@@ -160,10 +168,11 @@ class TestCalibration:
             for f1, f2 in farey.consecutive_pairs(S):
                 direct += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
             quarter = Fraction(0)
-            counts = moment.consecutive_partner_counts(S)
-            for q, c in zip(moment._canonical_denominators(S), counts):
+            counts = moment.consecutive_partner_counts(S).tolist()
+            re, im, _ = arith.canonical_cells(S * S)
+            for x, y, c in zip(re.tolist(), im.tolist(), counts):
                 assert c % 4 == 0
-                quarter += Fraction(c // 4, norm(q))
+                quarter += Fraction(c // 4, norm(g(x, y)))
             quarter *= 2
             extra = Fraction(0)
             for q in range(1, S + 1):
@@ -180,8 +189,6 @@ class TestSums:
 
     def test_sum_A_vs_counts_at_64(self):
         exact, _ = moment.sum_A(64)
-        from fordspheres import arith
-
         total = 0.0
         sieve = arith.get_sieve(64 * 64)
         sl = sieve.upto(64)
