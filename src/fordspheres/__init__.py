@@ -42,9 +42,11 @@ from .farey import (
     consecutive_denominator_conditions,
     consecutive_pairs,
     consecutive_pairs_for_denoms,
+    consecutive_pairs_scan,
     enumerate_fq,
     enumerate_gs,
     generate_gs_by_mediants,
+    gs_arrays,
     is_adjacent,
     is_consecutive,
     is_consecutive_fq,
@@ -68,6 +70,7 @@ from .moment import (
     MomentReport,
     constant_C,
     constants_bundle,
+    direct_total,
     main_term,
     moment_first_counting,
     moment_first_direct,

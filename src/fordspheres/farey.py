@@ -12,6 +12,12 @@ tangent to the plane at the fraction) are tangent, i.e. when
 sphere smaller than 1/(2 S^2) is tangent to both, which happens exactly
 when one of the four complex mediants (r + u r')/(s + u s') has
 denominator of modulus > S.
+
+The consecutive pairs of G_S come from a neighbour solve: the partners of
+r/s have denominators in one residue class modulo s, so each fraction
+scans O(S^2/|s|^2) candidates (consecutive_neighbours, in int64 arrays).
+The all-pairs determinant scan is kept as the oracle
+consecutive_pairs_scan.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from math import gcd as int_gcd, isqrt
 
 import numpy as np
 
+from . import region
 from .gint import (
     DomainError,
     GInt,
@@ -35,6 +42,11 @@ from .gint import (
     norm,
     xgcd,
 )
+
+# below this S every quantity of gs_arrays and consecutive_neighbours stays
+# far inside int64: the partner keys are below 4 (S + 1)^4, and the
+# largest product, (r s' - 1) conj(s), is below 8 S^3
+INT64_S_LIMIT = 1 << 14
 
 _UNIT_INV = {u: v for u, v in zip(UNITS, (UNITS[0], UNITS[3], UNITS[2], UNITS[1]))}
 
@@ -94,38 +106,60 @@ class Sphere:
     radius: Fraction
 
 
-def enumerate_gs(S: int) -> list[GFraction]:
-    """All reduced fractions in the closed unit square with canonical
-    denominator of modulus <= S, sorted by (norm(s), s, r).
+def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
+    """G_S as int64 arrays (norm(s), Re s, Im s, Re r, Im r), one entry per
+    fraction r/s, in sort_key order.
 
     For the denominator s = a+bi the candidate numerators x+iy satisfy
     0 <= ax+by <= norm(s) and 0 <= ay-bx <= norm(s), a tilted square with
-    corners at x in [-b, a], y in [0, a+b].
+    corners at x in [-b, a], y in [0, a+b].  r/s is reduced exactly when
+    the ideal (r, s) is the whole ring, i.e. when its index
+    gcd(norm(s), norm(r), Re(r conj(s)), Im(r conj(s))) is 1; for r = 0
+    that leaves only 0/1.  The boxes of consecutive denominators are
+    expanded together, at most region.BLOCK_ELEMENTS candidates at a time.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
-    out: list[GFraction] = []
+    if S >= INT64_S_LIMIT:
+        raise ArithmeticError(f"G_S arrays are exact in int64 for S < {INT64_S_LIMIT}; got {S}")
     S2 = S * S
-    for a in range(1, S + 1):
-        for b in range(0, isqrt(S2 - a * a) + 1):
-            s = GInt(a, b)
-            n = a * a + b * b
-            for x in range(-b, a + 1):
-                for y in range(0, a + b + 1):
-                    px = a * x + b * y
-                    if px < 0 or px > n:
-                        continue
-                    qy = a * y - b * x
-                    if qy < 0 or qy > n:
-                        continue
-                    r = GInt(x, y)
-                    if r:
-                        if is_coprime(r, s):
-                            out.append(GFraction(r, s))
-                    elif n == 1:
-                        out.append(GFraction(r, s))  # 0/1 only
-    out.sort(key=GFraction.sort_key)
-    return out
+    k = np.arange(1, S + 1, dtype=np.int64)
+    a, b = np.nonzero(np.add.outer(k * k, np.r_[0, k * k]) <= S2)
+    a += 1
+    side = a + b + 1
+    ends = np.cumsum(side * side)
+    parts = []
+    lo = 0
+    while lo < len(a):
+        start = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, start + region.BLOCK_ELEMENTS, side="right")))
+        sizes = (side * side)[lo:hi]
+        owner = np.repeat(np.arange(lo, hi), sizes)
+        local = np.arange(int(ends[hi - 1]) - start) - np.repeat(ends[lo:hi] - sizes - start, sizes)
+        sa, sb, w = a[owner], b[owner], side[owner]
+        x = local // w - sb
+        y = local % w
+        n = sa * sa + sb * sb
+        px = sa * x + sb * y
+        qy = sa * y - sb * x
+        keep = (px >= 0) & (px <= n) & (qy >= 0) & (qy <= n)
+        keep &= np.gcd(np.gcd(n, x * x + y * y), np.gcd(px, qy)) == 1
+        parts.append(np.stack([n[keep], sa[keep], sb[keep], x[keep], y[keep]]))
+        lo = hi
+    cols = np.concatenate(parts, axis=1)
+    order = np.lexsort(cols[::-1])
+    return tuple(cols[:, order])
+
+
+def _fractions(gs: tuple[np.ndarray, ...]) -> list[GFraction]:
+    _, s_re, s_im, r_re, r_im = (c.tolist() for c in gs)
+    return [GFraction(GInt(x, y), GInt(a, b)) for a, b, x, y in zip(s_re, s_im, r_re, r_im)]
+
+
+def enumerate_gs(S: int) -> list[GFraction]:
+    """All reduced fractions in the closed unit square with canonical
+    denominator of modulus <= S, sorted by (norm(s), s, r)."""
+    return _fractions(gs_arrays(S))
 
 
 def is_adjacent(f1: GFraction, f2: GFraction) -> bool:
@@ -297,10 +331,167 @@ def consecutive_pairs_for_denoms(
     return sorted(found, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
 
 
+def _round_div(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Nearest integer to p/n for n > 0, halves rounded up."""
+    return (2 * p + n) // (2 * n)
+
+
+def _inverse_mod(r_re, r_im, s_re, s_im) -> tuple[np.ndarray, np.ndarray]:
+    """x with r x == 1 mod s for each lane, reduced so that both parts of
+    x/s lie in [-1/2, 1/2], by a vectorized Gaussian Euclid on (s, r).
+
+    The invariant a == xa r (mod s) holds for both rows of the remainder
+    sequence; at the end a is gcd(r, s), which must be a unit u, and
+    x = xa conj(u).
+    """
+    a_re, a_im, b_re, b_im = s_re.copy(), s_im.copy(), r_re.copy(), r_im.copy()
+    xa_re = np.zeros_like(r_re)
+    xa_im = np.zeros_like(r_re)
+    xb_re = np.ones_like(r_re)
+    xb_im = np.zeros_like(r_re)
+    live = np.flatnonzero(b_re | b_im)
+    while len(live):
+        ar, ai, br, bi = a_re[live], a_im[live], b_re[live], b_im[live]
+        nb = br * br + bi * bi
+        q_re = _round_div(ar * br + ai * bi, nb)
+        q_im = _round_div(ai * br - ar * bi, nb)
+        xar, xai, xbr, xbi = xa_re[live], xa_im[live], xb_re[live], xb_im[live]
+        a_re[live], a_im[live] = br, bi
+        b_re[live] = ar - (q_re * br - q_im * bi)
+        b_im[live] = ai - (q_re * bi + q_im * br)
+        xa_re[live], xa_im[live] = xbr, xbi
+        xb_re[live] = xar - (q_re * xbr - q_im * xbi)
+        xb_im[live] = xai - (q_re * xbi + q_im * xbr)
+        live = live[(b_re[live] | b_im[live]) != 0]
+    if np.any(a_re * a_re + a_im * a_im != 1):
+        raise ArithmeticError("numerator and denominator are not coprime")
+    x_re = xa_re * a_re + xa_im * a_im
+    x_im = xa_im * a_re - xa_re * a_im
+    n = s_re * s_re + s_im * s_im
+    k_re = _round_div(x_re * s_re + x_im * s_im, n)
+    k_im = _round_div(x_im * s_re - x_re * s_im, n)
+    return x_re - (k_re * s_re - k_im * s_im), x_im - (k_re * s_im + k_im * s_re)
+
+
+def _partner_blocks(S: int, gs: tuple[np.ndarray, ...]):
+    """The neighbour solve, one block at a time: yields (i, Re s', Im s',
+    Re r', Im r') for the consecutive partners r'/s' of the fractions i of
+    the block, with r s' - r' s = 1 (s' not yet canonical).
+
+    For f = r/s, scaling a partner r'/s' by a unit makes r s' - r' s = 1,
+    and exactly one of the four associates of (r', s') does so.  Then
+    s' = x + k s with x = r^-1 mod s and k a Gaussian integer, and
+    r' = (r s' - 1)/s exactly.  With x reduced, |s'| <= S puts both parts
+    of k within floor(S/|s|) + 1 of zero, so each fraction scans one box
+    of k, and the fractions sharing a box half-width are evaluated
+    together, at most region.BLOCK_ELEMENTS candidates at a time.  A
+    candidate is kept when r'/s' lies in the closed unit square and some
+    mediant denominator s + u s' has modulus > S: the tests of
+    in_unit_square and is_consecutive.
+    """
+    if S >= INT64_S_LIMIT:
+        raise ArithmeticError(f"the neighbour solve is exact in int64 for S < {INT64_S_LIMIT}; got {S}")
+    n, s_re, s_im, r_re, r_im = gs
+    S2 = S * S
+    x_re, x_im = _inverse_mod(r_re, r_im, s_re, s_im)
+    # the half-width isqrt(S^2 // norm) + 1 is constant on runs of the
+    # norm-sorted fractions
+    norms, first = np.unique(n, return_index=True)
+    h_of_norm = np.array([isqrt(S2 // v) + 1 for v in norms.tolist()], dtype=np.int64)
+    cuts = np.flatnonzero(np.diff(h_of_norm)) + 1
+    starts = first[np.r_[0, cuts]].tolist()
+    for lo, hi, h in zip(starts, starts[1:] + [len(n)], h_of_norm[np.r_[0, cuts]].tolist()):
+        side = np.arange(-h, h + 1, dtype=np.int64)
+        k_re = np.repeat(side, 2 * h + 1)[None, :]
+        k_im = np.tile(side, 2 * h + 1)[None, :]
+        step = max(1, region.BLOCK_ELEMENTS // k_re.size)
+        for b0 in range(lo, hi, step):
+            blk = slice(b0, min(b0 + step, hi))
+            sr, si = s_re[blk, None], s_im[blk, None]
+            sp_re = x_re[blk, None] + k_re * sr - k_im * si
+            sp_im = x_im[blk, None] + k_re * si + k_im * sr
+            nsp = sp_re * sp_re + sp_im * sp_im
+            row, col = np.nonzero((nsp > 0) & (nsp <= S2))
+            sp_re, sp_im, nsp = sp_re[row, col], sp_im[row, col], nsp[row, col]
+            i = row + b0
+            sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
+            # r' = (r s' - 1) / s, computed as (r s' - 1) conj(s) / norm(s)
+            w_re = rr * sp_re - ri * sp_im - 1
+            w_im = rr * sp_im + ri * sp_re
+            t_re = w_re * sr + w_im * si
+            t_im = w_im * sr - w_re * si
+            if np.any(t_re % ns) or np.any(t_im % ns):
+                raise ArithmeticError("r s' - 1 is not divisible by s")
+            rp_re = t_re // ns
+            rp_im = t_im // ns
+            # r'/s' in the square: r' conj(s') in [0, norm(s')]^2, unchanged
+            # by a unit on both; escape: max over units of |s + u s'|^2 is
+            # norm(s) + norm(s') + 2 max(|Re c|, |Im c|), c = conj(s) s'
+            p_re = rp_re * sp_re + rp_im * sp_im
+            p_im = rp_im * sp_re - rp_re * sp_im
+            c = np.maximum(np.abs(sr * sp_re + si * sp_im), np.abs(sr * sp_im - si * sp_re))
+            keep = (p_re >= 0) & (p_re <= nsp) & (p_im >= 0) & (p_im <= nsp) & (ns + nsp + 2 * c > S2)
+            yield i[keep], sp_re[keep], sp_im[keep], rp_re[keep], rp_im[keep]
+
+
+def partner_degrees(S: int, gs: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The number of consecutive partners of every fraction of gs =
+    gs_arrays(S), from the neighbour solve."""
+    degrees = np.zeros(len(gs[0]), dtype=np.int64)
+    for i, *_ in _partner_blocks(S, gs):
+        degrees += np.bincount(i, minlength=len(degrees))
+    return degrees
+
+
+def consecutive_neighbours(S: int, gs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every consecutive partner in gs = gs_arrays(S) as index arrays
+    (i, j): fraction j is consecutive to fraction i.  Each unordered pair
+    appears once in each direction.  A partner of the neighbour solve is
+    found in gs by rotating s' to its canonical associate."""
+    _, s_re, s_im, r_re, r_im = gs
+    # every fraction has a key that increases along the sort_key order:
+    # the rank of its denominator, then its numerator offset in the box
+    # -S <= Re r <= S, 0 <= Im r <= 2S
+    width = 2 * S + 1
+    den_start = np.flatnonzero(np.r_[True, (np.diff(s_re) != 0) | (np.diff(s_im) != 0)])
+    den_rank = np.full((S + 1) * (S + 1), -1, dtype=np.int64)
+    den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
+    keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
+    out_i, out_j = [], []
+    for i, sp_re, sp_im, rp_re, rp_im in _partner_blocks(S, gs):
+        # rotate (r', s') by the unit that makes s' canonical
+        q1 = (sp_re <= 0) & (sp_im > 0)  # times -i
+        q2 = (sp_re < 0) & (sp_im <= 0)  # times -1
+        q3 = (sp_re >= 0) & (sp_im < 0)  # times i
+        for q, rot in ((q1, lambda u, v: (v, -u)), (q2, lambda u, v: (-u, -v)), (q3, lambda u, v: (-v, u))):
+            sp_re[q], sp_im[q] = rot(sp_re[q], sp_im[q])
+            rp_re[q], rp_im[q] = rot(rp_re[q], rp_im[q])
+        key = (den_rank[sp_re * (S + 1) + sp_im] * width + rp_re + S) * width + rp_im
+        j = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        if np.any(keys[j] != key):
+            raise ArithmeticError("a consecutive partner is missing from G_S")
+        out_i.append(i)
+        out_j.append(j)
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
 def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
-    """Every unordered consecutive pair of fractions at level S, by direct
-    geometric scan: enumerate the fractions, find tangent sphere pairs with
-    a vectorized determinant pass, keep those with an escaping mediant."""
+    """Every unordered consecutive pair of fractions at level S, each as
+    (f, f') with f first in sort_key order, sorted by (f, f'): the pairs
+    of consecutive_neighbours, the same list as consecutive_pairs_scan."""
+    gs = gs_arrays(S)
+    i, j = consecutive_neighbours(S, gs)
+    forward = i < j
+    i, j = i[forward], j[forward]
+    order = np.lexsort((j, i))
+    fractions = _fractions(gs)
+    return [(fractions[a], fractions[b]) for a, b in zip(i[order].tolist(), j[order].tolist())]
+
+
+def consecutive_pairs_scan(S: int) -> list[tuple[GFraction, GFraction]]:
+    """Oracle for consecutive_pairs: the determinant test on all |G_S|^2
+    fraction pairs (vectorized per row), keeping those with an escaping
+    mediant.  Its cost grows like S^8."""
     fractions = enumerate_gs(S)
     n = len(fractions)
     rx = np.array([f.num.re for f in fractions], dtype=np.int64)

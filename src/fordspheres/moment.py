@@ -2,9 +2,10 @@
 
 Three routes to the same quantity:
 
-  direct      enumerate the fractions at level S, find every unordered
-              consecutive pair geometrically, and add the radius sums
-              1/(2|s|^2) + 1/(2|s'|^2) in exact rational arithmetic;
+  direct      enumerate the fractions at level S, solve for the
+              consecutive partners of each (farey.partner_degrees), and
+              add the radius sums 1/(2|s|^2) + 1/(2|s'|^2) in exact
+              rational arithmetic, compared with the quarter main term;
 
   counting    2 * sum over canonical |s| <= S of N(s)/|s|^2, where N(s)
               counts consecutive partner denominators for s as lattice
@@ -34,10 +35,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gint import DomainError, norm
+from .gint import DomainError
 from . import arith, farey, region
 
-DIRECT_CAP_DEFAULT = 12
+DIRECT_CAP_DEFAULT = 24
 COUNTING_CAP_DEFAULT = 256
 ZETA_RADIUS_DEFAULT = 2000
 
@@ -171,32 +172,54 @@ def main_term(S: int, bundle: ConstantsBundle | None = None) -> float:
     return bundle.main_coeff * float(S) * float(S)
 
 
-def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
-    """Exact direct evaluation: scan all consecutive fraction pairs.
+def direct_total(S: int) -> Fraction:
+    """M(S) exactly, from the consecutive partners of the neighbour solve.
 
-    Rational accumulation throughout; the float conversion happens once at
-    the end.  Pair enumeration grows like S^8 in the worst case, hence the
-    cap; use the counting route beyond it.  elapsed excludes the main-term
-    constants, which are built (once per process) beforehand.
+    Each unordered pair contributes 1/(2|s|^2) + 1/(2|s'|^2), so
+    M(S) = sum over f in G_S of deg(f) / (2 |s_f|^2), where deg(f) counts
+    the consecutive partners of f; the degrees are summed per norm in
+    integers and the per-norm terms as one exact rational.
+    """
+    gs = farey.gs_arrays(S)
+    norms = gs[0]
+    degrees = farey.partner_degrees(S, gs)
+    first = np.flatnonzero(np.r_[True, np.diff(norms) != 0])
+    per_norm = np.add.reduceat(degrees, first)
+    return sum(
+        (Fraction(d, 2 * n) for d, n in zip(per_norm.tolist(), norms[first].tolist())),
+        Fraction(0),
+    )
+
+
+def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
+    """Exact direct evaluation: every consecutive fraction pair, found by
+    the neighbour solve of farey.partner_degrees.
+
+    Rational accumulation throughout (direct_total); the float conversion
+    happens once at the end.  The work grows like S^4 (about 7 S^4
+    candidate denominators), hence the cap; use the counting route beyond
+    it.
+    The row is compared with the quarter main term main_term(S) / 4, the
+    one-per-unit-orbit normalization the direct sum follows (real-axis
+    denominator pairs, which realize eight fraction pairs instead of four,
+    add a lower-order excess).  elapsed excludes the main-term constants,
+    which are built (once per process) beforehand.
     """
     if S > cap:
         raise DomainError(
-            f"direct method capped at S = {cap} (quartic pair scan); "
-            f"use method='counting' for larger S"
+            f"direct method capped at S = {cap}; "
+            f"use method='counting' for larger S, or raise cap= explicitly"
         )
-    mt = main_term(S)
+    mt = main_term(S) / 4
     t0 = time.perf_counter()
-    total = Fraction(0)
-    for f1, f2 in farey.consecutive_pairs(S):
-        total += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
-    value = float(total)
+    value = float(direct_total(S))
     return MomentReport(
         S=S,
         method="direct",
         value=value,
         main_term=mt,
         residual=value - mt,
-        normalization="none",
+        normalization="omega_quarter",
         elapsed=time.perf_counter() - t0,
     )
 

@@ -596,19 +596,22 @@ def check_calibration() -> tuple[bool, str]:
     )
 
 
+RECONCILIATION_RANGE = range(2, 17)
+
+
 @_check("moment", "direct moment reconciles exactly with quarter counting")
 def check_direct_quarter_reconciliation() -> tuple[bool, str]:
     # quarter counting assumes four fraction pairs per denominator pair;
     # real-axis pairs (classical consecutive Farey denominators) realize
     # eight, so adding four radius sums per such pair must reconcile the
     # two pipelines exactly, in rational arithmetic
-    for S in range(2, 11):
-        direct = Fraction(0)
-        for f1, f2 in farey.consecutive_pairs(S):
-            direct += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
+    for S in RECONCILIATION_RANGE:
+        direct = moment.direct_total(S)
         quarter = Fraction(0)
         counts = moment.consecutive_partner_counts(S).tolist()
         for q, c in zip(_canonical_upto(S * S), counts):
+            if c % 4:
+                return False, f"full count {c} of {q} at S = {S} is not divisible by 4"
             quarter += Fraction(c // 4, norm(q))
         quarter *= 2
         extra = Fraction(0)
@@ -618,7 +621,8 @@ def check_direct_quarter_reconciliation() -> tuple[bool, str]:
                     extra += 4 * (Fraction(1, 2 * q * q) + Fraction(1, 2 * qp * qp))
         if direct != quarter + extra:
             return False, f"mismatch at S = {S}: {direct} vs {quarter + extra}"
-    return True, "S in 2..10: direct == quarter + real-axis correction, exactly"
+    lo, hi = RECONCILIATION_RANGE[0], RECONCILIATION_RANGE[-1]
+    return True, f"S in {lo}..{hi}: direct == quarter + real-axis correction, exactly"
 
 
 COUNTING_LADDER = (32, 64, 128)

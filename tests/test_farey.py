@@ -1,22 +1,29 @@
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
 from fordspheres.farey import (
     GFraction,
+    INT64_S_LIMIT,
     consecutive_denominator_conditions,
+    consecutive_neighbours,
     consecutive_pairs,
     consecutive_pairs_for_denoms,
+    consecutive_pairs_scan,
     enumerate_fq,
     enumerate_gs,
     generate_gs_by_mediants,
+    gs_arrays,
     is_adjacent,
     is_consecutive,
     is_consecutive_fq,
     mediant_children,
+    partner_degrees,
     spheres_tangent,
 )
+from fordspheres import region
 from fordspheres.gint import DomainError, GInt, ONE, norm
 
 
@@ -206,6 +213,36 @@ class TestConsecutive:
         assert len(realized) > 300
         for (s, sp), pairs in realized.items():
             assert set(consecutive_pairs_for_denoms(s, sp, S)) == pairs
+
+    def test_neighbour_solve_equals_scan(self):
+        for S in range(1, 9):
+            assert consecutive_pairs(S) == consecutive_pairs_scan(S), S
+
+    def test_neighbour_solve_is_symmetric_and_blockwise(self, monkeypatch):
+        S = 9
+        gs = gs_arrays(S)
+        i, j = consecutive_neighbours(S, gs)
+        directed = set(zip(i.tolist(), j.tolist()))
+        assert len(directed) == len(i)
+        assert directed == {(b, a) for a, b in directed}
+        degrees = partner_degrees(S, gs)
+        assert degrees.tolist() == np.bincount(i, minlength=len(gs[0])).tolist()
+        # blocks of a few fractions each, and one fraction per block where
+        # its box alone exceeds the block size
+        monkeypatch.setattr(region, "BLOCK_ELEMENTS", 40)
+        for a, b in zip(gs_arrays(S), gs):
+            assert a.tolist() == b.tolist()
+        i2, j2 = consecutive_neighbours(S, gs)
+        assert set(zip(i2.tolist(), j2.tolist())) == directed
+        assert partner_degrees(S, gs).tolist() == degrees.tolist()
+
+    def test_neighbour_solve_refuses_inexact_input(self):
+        with pytest.raises(ArithmeticError):
+            gs_arrays(INT64_S_LIMIT)
+        # 2/2 is not reduced: no inverse of 2 modulo 2
+        bad = tuple(np.array([v], dtype=np.int64) for v in (4, 2, 0, 2, 0))
+        with pytest.raises(ArithmeticError):
+            partner_degrees(2, bad)
 
     def test_geometric_scan_at_level_two(self):
         pairs = consecutive_pairs(2)

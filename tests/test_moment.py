@@ -75,9 +75,53 @@ class TestDirect:
             assert moment.moment_first_direct(S).value > 0
 
     def test_cap_enforced(self):
-        with pytest.raises(DomainError):
-            moment.moment_first_direct(13)
-        moment.moment_first_direct(13, cap=13)  # explicit raise of the cap works
+        assert moment.DIRECT_CAP_DEFAULT == 24
+        with pytest.raises(DomainError, match="capped at S = 24"):
+            moment.moment_first_direct(25)
+        with pytest.raises(DomainError, match="capped at S = 5"):
+            moment.moment_first_direct(6, cap=5)
+        assert moment.moment_first_direct(6, cap=6).value == moment.moment_first_direct(6).value
+
+    # float.hex of the values, and the pair counts, the all-pairs
+    # determinant scan gave before the neighbour solve replaced it
+    PINNED = {
+        1: ("0x1.0000000000000p+2", 4),
+        2: ("0x1.0000000000000p+3", 12),
+        3: ("0x1.693e93e93e93fp+4", 72),
+        4: ("0x1.159c39c39c39cp+5", 176),
+        5: ("0x1.d7d544dbd544ep+5", 468),
+        6: ("0x1.380edffca480ap+6", 840),
+        7: ("0x1.b10eec21c30bdp+6", 1608),
+        8: ("0x1.1cd042b5ca295p+7", 2700),
+        9: ("0x1.6a8a3421d0615p+7", 4360),
+        10: ("0x1.c42c1864012d1p+7", 6736),
+        11: ("0x1.14a94fc9f267cp+8", 10012),
+        12: ("0x1.3b6f484c31f7ep+8", 13112),
+    }
+
+    def test_values_pinned_bitwise(self):
+        from fordspheres import farey
+
+        for S, (value, pairs) in self.PINNED.items():
+            assert moment.moment_first_direct(S).value.hex() == value, S
+            assert len(farey.consecutive_pairs(S)) == pairs, S
+
+    def test_total_is_the_pair_sum(self):
+        from fordspheres import farey
+        from fordspheres.gint import norm
+
+        for S in range(1, 8):
+            total = Fraction(0)
+            for f1, f2 in farey.consecutive_pairs_scan(S):
+                total += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
+            assert moment.direct_total(S) == total, S
+
+    def test_residual_against_quarter_main_term(self):
+        for S in (1, 5, 12, 24):
+            rep = moment.moment_first_direct(S)
+            assert rep.normalization == "omega_quarter"
+            assert rep.main_term == moment.main_term(S) / 4
+            assert rep.residual == rep.value - moment.main_term(S) / 4
 
 
 class TestCounting:
@@ -154,32 +198,13 @@ class TestCalibration:
     def test_direct_equals_quarter_plus_real_axis_extra(self):
         # The quarter normalization assumes four fraction pairs per
         # denominator pair; the only exceptions are pairs of rational
-        # integers (the classical consecutive Farey denominators
-        # q < q', coprime, q + q' > S), which realize eight.  Adding four
-        # extra radius sums per such pair reconciles the two pipelines
-        # exactly, in rational arithmetic.
-        from math import gcd as int_gcd
+        # integers, which realize eight.  The identity and its range live
+        # in verify.
+        from fordspheres import verify
 
-        from fordspheres import farey
-        from fordspheres.gint import norm
-
-        for S in range(2, 11):
-            direct = Fraction(0)
-            for f1, f2 in farey.consecutive_pairs(S):
-                direct += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
-            quarter = Fraction(0)
-            counts = moment.consecutive_partner_counts(S).tolist()
-            re, im, _ = arith.canonical_cells(S * S)
-            for x, y, c in zip(re.tolist(), im.tolist(), counts):
-                assert c % 4 == 0
-                quarter += Fraction(c // 4, norm(g(x, y)))
-            quarter *= 2
-            extra = Fraction(0)
-            for q in range(1, S + 1):
-                for qp in range(q + 1, S + 1):
-                    if int_gcd(q, qp) == 1 and q + qp > S:
-                        extra += 4 * (Fraction(1, 2 * q * q) + Fraction(1, 2 * qp * qp))
-            assert direct == quarter + extra, S
+        assert verify.RECONCILIATION_RANGE == range(2, 17)
+        ok, detail = verify.check_direct_quarter_reconciliation()
+        assert ok, detail
 
 
 class TestSums:
@@ -273,10 +298,10 @@ class TestSweep:
         assert rep.residual == 0.0
 
     def test_row_failures_recorded(self):
-        sweep = moment.report_sweep((2, 20), methods=("direct",))
+        sweep = moment.report_sweep((2, 25), methods=("direct",))
         assert len(sweep.reports) == 1
         assert len(sweep.errors) == 1
-        assert sweep.errors[0][0] == 20
+        assert sweep.errors[0][0] == 25
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
