@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, pi
+from math import inf, isqrt, pi
 from typing import Callable, Mapping
 
 import numpy as np
@@ -418,14 +418,21 @@ def zeta_i_truncated(s: float, radius: float) -> ZetaTruncation:
     grouped by norm n <= radius^2 through :func:`norm_coefficients`."""
     if s <= 1:
         raise DomainError("need s > 1 for convergence")
-    if radius < 1:
-        raise DomainError("radius must be >= 1")
+    if not 1 <= radius < inf:  # also refuses nan
+        raise DomainError(f"zeta radius must be a finite number >= 1, got {radius}")
     a, b = norm_coefficients(int(radius * radius))
     n = np.flatnonzero(a)  # b(n) = 0 wherever a(n) = 0
     weights = n.astype(np.float64) ** (-float(s))
     value = float(np.sum(a[n] * weights))
     inverse = float(np.sum(b[n] * weights))
     return ZetaTruncation(s=float(s), radius=float(radius), value=value, inverse_value=inverse)
+
+
+def zeta_tail_allowance(radius: float) -> float:
+    """Allowed |value * inverse_value - 1| of the truncation at radius R:
+    20 / R^2.  At s = 2 each truncated series omits a tail of about
+    (pi/4) / R^2."""
+    return 20.0 / (radius * radius)
 
 
 def zeta_tail(s: float, lo_radius: float, hi_radius: float) -> float:

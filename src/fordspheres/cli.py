@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import __version__, arith, farey, moment, region, verify
-from .gint import DomainError, GInt, ParseError, norm, parse_gint
+from .gint import DomainError, GInt, ParseError, canonical, parse_gint
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,15 +52,9 @@ def _metadata(config: RunConfig, include_constants: bool = True) -> dict[str, An
         "config": config.to_dict(),
     }
     if include_constants:
-        bundle = moment.constants_bundle()
-        meta["constants"] = {
-            "C": bundle.C,
-            "zeta_i_2": bundle.zeta_i_2,
-            "zeta_i_inv_2": bundle.zeta_i_inv_2,
-            "main_coeff": bundle.main_coeff,
-            "z1": bundle.z1,
-            "zeta_radius": bundle.zeta_radius,
-        }
+        constants = dataclasses.asdict(moment.constants_bundle())
+        del constants["z2_estimate"]
+        meta["constants"] = constants
     return meta
 
 
@@ -68,18 +62,8 @@ REPORT_COLUMNS = ("S", "method", "normalization", "value", "main_term", "residua
 
 
 def report_rows(reports: Sequence[moment.MomentReport]) -> list[dict[str, Any]]:
-    return [
-        {
-            "S": r.S,
-            "method": r.method,
-            "normalization": r.normalization,
-            "value": r.value,
-            "main_term": r.main_term,
-            "residual": r.residual,
-            "elapsed_s": r.elapsed,
-        }
-        for r in reports
-    ]
+    # each column is the report field of the same name; elapsed_s is elapsed
+    return [{c: getattr(r, c.removesuffix("_s")) for c in REPORT_COLUMNS} for r in reports]
 
 
 def write_csv(path: str, meta: dict[str, Any], columns: Sequence[str], rows: list[dict[str, Any]]) -> None:
@@ -184,28 +168,16 @@ def cmd_enumerate(args, config: RunConfig) -> int:
 
 def cmd_constants(args, config: RunConfig) -> int:
     bundle = moment.constants_bundle(zeta_radius=args.zeta_radius, with_z2=args.with_z2)
-    payload = {
-        "C": bundle.C,
-        "zeta_i_2": bundle.zeta_i_2,
-        "zeta_i_inv_2": bundle.zeta_i_inv_2,
-        "main_coeff": bundle.main_coeff,
-        "z1": bundle.z1,
-        "z2_estimate": bundle.z2_estimate,
-        "zeta_radius": bundle.zeta_radius,
-        "zeta_tail_allowance": 20.0 / (bundle.zeta_radius**2),
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
+    payload = dataclasses.asdict(bundle)
+    payload["zeta_tail_allowance"] = arith.zeta_tail_allowance(bundle.zeta_radius)
+    print(json.dumps(payload, sort_keys=True, indent=2))
     if config.output_path:
         write_json(config.output_path, _metadata(config), [payload])
     return EXIT_OK
 
 
 def cmd_area(args, config: RunConfig) -> int:
-    s = parse_gint(args.s)
-    from .gint import canonical
-
-    spec = region.OmegaSpec(canonical(s), args.S)
+    spec = region.OmegaSpec(canonical(parse_gint(args.s)), args.S)
     payload = {
         "s": str(spec.s),
         "S": spec.S,
@@ -239,18 +211,15 @@ def _calibration_meta() -> dict[str, Any]:
 
 
 def cmd_moment(args, config: RunConfig) -> int:
-    method = args.method.replace("-", "_")
-    normalization = args.normalization.replace("-", "_")
-    if method == "direct":
-        reports = [moment.moment_first_direct(args.S, cap=args.direct_cap)]
-    elif method == "counting":
-        reports = [
-            moment.moment_first_counting(
-                args.S, normalization=normalization, threads=config.threads, cap=args.counting_cap
-            )
-        ]
-    else:
-        reports = [moment.moment_main_term_report(args.S)]
+    reports = [
+        moment.evaluate(
+            args.S,
+            args.method.replace("-", "_"),
+            args.normalization.replace("-", "_"),
+            args.direct_cap,
+            args.counting_cap,
+        )
+    ]
     _print_report_table(reports)
     meta = _metadata(config)
     if args.with_calibration:
@@ -259,8 +228,17 @@ def cmd_moment(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _levels(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise ParseError(f"--S-values must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_report(args, config: RunConfig) -> int:
     if args.kind == "arith":
+        if args.radius < 1:
+            raise DomainError(f"radius must be >= 1, got {args.radius}")
         sieve = arith.get_sieve(args.radius * args.radius)
         sl = sieve.upto(args.radius)
         rows = []
@@ -273,14 +251,16 @@ def cmd_report(args, config: RunConfig) -> int:
         print(f"{len(rows)} canonical values with |q| <= {args.radius}")
         _emit(config, _metadata(config, include_constants=False), ("q", "norm", "mu_i", "phi_i"), rows)
         return EXIT_OK
+    S_values = _levels(args.S_values)
     if args.kind == "bsum":
-        S_values = [int(tok) for tok in args.S_values.split(",") if tok]
         eps = args.epsilon
         if not 0.0 < eps < 1.0:
             raise DomainError("epsilon must be in (0, 1)")
+        # every S is evaluated (and its domain checked) before any output
+        growth = moment.sum_B_growth(S_values, epsilon=eps)
         rows = []
         print(f"{'S':>6} {'B':>16} {'B/S^(1+eps)':>14}   eps = {eps}")
-        for S, normalized in moment.sum_B_growth(S_values, epsilon=eps):
+        for S, normalized in growth:
             b_val = normalized * S ** (1.0 + eps)
             rows.append({"S": S, "epsilon": eps, "B": b_val, "B_over_S_1_eps": normalized})
             print(f"{S:>6} {b_val:>16.4f} {normalized:>14.4f}")
@@ -288,13 +268,10 @@ def cmd_report(args, config: RunConfig) -> int:
         meta["boundary_surrogate"] = "8*pi*S"
         _emit(config, meta, ("S", "epsilon", "B", "B_over_S_1_eps"), rows)
         return EXIT_OK
-    S_values = [int(tok) for tok in args.S_values.split(",") if tok]
-    methods = [tok.replace("-", "_") for tok in args.methods.split(",") if tok]
     sweep = moment.report_sweep(
         S_values,
-        methods=methods,
+        methods=[tok.replace("-", "_") for tok in args.methods.split(",") if tok],
         normalization=args.normalization.replace("-", "_"),
-        threads=config.threads,
         direct_cap=args.direct_cap,
         counting_cap=args.counting_cap,
     )

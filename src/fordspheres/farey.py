@@ -28,7 +28,7 @@ from math import gcd as int_gcd, isqrt
 
 import numpy as np
 
-from . import region
+from . import arith, region
 from .gint import (
     DomainError,
     GInt,
@@ -115,17 +115,17 @@ def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
     corners at x in [-b, a], y in [0, a+b].  r/s is reduced exactly when
     the ideal (r, s) is the whole ring, i.e. when its index
     gcd(norm(s), norm(r), Re(r conj(s)), Im(r conj(s))) is 1; for r = 0
-    that leaves only 0/1.  The boxes of consecutive denominators are
-    expanded together, at most region.BLOCK_ELEMENTS candidates at a time.
+    that leaves only 0/1.  The denominators come from
+    arith.canonical_cells in (norm, re, im) order and each box is expanded
+    in (x, y) order, so the output is in sort_key order as built.  The
+    boxes of consecutive denominators are expanded together, at most
+    region.BLOCK_ELEMENTS candidates at a time.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
     if S >= INT64_S_LIMIT:
         raise ArithmeticError(f"G_S arrays are exact in int64 for S < {INT64_S_LIMIT}; got {S}")
-    S2 = S * S
-    k = np.arange(1, S + 1, dtype=np.int64)
-    a, b = np.nonzero(np.add.outer(k * k, np.r_[0, k * k]) <= S2)
-    a += 1
+    a, b, norms = arith.canonical_cells(S * S)
     side = a + b + 1
     ends = np.cumsum(side * side)
     parts = []
@@ -136,19 +136,16 @@ def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
         sizes = (side * side)[lo:hi]
         owner = np.repeat(np.arange(lo, hi), sizes)
         local = np.arange(int(ends[hi - 1]) - start) - np.repeat(ends[lo:hi] - sizes - start, sizes)
-        sa, sb, w = a[owner], b[owner], side[owner]
+        sa, sb, n, w = a[owner], b[owner], norms[owner], side[owner]
         x = local // w - sb
         y = local % w
-        n = sa * sa + sb * sb
         px = sa * x + sb * y
         qy = sa * y - sb * x
         keep = (px >= 0) & (px <= n) & (qy >= 0) & (qy <= n)
         keep &= np.gcd(np.gcd(n, x * x + y * y), np.gcd(px, qy)) == 1
         parts.append(np.stack([n[keep], sa[keep], sb[keep], x[keep], y[keep]]))
         lo = hi
-    cols = np.concatenate(parts, axis=1)
-    order = np.lexsort(cols[::-1])
-    return tuple(cols[:, order])
+    return tuple(np.concatenate(parts, axis=1))
 
 
 def _fractions(gs: tuple[np.ndarray, ...]) -> list[GFraction]:

@@ -12,7 +12,8 @@ Three routes to the same quantity:
               points of the consecutivity region coprime to s; under the
               'omega_full' normalization N(s) is the full-plane count,
               under 'omega_quarter' one representative per unit orbit
-              (exactly a quarter of the full count);
+              (exactly a quarter of the full count), compared with the
+              quarter main term;
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
               C = -int_0^{1/sqrt 2} ln(sqrt 2 u) sqrt(1 - u^2) du, summed
@@ -23,6 +24,9 @@ direct value agrees with 'omega_quarter' up to the contribution of
 denominator pairs on the real axis (which realize eight fraction pairs
 instead of four), so the full/direct ratio drifts slowly toward 4; the
 calibration helper measures that ratio on the exactly computable range.
+
+evaluate(S, method, ...) is the one map from a method name to its route;
+the CLI and report_sweep both call it.
 """
 
 from __future__ import annotations
@@ -139,9 +143,7 @@ def constants_bundle(zeta_radius: float = ZETA_RADIUS_DEFAULT, with_z2: bool = F
         return _bundle_cache[key]
     C = constant_C()
     zt = arith.zeta_i_truncated(2, zeta_radius)
-    # the truncated product must sit within the tail allowance
-    tail = 20.0 / (zeta_radius * zeta_radius)
-    if abs(zt.value * zt.inverse_value - 1.0) > tail:
+    if abs(zt.value * zt.inverse_value - 1.0) > arith.zeta_tail_allowance(zeta_radius):
         raise ArithmeticError("zeta truncation inconsistent beyond tail bound")
     z1 = math.pi / 8.0 * zt.inverse_value
     z2 = None
@@ -274,18 +276,21 @@ def moment_first_counting(
 
     N(s) is the number of lattice points of the consecutivity region
     coprime to s, full-plane or one-per-unit-orbit depending on the
-    normalization.  Per-denominator counts are exact integers; the outer
-    accumulation is an exactly rounded float sum (math.fsum) of the
-    per-denominator quotients.
-    threads is accepted for compatibility and ignored: the route runs in
-    the calling process and starts no workers.  elapsed excludes the
-    main-term constants, which are built (once per process) beforehand.
+    normalization; the row is compared with main_term(S) under
+    'omega_full' and with main_term(S) / 4 under 'omega_quarter'.
+    Per-denominator counts are exact integers; the outer accumulation is
+    an exactly rounded float sum (math.fsum) of the per-denominator
+    quotients.
+    threads is accepted and ignored, for callers that still pass it: the
+    route runs in the calling process and starts no workers.  elapsed
+    excludes the main-term constants, which are built (once per process)
+    beforehand.
     """
     if normalization not in NORMALIZATIONS:
         raise DomainError(f"unknown normalization {normalization!r}")
     if S > cap:
         raise DomainError(f"counting method capped at S = {cap}; raise cap= explicitly")
-    mt = main_term(S)
+    mt = main_term(S) / 4 if normalization == "omega_quarter" else main_term(S)
     t0 = time.perf_counter()
     counts = consecutive_partner_counts(S)
     if normalization == "omega_quarter":
@@ -322,6 +327,24 @@ def moment_main_term_report(S: int) -> MomentReport:
     )
 
 
+def evaluate(
+    S: int,
+    method: str = "counting",
+    normalization: str = "omega_full",
+    direct_cap: int = DIRECT_CAP_DEFAULT,
+    counting_cap: int = COUNTING_CAP_DEFAULT,
+) -> MomentReport:
+    """One moment row by the named route; the normalization applies to
+    the counting route only (direct rows are always 'omega_quarter')."""
+    if method == "direct":
+        return moment_first_direct(S, cap=direct_cap)
+    if method == "counting":
+        return moment_first_counting(S, normalization, cap=counting_cap)
+    if method == "main_term":
+        return moment_main_term_report(S)
+    raise DomainError(f"unknown method {method!r}")
+
+
 def calibration_ratios(S_values: Iterable[int] = range(4, 13)) -> dict[int, float]:
     """counting(omega_full) / direct per S; the measured normalization gap."""
     out = {}
@@ -340,31 +363,19 @@ def calibration_ratios(S_values: Iterable[int] = range(4, 13)) -> dict[int, floa
 def sum_A(S: int) -> tuple[float, float]:
     """(sum over |s| <= S of phi_i(s)/|s|^4 * area(s, S), prediction).
 
-    Uses grouped norms: the area depends on s only through |s|, so terms
-    with equal norm share one area evaluation.  The prediction is
-    (pi/2) zeta_i^{-1}(2) (8C - 1) S^2.
+    The area is region.area_closed_form, which depends on s only through
+    |s|, so terms of equal norm share one evaluation.  The prediction is
+    main_term(S) / 2.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
     sieve = arith.get_sieve(S * S)
     sl = sieve.upto(S)
-    norms = sieve.norms[sl]
-    phis = sieve.phi[sl].astype(np.float64)
-    uniq, inverse = np.unique(norms, return_inverse=True)
-    phi_by_norm = np.bincount(inverse, weights=phis)
-    fS = float(S)
+    uniq, inverse = np.unique(sieve.norms[sl], return_inverse=True)
+    phi_by_norm = np.bincount(inverse, weights=sieve.phi[sl].astype(np.float64))
     fn = uniq.astype(np.float64)
-    s_abs = np.sqrt(fn)
-    t_star = np.arcsin(s_abs / (math.sqrt(2.0) * fS))
-    areas = (
-        4.0 * fS * fS * t_star
-        + 2.0 * math.sqrt(2.0) * fS * s_abs * np.sqrt(1.0 - fn / (2.0 * fS * fS))
-        - 2.0 * fn
-    )
-    exact = float(np.sum(phi_by_norm / (fn * fn) * areas))
-    bundle = constants_bundle()
-    prediction = math.pi / 2.0 * bundle.zeta_i_inv_2 * (8.0 * bundle.C - 1.0) * S * S
-    return exact, prediction
+    exact = float(np.sum(phi_by_norm / (fn * fn) * region.area_closed_form(uniq, S)))
+    return exact, main_term(S) / 2
 
 
 def sum_B(S: int, epsilon: float = 0.1) -> float:
@@ -372,6 +383,8 @@ def sum_B(S: int, epsilon: float = 0.1) -> float:
     with the constant surrogate 8 pi S."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must be in (0, 1)")
+    if S < 1:
+        raise DomainError("S must be >= 1")
     _, _, nrm = arith.canonical_cells(S * S)
     weights = nrm.astype(np.float64) ** (-(1.0 - epsilon / 2.0))
     return 8.0 * math.pi * S * float(np.sum(weights))
@@ -460,13 +473,11 @@ def report_sweep(
     S_values: Sequence[int],
     methods: Sequence[str] = ("direct", "counting"),
     normalization: str = "omega_full",
-    threads: int = 1,
     direct_cap: int = DIRECT_CAP_DEFAULT,
     counting_cap: int = COUNTING_CAP_DEFAULT,
 ) -> SweepResult:
-    """Run every (S, method) cell, collecting per-row failures instead of
-    aborting the sweep.  threads is passed on to the counting route, which
-    ignores it: no worker processes are started."""
+    """Evaluate every (S, method) cell, collecting per-row failures
+    instead of aborting the sweep."""
     for m in methods:
         if m not in METHODS:
             raise DomainError(f"unknown method {m!r}")
@@ -475,16 +486,7 @@ def report_sweep(
     for S in S_values:
         for m in methods:
             try:
-                if m == "direct":
-                    reports.append(moment_first_direct(S, cap=direct_cap))
-                elif m == "counting":
-                    reports.append(
-                        moment_first_counting(
-                            S, normalization=normalization, threads=threads, cap=counting_cap
-                        )
-                    )
-                else:
-                    reports.append(moment_main_term_report(S))
+                reports.append(evaluate(S, m, normalization, direct_cap, counting_cap))
             except Exception as exc:  # noqa: BLE001 - row failures are data
                 errors.append((S, m, str(exc)))
     return SweepResult(reports=reports, errors=errors, bundle=constants_bundle())

@@ -15,8 +15,10 @@ region, then simplifying int cos^2 = (t + sin t cos t)/2) is
     t*   = arcsin(|s| / (sqrt(2) S)),
 
 which collapses to pi S^2 at |s| = S and to ~ 4 sqrt(2) S |s| as
-|s|/S -> 0.  It is validated against direct quadrature of the polar
-double integral and against Monte Carlo sampling.
+|s|/S -> 0.  It is coded once, vectorized over norms, in
+area_closed_form; omega_area and moment.sum_A both evaluate it.  It is
+validated against direct quadrature of the polar double integral and
+against Monte Carlo sampling.
 
 Lattice counts go through one kernel,
 
@@ -80,17 +82,23 @@ def omega_contains(z: GInt, spec: OmegaSpec) -> bool:
     return any(norm(z + u * spec.s) > S2 for u in UNITS)
 
 
+def area_closed_form(norms: np.ndarray, S: int) -> np.ndarray:
+    """Closed-form area of the region at level S for each denominator norm
+    |s|^2 in norms (the area depends on s only through |s|)."""
+    fS = float(S)
+    fn = np.asarray(norms, dtype=np.float64)
+    s_abs = np.sqrt(fn)
+    t_star = np.arcsin(s_abs / (math.sqrt(2.0) * fS))
+    return (
+        4.0 * fS * fS * t_star
+        + 2.0 * math.sqrt(2.0) * fS * s_abs * np.sqrt(1.0 - fn / (2.0 * fS * fS))
+        - 2.0 * fn
+    )
+
+
 def omega_area(spec: OmegaSpec) -> float:
     """Closed-form area of the region."""
-    S = float(spec.S)
-    ns = float(norm(spec.s))
-    s_abs = math.sqrt(ns)
-    t_star = math.asin(s_abs / (math.sqrt(2.0) * S))
-    return (
-        4.0 * S * S * t_star
-        + 2.0 * math.sqrt(2.0) * S * s_abs * math.sqrt(1.0 - ns / (2.0 * S * S))
-        - 2.0 * ns
-    )
+    return float(area_closed_form(norm(spec.s), spec.S))
 
 
 def omega_area_quadrature(spec: OmegaSpec) -> float:

@@ -1,168 +1,93 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 PASS/FAIL line with the measured quantities (run pytest with -s to watch).
 
-Tolerances are fixed constants; nothing here is tuned at runtime.  The
-boundary-sum criterion (9) checks the S^(1+eps) ceiling of B(S) through
-verify.check_b_sum_growth, which holds its ladder, epsilon and the proven
-band of moment.sum_B_band; see the README.
+Every criterion runs the verify checks that hold its ladders and
+tolerances, and pins those constants here, so neither can drift from the
+other.  The boundary-sum criterion (9) checks the S^(1+eps) ceiling of
+B(S) against the proven band of moment.sum_B_band; see the README.
 """
 
 import time
+from fractions import Fraction
 
-from fordspheres import arith, farey, moment, region, verify
-from fordspheres.gint import ONE, norm
+from fordspheres import verify
 
 
-def _report(num: int, ok: bool, detail: str) -> None:
+def _run(num: int, *checks) -> None:
+    results = [check() for check in checks]
+    ok = all(passed for passed, _ in results)
+    detail = "; ".join(detail for _, detail in results)
     print(f"\nACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
+    assert ok, detail
 
 
 def test_criterion_01_constant_value_and_runtime():
-    t0 = time.perf_counter()
-    c = moment.constant_C()
-    elapsed = time.perf_counter() - t0
-    ok = abs(c - 0.68644) <= 1e-4 and elapsed < 1.0
-    _report(1, ok, f"C = {c:.8f} (|C - 0.68644| = {abs(c - 0.68644):.2e} <= 1e-4), {elapsed*1000:.0f} ms")
-    assert abs(c - 0.68644) <= 1e-4
-    assert elapsed < 1.0
+    assert verify.C_REFERENCE == 0.68644
+    assert verify.C_TOLERANCE == 1e-4
+    assert verify.C_RUNTIME_LIMIT_S == 1.0
+    _run(1, verify.check_constant_value)
 
 
 def test_criterion_02_counting_ladder_converges():
-    rows = []
-    for S in (32, 64, 128):
-        rep = moment.moment_first_counting(S)
-        gap = abs(rep.value / rep.main_term - 1.0)
-        rows.append((S, gap, rep.residual / S**1.5, rep.elapsed))
-    gaps = [gap for _, gap, _, _ in rows]
-    monotone = all(gaps[i + 1] <= gaps[i] for i in range(len(gaps) - 1))
-    final_ok = gaps[-1] <= 0.10
-    resid_ok = all(abs(r) <= 3.0 for _, _, r, _ in rows)
-    runtime_ok = all(dt < 600.0 for _, _, _, dt in rows)
-    detail = "; ".join(
-        f"S={S}: |ratio-1|={gap:.4f}, resid/S^1.5={r:.2f}, {dt:.0f}s" for S, gap, r, dt in rows
-    )
-    ok = monotone and final_ok and resid_ok and runtime_ok
-    _report(2, ok, detail)
-    assert monotone, "convergence gap must shrink monotonically along the ladder"
-    assert final_ok, "final relative gap must be at most 10%"
-    assert resid_ok, "residual/S^1.5 must stay bounded (<= 3.0)"
-    assert runtime_ok
+    assert verify.COUNTING_LADDER == (32, 64, 128)
+    assert verify.COUNTING_FINAL_GAP == 0.10
+    assert verify.RESIDUAL_OVER_S15_BOUND == 3.0
+    t0 = time.perf_counter()
+    _run(2, verify.check_counting_convergence)
+    assert time.perf_counter() - t0 < 600.0
 
 
 def test_criterion_03_area_weighted_phi_sum():
-    exact, pred = moment.sum_A(512)
-    ratio = exact / pred
-    ok = abs(ratio - 1.0) <= 0.05
-    _report(3, ok, f"sum_A(512) = {exact:.1f} vs prediction {pred:.1f}, ratio {ratio:.5f} (5% allowed)")
-    assert ok
+    assert verify.SUM_A_S == 512
+    assert verify.SUM_A_TOLERANCE == 0.05
+    _run(3, verify.check_sum_A)
 
 
 def test_criterion_04_exact_identities():
-    cells = verify._canonical_upto(10_000)
-    tab = verify._scalar_tables(10_000)
-    phi_bad = mu_bad = 0
-    for q in cells:
-        divs = arith.divisors(q)
-        if sum(tab[d][1] for d in divs) != norm(q):
-            phi_bad += 1
-        if sum(tab[d][0] for d in divs) != (1 if q == ONE else 0):
-            mu_bad += 1
-    residue_bad = sum(
-        1 for q in verify._canonical_upto(400) if arith.phi_i(q) != arith.phi_i_residues(q)
-    )
-    ok = phi_bad == 0 and mu_bad == 0 and residue_bad == 0
-    _report(
+    assert verify.EXACT_IDENTITY_MAX_NORM == 10_000
+    assert verify.RESIDUE_ORACLE_MAX_NORM == 400
+    _run(
         4,
-        ok,
-        f"{len(cells)} values with norm <= 1e4: phi divisor-sum violations {phi_bad}, "
-        f"mobius indicator violations {mu_bad}; residue-ring mismatches (norm <= 400): {residue_bad}",
+        verify.check_phi_divisor_sum,
+        verify.check_mobius_divisor_sum,
+        verify.check_phi_residue_oracle,
     )
-    assert ok
 
 
 def test_criterion_05_mediant_closure():
-    sizes = []
-    for S in range(1, 11):
-        generated = farey.generate_gs_by_mediants(S)
-        enumerated = set(farey.enumerate_gs(S))
-        assert generated == enumerated, f"closure mismatch at S = {S}"
-        sizes.append(len(enumerated))
-    _report(5, True, f"closure equals enumeration for S <= 10; sizes {sizes}")
+    assert verify.MEDIANT_CLOSURE_MAX_S == 10
+    _run(5, verify.check_mediant_closure)
 
 
 def test_criterion_06_consecutivity_classification():
-    conditions_match, counts_ok, degenerate_log = verify.classification_report(6)
-    ok = conditions_match and counts_ok
-    _report(
-        6,
-        ok,
-        f"S <= 6: condition pairs == realized pairs: {conditions_match}; "
-        f"4 fraction pairs per generic pair, with {len(degenerate_log)} real-axis pairs "
-        f"logged as degenerate (8 pairs each, 4 on the diagonal): {counts_ok}",
-    )
-    assert conditions_match
-    assert counts_ok
+    assert verify.CLASSIFICATION_MAX_S == 6
+    _run(6, verify.check_conditions_vs_geometry, verify.check_four_pairs)
 
 
 def test_criterion_07_lattice_count_quality():
-    mean_dev, max_dev = verify.coprime_prediction_stats(32)
-    worst_area_dev = 0.0
-    for S in (4, 8, 16, 32, 64):
-        for q in verify._canonical_upto(S * S):
-            spec = region.OmegaSpec(q, S)
-            dev = abs(region.omega_lattice_count(spec) - region.omega_area(spec)) / S
-            worst_area_dev = max(worst_area_dev, dev)
-    ok = mean_dev <= 0.10 and worst_area_dev <= 2.0
-    _report(
-        7,
-        ok,
-        f"coprime count vs density*area over |s| <= 32: mean dev {mean_dev:.4f} (<= 0.10), "
-        f"max {max_dev:.4f}; unfiltered |count - area|/S <= {worst_area_dev:.3f} "
-        f"(c = 2.0) across S <= 64",
-    )
-    assert mean_dev <= 0.10
-    assert worst_area_dev <= 2.0
+    assert verify.COPRIME_PREDICTION_S == 32
+    assert verify.COPRIME_MEAN_DEVIATION_MAX == 0.10
+    assert verify.AREA_DEVIATION_LADDER == (4, 8, 16, 32, 64)
+    assert verify.UNFILTERED_AREA_DEVIATION_C == 2.0
+    _run(7, verify.check_coprime_prediction, verify.check_count_tracks_area)
 
 
 def test_criterion_08_phi_sum_laws():
-    exact, pred = moment.sum_phi_over_norm2(512)
-    ratio = exact / pred
-    slope, _ = moment.fit_phi_over_norm4((64, 128, 256, 512, 1024, 2048))
-    target = 4.0 * moment.constants_bundle().z1
-    ok = abs(ratio - 1.0) <= 0.02 and abs(slope / target - 1.0) <= 0.05
-    _report(
-        8,
-        ok,
-        f"phi/norm sum at 512: ratio {ratio:.5f} (2% allowed); "
-        f"log slope {slope:.5f} vs {target:.5f} ({abs(slope/target-1)*100:.2f}% off, 5% allowed)",
-    )
-    assert abs(ratio - 1.0) <= 0.02
-    assert abs(slope / target - 1.0) <= 0.05
+    assert verify.PHI_NORM2_S == 512
+    assert verify.PHI_NORM2_TOLERANCE == 0.02
+    assert verify.PHI_NORM4_LADDER == (64, 128, 256, 512, 1024, 2048)
+    assert verify.PHI_NORM4_TOLERANCE == 0.05
+    _run(8, verify.check_phi_norm2, verify.check_phi_norm4_slope)
 
 
 def test_criterion_09_boundary_sum_growth():
-    # the ladder and epsilon the criterion pins; verify holds them and the band
     assert verify.B_LADDER == (16, 32, 64, 128)
     assert verify.B_EPSILON == 0.1
-    ok, detail = verify.check_b_sum_growth()
-    _report(9, ok, detail)
-    assert ok, (
-        "B(S)/S^1.1 must lie in its proven band and rise by shrinking "
-        "increments on the ladder {16,32,64,128} (the S^(1+eps) ceiling)"
-    )
+    _run(9, verify.check_b_sum_growth)
 
 
 def test_criterion_10_direct_baseline_and_calibration():
-    direct1 = moment.moment_first_direct(1).value
-    ratios = moment.calibration_ratios(range(4, 13))
-    lo, hi = min(ratios.values()), max(ratios.values())
-    band_ok = hi / lo <= 1.05 / 0.95  # fits inside a +-5% band around a center
-    ok = direct1 == 4.0 and band_ok
-    _report(
-        10,
-        ok,
-        f"direct(1) = {direct1} (exact 4); calibration ratios over S = 4..12 in "
-        f"[{lo:.4f}, {hi:.4f}], spread {hi/lo:.4f} (<= {1.05/0.95:.4f})",
-    )
-    assert direct1 == 4.0
-    assert band_ok
+    assert verify.DIRECT_BASELINES[1] == Fraction(4)
+    assert verify.CALIBRATION_RANGE == range(4, 13)
+    assert verify.CALIBRATION_BAND == 1.05 / 0.95
+    _run(10, verify.check_direct_baselines, verify.check_calibration)

@@ -189,6 +189,34 @@ class TestMoment:
         assert self._strip_elapsed(first) == self._strip_elapsed(path.read_text())
 
 
+class TestBadInput:
+    # each case exits with its documented code, with one error line on
+    # stderr, no traceback and nothing on stdout
+    def _refused(self, capsys, code, argv, word):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert word in err
+
+    @pytest.mark.parametrize(
+        "argv, code, word",
+        [
+            (("--S-values", "1,x"), cli.EXIT_USAGE, "--S-values"),
+            (("--kind", "bsum", "--S-values", "1,x"), cli.EXIT_USAGE, "--S-values"),
+            (("--kind", "bsum", "--S-values", "-3"), cli.EXIT_NUMERIC, "S must be >= 1"),
+            (("--kind", "bsum", "--S-values", "4,0"), cli.EXIT_NUMERIC, "S must be >= 1"),
+            (("--kind", "arith", "--radius", "-2"), cli.EXIT_NUMERIC, "radius"),
+        ],
+    )
+    def test_report(self, capsys, argv, code, word):
+        self._refused(capsys, code, ("report",) + argv, word)
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", "0.5"])
+    def test_constants(self, capsys, radius):
+        self._refused(capsys, cli.EXIT_NUMERIC, ("constants", "--zeta-radius", radius), "zeta radius")
+
+
 class TestReport:
     def test_sweep_artifact_roundtrip(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"

@@ -96,6 +96,14 @@ class TestEnumerate:
         keys = [f.sort_key() for f in fractions]
         assert keys == sorted(keys)
 
+    def test_arrays_come_out_in_sort_key_order(self):
+        # the columns are (norm(s), Re s, Im s, Re r, Im r), the sort_key;
+        # they are built in that order, with no sort afterwards
+        for S in range(1, 25):
+            cols = np.stack(gs_arrays(S))
+            order = np.lexsort(cols[::-1])
+            assert np.array_equal(order, np.arange(cols.shape[1])), S
+
 
 class TestMediants:
     def test_children_of_zero_one(self):

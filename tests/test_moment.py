@@ -179,6 +179,18 @@ class TestCounting:
         c = moment.moment_first_counting(12, threads=5)
         assert a.value == b.value == c.value
 
+    def test_quarter_rows_use_the_quarter_main_term(self):
+        for S in (1, 5, 12, 64):
+            rep = moment.moment_first_counting(S, "omega_quarter")
+            assert rep.main_term == moment.main_term(S) / 4
+            assert rep.residual == rep.value - moment.main_term(S) / 4
+            full = moment.moment_first_counting(S, "omega_full")
+            assert full.main_term == moment.main_term(S)
+        (row,) = moment.report_sweep((12,), methods=("counting",), normalization="omega_quarter").reports
+        assert row.normalization == "omega_quarter"
+        assert row.main_term == moment.main_term(12) / 4
+        assert row.residual == row.value - moment.main_term(12) / 4
+
     def test_unknown_normalization(self):
         with pytest.raises(DomainError):
             moment.moment_first_counting(2, "foo")
@@ -211,6 +223,19 @@ class TestSums:
     def test_sum_A_base(self):
         exact, _ = moment.sum_A(1)
         assert exact == pytest.approx(math.pi)
+
+    def test_sum_A_is_the_area_weighted_sum(self):
+        # sum_A and omega_area evaluate the one closed form of the area
+        S = 16
+        exact, prediction = moment.sum_A(S)
+        sieve = arith.get_sieve(S * S)
+        sl = sieve.upto(S)
+        total = math.fsum(
+            int(ph) / int(n) ** 2 * region.omega_area(region.OmegaSpec(g(int(x), int(y)), S))
+            for x, y, n, ph in zip(sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.phi[sl])
+        )
+        assert exact == pytest.approx(total, rel=1e-12)
+        assert prediction == moment.main_term(S) / 2
 
     def test_sum_A_vs_counts_at_64(self):
         exact, _ = moment.sum_A(64)
@@ -306,3 +331,16 @@ class TestSweep:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             moment.report_sweep((1,), methods=("nope",))
+
+    def test_evaluate_dispatches_each_method(self):
+        assert moment.evaluate(5, "direct").value == moment.moment_first_direct(5).value
+        assert moment.evaluate(5).value == moment.moment_first_counting(5).value
+        quarter = moment.evaluate(5, "counting", "omega_quarter")
+        assert quarter.value == moment.moment_first_counting(5, "omega_quarter").value
+        assert moment.evaluate(5, "main_term").value == moment.main_term(5)
+        with pytest.raises(DomainError, match="capped at S = 4"):
+            moment.evaluate(5, "direct", direct_cap=4)
+        with pytest.raises(DomainError, match="capped at S = 4"):
+            moment.evaluate(5, "counting", counting_cap=4)
+        with pytest.raises(DomainError, match="unknown method"):
+            moment.evaluate(5, "nope")
