@@ -211,11 +211,13 @@ def _calibration_meta() -> dict[str, Any]:
 
 
 def cmd_moment(args, config: RunConfig) -> int:
+    if args.normalization is not None and args.method != "counting":
+        raise ParseError(f"--normalization applies to --method counting only, not {args.method}")
     reports = [
         moment.evaluate(
             args.S,
             args.method.replace("-", "_"),
-            args.normalization.replace("-", "_"),
+            (args.normalization or "omega-full").replace("-", "_"),
             args.direct_cap,
             args.counting_cap,
         )
@@ -375,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moment", help="one moment evaluation")
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--method", choices=("direct", "counting", "main-term"), default="counting")
-    p.add_argument("--normalization", choices=("omega-full", "omega-quarter"), default="omega-full")
+    p.add_argument(
+        "--normalization", choices=("omega-full", "omega-quarter"), default=None,
+        help="counting only (default omega-full); direct rows are omega_quarter, main-term rows none",
+    )
     p.add_argument("--direct-cap", type=int, default=direct_cap)
     p.add_argument("--counting-cap", type=int, default=counting_cap)
     p.add_argument(
@@ -388,7 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("sweep", "arith", "bsum"), default="sweep")
     p.add_argument("--S-values", default="1,2,4,8", help="comma-separated levels (sweep, bsum)")
     p.add_argument("--methods", default="direct,counting", help="comma-separated methods (sweep)")
-    p.add_argument("--normalization", choices=("omega-full", "omega-quarter"), default="omega-full")
+    p.add_argument(
+        "--normalization", choices=("omega-full", "omega-quarter"), default="omega-full",
+        help="applies to counting rows only; direct rows are omega_quarter, main-term rows none",
+    )
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--direct-cap", type=int, default=direct_cap)
     p.add_argument("--counting-cap", type=int, default=counting_cap)

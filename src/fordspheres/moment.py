@@ -234,9 +234,12 @@ def consecutive_partner_counts(S: int) -> np.ndarray:
     N(s) = sum over squarefree d | s of mu(d) L(s/d, S^2 // |d|^2): each
     squarefree canonical d with |d| <= S adds mu(d) L(t, B) to
     N(canonical(d t)) for every canonical t with |t|^2 <= B = S^2 // |d|^2.
-    L is invariant under units, and B depends on d only through |d|, so the
-    kernel runs once per distinct B (O(S) of them) and the Moebius values
-    come from the sieve, with no factorization.
+    B depends on d only through |d|, so L is needed once per distinct B
+    (O(S) of them) and canonical t of norm <= B.  L(t) = L(conj t) =
+    L(i conj t), so only t = a + bi with a >= b is evaluated and b + ai
+    takes its value; every (B, t) pair goes into one kernel call.  The
+    (d, t) pairs then feed one blocked scatter, with the Moebius values
+    from the sieve and no factorization.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -246,24 +249,33 @@ def consecutive_partner_counts(S: int) -> np.ndarray:
     squarefree = mu != 0
     d_re, d_im = re[squarefree], im[squarefree]
     d_mu = mu[squarefree].astype(np.int64)
-    bounds = (S * S) // nrm[squarefree]
-    # norms ascend, so each bound is one contiguous run of divisors
-    cuts = np.flatnonzero(np.diff(bounds)) + 1
+    bounds, d_bound = np.unique((S * S) // nrm[squarefree], return_inverse=True)
+    # the t of bound B are the first k cells, as norms ascend, and the
+    # evaluated ones (a + bi with a >= b) among them the first k_eval
+    k = np.searchsorted(nrm, bounds, side="right")
+    evaluated = np.flatnonzero(re >= im)
+    k_eval = np.searchsorted(evaluated, k)
+    t_re, t_im = re[evaluated], im[evaluated]
+    L = region.escape_counts(
+        np.concatenate([t_re[:n] for n in k_eval]),
+        np.concatenate([t_im[:n] for n in k_eval]),
+        np.repeat(bounds, k_eval),
+    )
+    first = np.cumsum(k_eval) - k_eval  # where the values of each bound start in L
     W = S + 1  # flat cell index (re - 1) * W + im, as in CanonicalSieve
+    cell = (re - 1) * W + im
+    # rank[j]: position among the evaluated cells of cell j, or of b + ai
+    # for cell j = a + bi with a < b (same norm, so within the same prefix)
+    position = np.empty(S * W, dtype=np.int64)
+    position[cell[evaluated]] = np.arange(len(evaluated))
+    rank = position[np.where(re >= im, cell, (im - 1) * W + re)]
     table = np.zeros(S * W, dtype=np.int64)
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(bounds)]):
-        B = int(bounds[lo])
-        k = int(np.searchsorted(nrm, B, side="right"))
-        t_re, t_im = re[:k], im[:k]
-        L = region.escape_counts(t_re, t_im, B)
-        step = max(1, region.BLOCK_ELEMENTS // k)
-        for j in range(lo, hi, step):
-            block = slice(j, min(j + step, hi))
-            a = d_re[block, None]
-            b = d_im[block, None]
-            cx, cy = arith.canonical_arrays(a * t_re - b * t_im, a * t_im + b * t_re)
-            np.add.at(table, ((cx - 1) * W + cy).ravel(), (d_mu[block, None] * L).ravel())
-    return table[(re - 1) * W + im]
+    for span, c, j in region.flat_blocks(k[d_bound]):
+        a, b = np.repeat(d_re[span], c), np.repeat(d_im[span], c)
+        cx, cy = arith.canonical_arrays(a * re[j] - b * im[j], a * im[j] + b * re[j])
+        terms = np.repeat(d_mu[span], c) * L[np.repeat(first[d_bound[span]], c) + rank[j]]
+        np.add.at(table, (cx - 1) * W + cy, terms)
+    return table[cell]
 
 
 def moment_first_counting(

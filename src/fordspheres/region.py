@@ -26,31 +26,37 @@ Lattice counts go through one kernel,
 
 the number of points of the disc of norm bound B that leave at least one
 of the four translated discs about -u t.  It is counted row by row: in
-row x the disc is the integer interval |y| <= isqrt(B - x^2), the
-translate about -u t = -(p + qi) is |y + q| <= isqrt(B - (x + p)^2), and
-L adds the disc row lengths and subtracts the length of the intersection
-of the five intervals.  The intersection is symmetric under w -> -w, so
-only rows x >= 0 are visited; the row half-widths come from one table of
-exact integer square roots, so a call costs O(sqrt B) per t, not O(B).
-The table takes a float square root and corrects it by one either way,
-which is exact while B < 2^52 (the float carries every integer of the
-table exactly); beyond that the kernel raises ArithmeticError.
+row x the translate about -u t = -(p + qi) is the integer interval
+|y + q| <= isqrt(B - (x + p)^2), and L is the disc's point count minus
+the length of the intersection of the four intervals (that intersection
+lies inside the disc, so the disc's own interval need not join it).  The
+intersection is symmetric under w -> -w, so only rows x >= 0 are
+visited, and each t stops at row isqrt(B) - max(|Re t|, |Im t|), past
+which one translate is empty: a staircase of O(sqrt B) rows per t, not
+O(B) points.  Each t carries its own bound; one flat table of exact
+integer square roots, one segment per distinct bound and no pad, serves
+them all, and the (t, row) elements go through in fixed-size steps.  The
+table takes a float square root and corrects it by one either way, which
+is exact while B < 2^52 (the float carries every integer of the table
+exactly); beyond that the kernel raises ArithmeticError.  L is invariant
+under units and under conjugation of t, so a sweep evaluates one t of
+each pair a + bi, b + ai.
 
-Scaling by a divisor d turns the coprime count into kernel calls: d w
+Scaling by a divisor d turns the coprime count into kernel values: d w
 lies in the region of (s, S) exactly when w lies in the region of s/d at
 the integer bound floor(S^2/|d|^2), because norms are integers.  Moebius
 inclusion-exclusion over the squarefree divisors of s then gives
 
     #{z in region : gcd(z, s) = 1} = sum_{d | s} mu(d) L(s/d, floor(S^2/|d|^2)),
 
-and the unfiltered count is L(s, S^2).
+and the unfiltered count is L(s, S^2); omega_lattice_count sends every
+divisor's (t, bound) pair in one kernel call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import isqrt
 from random import Random
 
 import numpy as np
@@ -121,82 +127,127 @@ def omega_area_quadrature(spec: OmegaSpec) -> float:
     return 8.0 * val
 
 
+def omega_contains_float(x: np.ndarray, y: np.ndarray, spec: OmegaSpec) -> np.ndarray:
+    """Float membership of the points x + yi, for the sampling oracles:
+    |z|^2 <= S^2 and |z|^2 + |s|^2 + 2 max(|a x + b y|, |a y - b x|) > S^2
+    (s = a + bi), the largest of the four |z + u s|^2 written out.  Points
+    within rounding of the boundary may be misclassified; omega_contains
+    is the exact test on lattice points."""
+    a, b = spec.s.re, spec.s.im
+    S2 = float(spec.S * spec.S)
+    n = x * x + y * y
+    reach = np.maximum(np.abs(a * x + b * y), np.abs(a * y - b * x))
+    return (n <= S2) & (n + float(a * a + b * b) + 2.0 * reach > S2)
+
+
 def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 0) -> float:
-    """Area by membership sampling on the bounding square, fixed seed."""
+    """Area by membership sampling on the bounding square, fixed seed.
+
+    The points are Random(seed).uniform(-S, S) pairs, x before y, drawn in
+    steps of BLOCK_ELEMENTS and tested together."""
     rng = Random(seed)
     S = spec.S
-    a, b = spec.s.re, spec.s.im
-    S2 = float(S * S)
     hits = 0
-    for _ in range(samples):
-        x = rng.uniform(-S, S)
-        y = rng.uniform(-S, S)
-        if x * x + y * y > S2:
-            continue
-        p = abs(a * x + b * y)
-        q = abs(a * y - b * x)
-        if x * x + y * y + (a * a + b * b) + 2.0 * max(p, q) > S2:
-            hits += 1
+    for start in range(0, samples, BLOCK_ELEMENTS):
+        n = min(BLOCK_ELEMENTS, samples - start)
+        # uniform(a, b) is a + (b - a) * random(); the same floats, in order
+        xy = -S + (2 * S) * np.array([rng.random() for _ in range(2 * n)])
+        hits += int(np.count_nonzero(omega_contains_float(xy[0::2], xy[1::2], spec)))
     return hits / samples * (2.0 * S) ** 2
 
 
 KERNEL_BOUND_LIMIT = 1 << 52  # float square roots of smaller integers are exact to within 1
-BLOCK_ELEMENTS = 1 << 18  # elements per vectorized step, which keeps peak memory flat
+BLOCK_ELEMENTS = 1 << 16  # elements per vectorized step: flat peak memory, cache-sized steps
 
 
-def _half_widths(bound: int, reach: int) -> np.ndarray:
-    """isqrt(bound - x^2) for x in [-reach, reach], -1 where x^2 > bound."""
-    x = np.arange(-reach, reach + 1, dtype=np.int64)
-    n = bound - x * x
+def _floor_sqrt(n: np.ndarray) -> np.ndarray:
+    """isqrt(n) for each n >= 0 and -1 for each n < 0, exact while n < 2^52."""
     r = np.sqrt(np.maximum(n, 0).astype(np.float64)).astype(np.int64)
     r -= r * r > n
     r += (r + 1) * (r + 1) <= n
     return r
 
 
-def escape_counts(t_re: np.ndarray, t_im: np.ndarray, bound: int) -> np.ndarray:
-    """L(t, bound) for each nonzero t = t_re + t_im i: the lattice points w
-    with |w|^2 <= bound and |w + u t|^2 > bound for at least one unit u.
+def _half_widths(bounds, reaches) -> np.ndarray:
+    """isqrt(B - x^2) for x in [-R, R], -1 where x^2 > B, for each bound B
+    and its reach R in turn, concatenated into one flat table."""
+    bounds = np.atleast_1d(np.asarray(bounds, dtype=np.int64))
+    sizes = 2 * np.broadcast_to(np.asarray(reaches, dtype=np.int64), bounds.shape) + 1
+    centres = np.cumsum(sizes) - sizes // 2 - 1  # index of x = 0 in each table
+    x = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(centres, sizes)
+    return _floor_sqrt(np.repeat(bounds, sizes) - x * x)
 
-    Rows x >= 0 are counted and the rest follow from the symmetry
-    w -> -w of the four-disc intersection.  Beyond row
-    R - max(|Re t|, |Im t|) one of the translated discs has no points, so
-    each block of t stops at the last row any of its t can use.
+
+def flat_blocks(counts: np.ndarray):
+    """Cut the elements (i, k), 0 <= k < counts[i], taken in order, into
+    steps of at most BLOCK_ELEMENTS.  Each step yields (items, c, k): it
+    holds c[j] elements of the j-th item of the slice items, and k gives
+    each element's k.  The elements of one item may span several steps."""
+    ends = np.cumsum(counts, dtype=np.int64)
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for e0 in range(0, total, BLOCK_ELEMENTS):
+        e1 = min(e0 + BLOCK_ELEMENTS, total)
+        lo = int(np.searchsorted(ends, e0, side="right"))
+        hi = int(np.searchsorted(starts, e1, side="left"))
+        c = np.minimum(ends[lo:hi], e1) - np.maximum(starts[lo:hi], e0)
+        yield slice(lo, hi), c, np.arange(e0, e1, dtype=np.int64) - np.repeat(starts[lo:hi], c)
+
+
+def escape_counts(t_re, t_im, bounds) -> np.ndarray:
+    """L(t, B) for each nonzero t = t_re + t_im i and its own norm bound B
+    (a scalar bound applies to every t): the lattice points w with
+    |w|^2 <= B and |w + u t|^2 > B for at least one unit u.
+
+    L = disc(B) minus the intersection of the four translated discs,
+    which lies inside the disc (|w + t|^2 + |w - t|^2 = 2|w|^2 + 2|t|^2)
+    and is symmetric under w -> -w.  With R = isqrt(B) and
+    reach = max(|Re t|, |Im t|), t visits the staircase of rows
+    x = 0 ... R - reach: beyond it one translate is empty, and within it
+    every shifted row x + p, |p| <= reach, stays in [-R, R], so one flat
+    table of half-widths per distinct bound serves without a pad.  The
+    (t, row) elements of all t go through in steps of BLOCK_ELEMENTS, one
+    t across several steps if need be, and row lengths add up in int64.
+    L(t) = L(u t) = L(conj t), so a caller need evaluate only one t of
+    each pair a + bi, b + ai (moment.consecutive_partner_counts does).
     """
-    if bound >= KERNEL_BOUND_LIMIT:
-        raise ArithmeticError(
-            f"lattice kernel is exact for norm bounds below 2^52; got {bound}"
-        )
     t_re = np.asarray(t_re, dtype=np.int64)
     t_im = np.asarray(t_im, dtype=np.int64)
-    R = isqrt(bound)
-    reach = np.maximum(np.abs(t_re), np.abs(t_im))
-    # rows run up to R - min(reach) and the translates shift them by up to
-    # max(reach), so the table must cover |x| <= R + pad
-    pad = int(reach.max() - reach.min()) if len(reach) else 0
-    half = _half_widths(bound, R + pad)
-    origin = R + pad  # index of x = 0 in half
-    disc = int(np.sum(2 * half[pad : pad + 2 * R + 1] + 1))
+    bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), t_re.shape)
     out = np.empty(len(t_re), dtype=np.int64)
-    t_step = max(1, BLOCK_ELEMENTS // (R + 1))
-    for i in range(0, len(t_re), t_step):
-        a = t_re[i : i + t_step, None]
-        b = t_im[i : i + t_step, None]
-        inside = np.zeros(len(a), dtype=np.int64)
-        last_row = R - int(reach[i : i + t_step].min())
-        row_step = max(1, BLOCK_ELEMENTS // len(a))
-        for x0 in range(0, last_row + 1, row_step):
-            X = np.arange(origin + x0, origin + min(x0 + row_step, last_row + 1))[None, :]
-            hi = low = half[X]  # the disc row is [-low, hi]
-            for p, q in ((a, b), (-b, a), (-a, -b), (b, -a)):  # u t for u = 1, i, -1, -i
+    if not len(t_re):
+        return out
+    if bounds.max() >= KERNEL_BOUND_LIMIT:
+        raise ArithmeticError(
+            f"lattice kernel is exact for norm bounds below 2^52; got {bounds.max()}"
+        )
+    uB = np.unique(bounds)
+    R = _floor_sqrt(uB)
+    # int32 halves the memory traffic of the row loop; its values stay below 2^28
+    half = _half_widths(uB, R).astype(np.int32)
+    first = np.cumsum(2 * R + 1) - (2 * R + 1)
+    disc = np.add.reduceat(2 * half + 1, first, dtype=np.int64)
+    centre = first + R  # index of x = 0 in the table of each bound
+    for s in range(0, len(out), BLOCK_ELEMENTS):  # the per-t arrays in steps too
+        a, b = t_re[s : s + BLOCK_ELEMENTS], t_im[s : s + BLOCK_ELEMENTS]
+        which = np.searchsorted(uB, bounds[s : s + BLOCK_ELEMENTS])
+        out[s : s + BLOCK_ELEMENTS] = disc[which]
+        rows = R[which] - np.maximum(np.abs(a), np.abs(b)) + 1
+        live = np.flatnonzero(rows > 0)
+        for items, c, x in flat_blocks(rows[live]):
+            t = live[items]
+            pa = np.repeat(a[t].astype(np.int32), c)
+            pb = np.repeat(b[t].astype(np.int32), c)
+            X = np.repeat(centre[which[t]], c) + x
+            r = half[X + pa]
+            low, hi = r + pb, r - pb  # the row of the translate by t is [-low, hi]
+            for p, q in ((-pb, pa), (-pa, -pb), (pb, -pa)):  # u t for u = i, -1, -i
                 r = half[X + p]
                 low = np.minimum(low, r + q)
                 hi = np.minimum(hi, r - q)
             lengths = np.maximum(hi + low + 1, 0)
-            inside += 2 * lengths.sum(axis=1)
-            if x0 == 0:
-                inside -= lengths[:, 0]
-        out[i : i + t_step] = disc - inside
+            lengths <<= x > 0  # rows x and -x, row 0 once
+            out[s + t] -= np.add.reduceat(lengths, np.cumsum(c) - c, dtype=np.int64)
     return out
 
 
@@ -205,7 +256,8 @@ def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
     quadrants), optionally restricted to points coprime to s.
 
     Unfiltered this is L(s, S^2); the coprime restriction is the Moebius
-    sum over the squarefree divisors d of s of mu(d) L(s/d, S^2 // |d|^2).
+    sum over the squarefree divisors d of s of mu(d) L(s/d, S^2 // |d|^2),
+    with every divisor in one kernel call.
     """
     S2 = spec.S * spec.S
     if not coprime_filter:
@@ -215,11 +267,11 @@ def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
     square_free = [(ONE, 1)]
     for p, _a in factor(spec.s).factors:
         square_free += [(d * p, -m) for d, m in square_free]
-    total = 0
-    for d, sign in square_free:
-        t = exact_div(spec.s, d)
-        total += sign * int(escape_counts([t.re], [t.im], S2 // norm(d))[0])
-    return total
+    t = [exact_div(spec.s, d) for d, _ in square_free]
+    L = escape_counts(
+        [x.re for x in t], [x.im for x in t], [S2 // norm(d) for d, _ in square_free]
+    )
+    return sum(sign * int(n) for (_, sign), n in zip(square_free, L))
 
 
 def omega_lattice_count_bruteforce(spec: OmegaSpec, coprime_filter: bool = False) -> int:

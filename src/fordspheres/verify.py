@@ -498,15 +498,10 @@ def _grid_perimeter_estimate(spec: region.OmegaSpec, cells: int = 800) -> float:
     """Crude boundary length: membership transitions on a fine grid times
     the step size.  Overestimates smooth curves by at most a factor 4/pi."""
     S = spec.S
-    a, b = spec.s.re, spec.s.im
-    ns = float(norm(spec.s))
     h = 2.0 * S / cells
     xs = (np.arange(cells) + 0.5) * h - S
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    P = np.abs(a * X + b * Y)
-    Q = np.abs(a * Y - b * X)
-    N = X * X + Y * Y
-    member = (N <= S * S) & (N + ns + 2.0 * np.maximum(P, Q) > S * S)
+    member = region.omega_contains_float(X, Y, spec)
     trans = np.count_nonzero(member[1:, :] != member[:-1, :]) + np.count_nonzero(
         member[:, 1:] != member[:, :-1]
     )

@@ -150,6 +150,35 @@ class TestMoment:
         assert exc.value.code == cli.EXIT_USAGE
         assert "--epsilon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["direct", "main-term"])
+    @pytest.mark.parametrize("normalization", ["omega-full", "omega-quarter"])
+    def test_normalization_is_refused_outside_counting(self, capsys, method, normalization):
+        code, out, err = run(
+            capsys, "moment", "--S", "4", "--method", method, "--normalization", normalization
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "--normalization" in err
+
+    def test_normalization_rows(self, capsys, tmp_path):
+        path = tmp_path / "row.csv"
+        argv = ("moment", "--S", "4", "--out-path", str(path))
+        for extra, want in (
+            ((), "omega_full"),
+            (("--normalization", "omega-quarter"), "omega_quarter"),
+            (("--method", "direct"), "omega_quarter"),
+            (("--method", "main-term"), "none"),
+        ):
+            code, _, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            assert cli.read_artifact(str(path))[1][0]["normalization"] == want
+
+    def test_report_normalization_help_names_counting(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["report", "--help"])
+        assert "counting rows only" in " ".join(capsys.readouterr().out.split())
+
     def test_unwritable_path(self, capsys):
         code, _, err = run(
             capsys, "moment", "--S", "1", "--method", "direct",

@@ -141,6 +141,16 @@ class TestCounting:
             for x, y, c in zip(re.tolist(), im.tolist(), counts.tolist()):
                 assert c == region.omega_lattice_count(region.OmegaSpec(g(x, y), S), True), (x, y, S)
 
+    def test_sweep_equals_bruteforce_scan(self):
+        # the sweep against the point-by-point scan with a gcd per point,
+        # which shares no code with the lattice kernel
+        for S in range(1, 11):
+            counts = moment.consecutive_partner_counts(S)
+            re, im, _ = arith.canonical_cells(S * S)
+            for x, y, c in zip(re.tolist(), im.tolist(), counts.tolist()):
+                spec = region.OmegaSpec(g(x, y), S)
+                assert c == region.omega_lattice_count_bruteforce(spec, True), (x, y, S)
+
     # float.hex of the values the per-denominator grid scan gave before the
     # row-interval kernel replaced it; the fsum over exact counts in sieve
     # order must reproduce them bit for bit

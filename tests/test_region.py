@@ -29,6 +29,18 @@ def g(re, im=0):
     return GInt(re, im)
 
 
+def _escape_count_scan(a, b, B):
+    """L(a + bi, B) point by point: |w|^2 <= B and some |w + u t|^2 > B."""
+    R = isqrt(B)
+    return sum(
+        1
+        for x in range(-R, R + 1)
+        for y in range(-R, R + 1)
+        if x * x + y * y <= B
+        and any((x + p) ** 2 + (y + q) ** 2 > B for p, q in ((a, b), (-b, a), (-a, -b), (b, -a)))
+    )
+
+
 class TestSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -79,6 +91,28 @@ class TestArea:
         spec = OmegaSpec(ONE, 2)
         mc = omega_area_monte_carlo(spec, samples=200_000, seed=1)
         assert abs(mc - omega_area(spec)) < 0.15
+
+    def test_sampling_oracles_pinned_bitwise(self):
+        # float.hex of the values the per-sample loop of Random draws gave
+        # before the draws were tested together; the grid perimeter of
+        # verify uses the same membership predicate
+        from fordspheres import verify
+
+        for (s, S), samples, seed, pinned in (
+            ((ONE, 2), 200_000, 1, "0x1.21b71758e2196p+3"),
+            ((ONE, 2), 2_000_000, 20240, "0x1.226299524bfd3p+3"),  # verify's check
+            ((g(3, 2), 7), 100_000, 5, "0x1.c5bd70a3d70a4p+6"),
+        ):
+            assert omega_area_monte_carlo(OmegaSpec(s, S), samples, seed).hex() == pinned
+        assert verify._grid_perimeter_estimate(OmegaSpec(g(1, 1), 4)).hex() == "0x1.aae147ae147aep+5"
+
+    def test_float_membership_agrees_with_exact_on_lattice_points(self):
+        for s, S in ((ONE, 3), (g(2, 1), 5), (g(3, 3), 6)):
+            spec = OmegaSpec(s, S)
+            xs, ys = np.meshgrid(np.arange(-S, S + 1), np.arange(-S, S + 1))
+            got = region.omega_contains_float(xs.astype(float), ys.astype(float), spec)
+            want = [omega_contains(g(int(x), int(y)), spec) for x, y in zip(xs.flat, ys.flat)]
+            assert got.ravel().tolist() == want
 
     def test_thin_region_limit(self):
         # area ~ 4 sqrt(2) S |s| for |s| << S
@@ -136,6 +170,39 @@ class TestLatticeCount:
             a, b = int(t_re[k]), int(t_im[k])
             for u_re, u_im in ((a, b), (-b, a), (-a, -b), (b, -a)):
                 assert escape_counts([u_re], [u_im], B)[0] == batch[k]
+
+    def test_mixed_bounds_equal_single_bound_calls(self):
+        rng = Random(7)
+        t = [(rng.randint(-25, 25), rng.randint(-25, 25)) for _ in range(300)]
+        t = [(a, b) for a, b in t if a or b]
+        bounds = [rng.choice((1, 2, 37, 400, 401, 999, 4096)) for _ in t]
+        mixed = escape_counts([a for a, _ in t], [b for _, b in t], bounds)
+        for (a, b), B, got in zip(t, bounds, mixed.tolist()):
+            assert got == escape_counts([a], [b], B)[0], (a, b, B)
+
+    def test_conjugate_symmetry(self):
+        # L(a + bi) = L(b + ai): b + ai = i conj(a + bi), and the region is
+        # symmetric under conjugation and units
+        B = 1000
+        xs, ys = np.meshgrid(np.arange(-31, 32), np.arange(-31, 32))
+        keep = (xs * xs + ys * ys <= B) & ((xs != 0) | (ys != 0))
+        t_re, t_im = xs[keep], ys[keep]
+        assert escape_counts(t_re, t_im, B).tolist() == escape_counts(t_im, t_re, B).tolist()
+
+    def test_rows_of_one_t_cut_across_steps(self, monkeypatch):
+        # t = 1 at B = 1000 has rows x = 0 .. 30, two steps of 16 elements
+        t_re, t_im = [1, 5, 2, 30], [0, 3, 2, 1]
+        bounds = [1000, 1000, 50, 1000]
+        whole = escape_counts(t_re, t_im, bounds)
+        monkeypatch.setattr(region, "BLOCK_ELEMENTS", 16)
+        steps = list(region.flat_blocks(np.array([31])))
+        assert [(items, c.tolist()) for items, c, _ in steps] == [
+            (slice(0, 1), [16]),
+            (slice(0, 1), [15]),
+        ]
+        assert escape_counts(t_re, t_im, bounds).tolist() == whole.tolist()
+        scanned = [_escape_count_scan(a, b, B) for a, b, B in zip(t_re, t_im, bounds)]
+        assert whole.tolist() == scanned
 
     def test_kernel_exactness_bound(self):
         with pytest.raises(ArithmeticError):
