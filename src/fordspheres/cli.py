@@ -382,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="counting only (default omega-full); direct rows are omega_quarter, main-term rows none",
     )
     p.add_argument("--direct-cap", type=int, default=direct_cap)
-    p.add_argument("--counting-cap", type=int, default=counting_cap)
+    p.add_argument(
+        "--counting-cap", type=int, default=counting_cap,
+        help=f"largest S the counting method runs (default {counting_cap})",
+    )
     p.add_argument(
         "--with-calibration", action="store_true",
         help="embed the measured counting/direct calibration ratios in the artifact metadata",
@@ -399,7 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--direct-cap", type=int, default=direct_cap)
-    p.add_argument("--counting-cap", type=int, default=counting_cap)
+    p.add_argument(
+        "--counting-cap", type=int, default=counting_cap,
+        help=f"largest S the counting method runs (default {counting_cap})",
+    )
     p.add_argument("--radius", type=int, default=20, help="|q| bound for the arith table")
     p.add_argument(
         "--with-calibration", action="store_true",

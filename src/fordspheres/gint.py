@@ -229,11 +229,12 @@ def factor(q: GInt) -> Factorization:
     Strategy: factor norm(q) over the rational integers, lift each
     rational prime to its Gaussian prime(s) (1+i above 2, a+bi and its
     conjugate for p == 1 mod 4, p itself inert for p == 3 mod 4), and
-    read off exponents by exact divisibility.
+    read off exponents by exact division in plain integers.
     """
     if not q:
         raise DomainError("cannot factor 0")
     unit0, rem = canonicalize(q)
+    x, y = rem.re, rem.im
     primes: list[tuple[GInt, int]] = []
     for p in sorted(_factor_int(norm(q))):
         if p == 2:
@@ -244,12 +245,19 @@ def factor(q: GInt) -> Factorization:
             a, b = two_squares_prime(p)
             candidates = [canonical(GInt(a, b)), canonical(GInt(a, -b))]
         for gp in candidates:
+            # gp = c + di divides x + yi when both parts of (x + yi)(c - di)
+            # are multiples of norm(gp); the quotient is that product / norm(gp)
+            c, d, n = gp.re, gp.im, norm(gp)
             k = 0
-            while divides(gp, rem):
-                rem = exact_div(rem, gp)
+            while True:
+                u, v = x * c + y * d, y * c - x * d
+                if u % n or v % n:
+                    break
+                x, y = u // n, v // n
                 k += 1
             if k:
                 primes.append((gp, k))
+    rem = GInt(x, y)
     if not is_unit(rem):
         raise ArithmeticError(f"incomplete factorization of {q}")
     primes.sort(key=lambda t: (norm(t[0]), t[0].re, t[0].im))

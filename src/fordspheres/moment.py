@@ -43,7 +43,7 @@ from .gint import DomainError
 from . import arith, farey, region
 
 DIRECT_CAP_DEFAULT = 24
-COUNTING_CAP_DEFAULT = 256
+COUNTING_CAP_DEFAULT = 1024
 ZETA_RADIUS_DEFAULT = 2000
 
 NORMALIZATIONS = ("omega_full", "omega_quarter")

@@ -25,22 +25,30 @@ Lattice counts go through one kernel,
     L(t, B) = #{w : |w|^2 <= B, max_u |w + u t|^2 > B},
 
 the number of points of the disc of norm bound B that leave at least one
-of the four translated discs about -u t.  It is counted row by row: in
-row x the translate about -u t = -(p + qi) is the integer interval
-|y + q| <= isqrt(B - (x + p)^2), and L is the disc's point count minus
-the length of the intersection of the four intervals (that intersection
-lies inside the disc, so the disc's own interval need not join it).  The
-intersection is symmetric under w -> -w, so only rows x >= 0 are
-visited, and each t stops at row isqrt(B) - max(|Re t|, |Im t|), past
-which one translate is empty: a staircase of O(sqrt B) rows per t, not
-O(B) points.  Each t carries its own bound; one flat table of exact
-integer square roots, one segment per distinct bound and no pad, serves
-them all, and the (t, row) elements go through in fixed-size steps.  The
-table takes a float square root and corrects it by one either way, which
-is exact while B < 2^52 (the float carries every integer of the table
-exactly); beyond that the kernel raises ArithmeticError.  L is invariant
-under units and under conjugation of t, so a sweep evaluates one t of
-each pair a + bi, b + ai.
+of the four translated discs about -u t: the disc's point count minus the
+points I of the intersection of the four translates (which lies inside
+the disc).  In row x the translate about -u t = -(p + qi) is the integer
+interval |y + q| <= H(x + p), H(x) = isqrt(B - x^2).  The intersection
+is symmetric under w -> -w and L is invariant under units and
+conjugation of t, so t is taken as a + bi with a >= b >= 0 and only rows
+x = 0 ... isqrt(B) - a are visited; past them one translate is empty.
+On those rows two translates bind at each end, and each end is two runs
+of one shifted H: the upper end switches where the upper arcs of the
+circles about -t and -i t cross, at x = (a - b) q, and the lower end at
+the vertex ((a + b) q, (b - a) q) of the circles about -t and i t,
+q = sqrt((2B - |t|^2) / (4 |t|^2)) - 1/2, or the rows end there when that
+vertex is the intersection's tip.  Every run is a difference of two
+entries of one prefix sum of the H table, so each t costs O(1), not
+O(sqrt B) rows; the two rows on each side of each float boundary are
+evaluated exactly, so the count is exact.  Each t carries its own bound;
+one flat table of exact integer square roots, one segment per distinct
+bound and no pad, serves them all, and the t go through in fixed-size
+steps.  The table takes a float square root and corrects it by one
+either way, which is exact while B < 2^52 (the float carries every
+integer of the table exactly); beyond that the kernel raises
+ArithmeticError.  The row-by-row kernel, O(sqrt B) rows per t, is kept
+as the oracle escape_counts_rows, beside the point-by-point scan
+omega_lattice_count_bruteforce.
 
 Scaling by a divisor d turns the coprime count into kernel values: d w
 lies in the region of (s, S) exactly when w lies in the region of s/d at
@@ -61,7 +69,7 @@ from random import Random
 
 import numpy as np
 
-from .gint import DomainError, GInt, ONE, UNITS, exact_div, is_coprime, norm
+from .gint import DomainError, GInt, UNITS, is_coprime, norm
 
 
 @dataclass(frozen=True)
@@ -194,22 +202,151 @@ def flat_blocks(counts: np.ndarray):
         yield slice(lo, hi), c, np.arange(e0, e1, dtype=np.int64) - np.repeat(starts[lo:hi], c)
 
 
-def escape_counts(t_re, t_im, bounds) -> np.ndarray:
-    """L(t, B) for each nonzero t = t_re + t_im i and its own norm bound B
-    (a scalar bound applies to every t): the lattice points w with
-    |w|^2 <= B and |w + u t|^2 > B for at least one unit u.
+def _bound_tables(bounds: np.ndarray):
+    """The set-up both kernels share, for an int64 array of bounds or one
+    scalar bound: the distinct bounds in ascending order; R = isqrt(B) for
+    each; one flat table of half-widths isqrt(B - x^2), x in [-R, R], one
+    segment per distinct bound and no pad; the index of x = 0 in each
+    segment; and the point count of each disc."""
+    uB = np.unique(bounds) if bounds.ndim else bounds.reshape(1)
+    if uB[-1] >= KERNEL_BOUND_LIMIT:
+        raise ArithmeticError(
+            f"lattice kernel is exact for norm bounds below 2^52; got {uB[-1]}"
+        )
+    R = _floor_sqrt(uB)
+    half = _half_widths(uB, R)
+    first = np.cumsum(2 * R + 1) - (2 * R + 1)
+    disc = np.add.reduceat(2 * half + 1, first, dtype=np.int64)
+    return uB, R, half, first + R, disc
 
-    L = disc(B) minus the intersection of the four translated discs,
-    which lies inside the disc (|w + t|^2 + |w - t|^2 = 2|w|^2 + 2|t|^2)
-    and is symmetric under w -> -w.  With R = isqrt(B) and
-    reach = max(|Re t|, |Im t|), t visits the staircase of rows
-    x = 0 ... R - reach: beyond it one translate is empty, and within it
-    every shifted row x + p, |p| <= reach, stays in [-R, R], so one flat
-    table of half-widths per distinct bound serves without a pad.  The
-    (t, row) elements of all t go through in steps of BLOCK_ELEMENTS, one
-    t across several steps if need be, and row lengths add up in int64.
-    L(t) = L(u t) = L(conj t), so a caller need evaluate only one t of
-    each pair a + bi, b + ai (moment.consecutive_partner_counts does).
+
+def escape_counts(t_re, t_im, bounds) -> np.ndarray:
+    """L(t, B) for each t = t_re + t_im i and its own norm bound B (a
+    scalar bound applies to every t): the lattice points w with |w|^2 <= B
+    and |w + u t|^2 > B for at least one unit u.  L(0, B) = 0.
+
+    L = disc(B) - I, where I counts the points of the intersection of the
+    four translated discs |w + u t|^2 <= B; the intersection lies inside
+    the disc (|w + t|^2 + |w - t|^2 = 2|w|^2 + 2|t|^2), is symmetric under
+    w -> -w, and is empty when n = |t|^2 > B.  L(t) = L(u t) = L(conj t),
+    so t is taken as a + bi with a >= b >= 0.  With R = isqrt(B) and
+    H(x) = isqrt(B - x^2), row x = 0 ... R - a of the intersection is the
+    integer interval [-Lo(x), U(x)] with
+
+        U  = min(H(x - b) - a, H(x + a) - b),
+        Lo = min(H(x + b) - a, H(x + a) + b):
+
+    the other two translates never bind for x >= 0, where their arcs stay
+    beyond a binding one (the upper arcs about t and -t, the lower arcs
+    about t and i t and about -i t and -t, cross only at x <= 0).  Each
+    end is two runs of one shifted H.  The upper arcs of the
+    circles about -t and -i t cross at x = (a - b) q, the lower arcs of
+    those about -t and i t at the vertex ((a + b) q, (b - a) q), with
+
+        q = sqrt((2B - n) / (4n)) - 1/2.
+
+    If (a - b) q >= b, the end (sqrt(B) - a, -b) of the disc about -t lies
+    in the intersection: every row is non-empty, and Lo switches at the
+    vertex.  Otherwise Lo = H(x + b) - a on every row and the vertex is
+    the intersection's tip, past which the rows are empty.  So row 0 holds
+    2 (H(b) - a) + 1 points, and the rows x > 0 (counted twice, for x and
+    -x) are three runs, each summed as a difference of two entries of one
+    int64 prefix sum of the flat half-width table.  q is a float whose
+    error is far below one row while B < 2^52 (beyond that the kernel
+    raises ArithmeticError), so the two rows on each side of each float
+    boundary are evaluated exactly from the table, the min of each end
+    clipped at 0; the runs cover every other row, and L is exact.  The per-t
+    work is O(1); the t go through in steps of BLOCK_ELEMENTS / 4, so that
+    the exact rows of a step are BLOCK_ELEMENTS elements.  The row kernel
+    escape_counts_rows is the oracle.
+    """
+    t_re = np.asarray(t_re, dtype=np.int64)
+    t_im = np.asarray(t_im, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    out = np.empty(len(t_re), dtype=np.int64)
+    if not len(out):
+        return out
+    uB, R, half, centre, disc = _bound_tables(bounds)
+    P = np.concatenate(([0], np.cumsum(half)))  # P[i] = half[0] + ... + half[i - 1]
+    step = max(BLOCK_ELEMENTS // 4, 1)  # each t evaluates four rows exactly
+    for s in range(0, len(out), step):
+        re, im = np.abs(t_re[s : s + step]), np.abs(t_im[s : s + step])
+        a, b = np.maximum(re, im), np.minimum(re, im)
+        w = np.searchsorted(uB, bounds[s : s + step]) if bounds.ndim else 0
+        n = a * a + b * b
+        out[s : s + len(a)] = np.where(n > 0, disc[w], 0)
+        live = np.flatnonzero((n > 0) & (n <= uB[w]))
+        if len(live) < len(a):
+            a, b, n = a[live], b[live], n[live]
+            if bounds.ndim:
+                w = w[live]
+        c, top = centre[w], R[w] - a + 1  # rows x = 1 ... top - 1 follow row 0
+        q = np.sqrt((2 * uB[w] - n) / (4 * n)) - 0.5
+        j1 = ((a - b) * q).astype(np.int64)  # the upper run switches
+        j2 = ((a + b) * q).astype(np.int64)  # the lower run switches, or the rows end
+        k1 = np.minimum(np.maximum(j1, 1), top)
+        k2 = np.minimum(j1 + 2, top)
+        k3 = np.maximum(np.minimum(j2, top), k2)
+        k4 = np.minimum(j2 + 2, top)
+        k5 = np.where((a - b) * q >= b, top, k4)
+        # the runs: rows [1, k1) of H(x - b) - a and H(x + b) - a, [k2, k3)
+        # of H(x + a) - b and H(x + b) - a, and [k4, k5) of H(x + a) -/+ b
+        cm, cp, ca = c - b, c + b, c + a
+        lo = np.concatenate([cm + 1, cp + 1, ca + k2, cp + k2, ca + k4])
+        hi = np.concatenate([cm + k1, cp + k1, ca + k3, cp + k3, ca + k5])
+        H = (P[hi] - P[lo]).reshape(5, -1)
+        rows = H.sum(axis=0) + H[4] + (k1 - 1) * (1 - 2 * a) + (k3 - k2) * (1 - a - b) + k5 - k4
+        # the rows on each side of each float boundary, exactly
+        x = np.array([j1, j1 + 1, j2, j2 + 1])
+        exact = (x > 0) & (x < top)
+        exact[2:] &= x[2:] > j1 + 1  # rows j1 and j1 + 1 count once
+        X = c + x * exact
+        Ha = half[X + a]
+        length = np.minimum(half[X - b] - a, Ha - b) + np.minimum(half[X + b] - a, Ha + b) + 1
+        rows += (np.maximum(length, 0) * exact).sum(axis=0)
+        out[s + live] -= 2 * (half[cp] - a + rows) + 1
+    return out
+
+
+def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
+    """Exact count of lattice points in the region (full plane, all four
+    quadrants), optionally restricted to points coprime to s.
+
+    Unfiltered this is L(s, S^2); the coprime restriction is the Moebius
+    sum over the squarefree divisors d of s of mu(d) L(s/d, S^2 // |d|^2),
+    with every divisor in one kernel call.
+    """
+    S2 = spec.S * spec.S
+    if not coprime_filter:
+        return int(escape_counts([spec.s.re], [spec.s.im], S2)[0])
+    from .gint import factor
+
+    square_free = [(1, 0, 1)]  # (Re d, Im d, mu(d))
+    for p, _a in factor(spec.s).factors:
+        square_free += [(x * p.re - y * p.im, x * p.im + y * p.re, -m) for x, y, m in square_free]
+    a, b = spec.s.re, spec.s.im
+    nd = [x * x + y * y for x, y, _ in square_free]
+    # s / d = s conj(d) / |d|^2, an exact division
+    L = escape_counts(
+        [(a * x + b * y) // k for (x, y, _), k in zip(square_free, nd)],
+        [(b * x - a * y) // k for (x, y, _), k in zip(square_free, nd)],
+        [S2 // k for k in nd],
+    )
+    return sum(m * int(n) for (_, _, m), n in zip(square_free, L))
+
+
+def escape_counts_rows(t_re, t_im, bounds) -> np.ndarray:
+    """L(t, B) row by row, kept as the oracle of escape_counts (same
+    arguments, same values).
+
+    Each t visits the staircase of rows x = 0 ... R - reach, with
+    R = isqrt(B) and reach = max(|Re t|, |Im t|): beyond it one translate
+    is empty, and within it every shifted row x + p, |p| <= reach, stays in
+    [-R, R] of the flat half-width table.  Row x of the translate by
+    u t = p + qi is |y + q| <= H(x + p), and I is the sum of the lengths of
+    the intersections of all four intervals, clipped at 0.  The (t, row)
+    elements go through in steps of BLOCK_ELEMENTS, one t across several
+    steps if need be: O(sqrt B) work per t.
     """
     t_re = np.asarray(t_re, dtype=np.int64)
     t_im = np.asarray(t_im, dtype=np.int64)
@@ -217,17 +354,8 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     out = np.empty(len(t_re), dtype=np.int64)
     if not len(t_re):
         return out
-    if bounds.max() >= KERNEL_BOUND_LIMIT:
-        raise ArithmeticError(
-            f"lattice kernel is exact for norm bounds below 2^52; got {bounds.max()}"
-        )
-    uB = np.unique(bounds)
-    R = _floor_sqrt(uB)
-    # int32 halves the memory traffic of the row loop; its values stay below 2^28
-    half = _half_widths(uB, R).astype(np.int32)
-    first = np.cumsum(2 * R + 1) - (2 * R + 1)
-    disc = np.add.reduceat(2 * half + 1, first, dtype=np.int64)
-    centre = first + R  # index of x = 0 in the table of each bound
+    uB, R, half, centre, disc = _bound_tables(bounds)
+    half = half.astype(np.int32)  # halves the row loop's memory traffic; values stay below 2^28
     for s in range(0, len(out), BLOCK_ELEMENTS):  # the per-t arrays in steps too
         a, b = t_re[s : s + BLOCK_ELEMENTS], t_im[s : s + BLOCK_ELEMENTS]
         which = np.searchsorted(uB, bounds[s : s + BLOCK_ELEMENTS])
@@ -249,29 +377,6 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
             lengths <<= x > 0  # rows x and -x, row 0 once
             out[s + t] -= np.add.reduceat(lengths, np.cumsum(c) - c, dtype=np.int64)
     return out
-
-
-def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
-    """Exact count of lattice points in the region (full plane, all four
-    quadrants), optionally restricted to points coprime to s.
-
-    Unfiltered this is L(s, S^2); the coprime restriction is the Moebius
-    sum over the squarefree divisors d of s of mu(d) L(s/d, S^2 // |d|^2),
-    with every divisor in one kernel call.
-    """
-    S2 = spec.S * spec.S
-    if not coprime_filter:
-        return int(escape_counts([spec.s.re], [spec.s.im], S2)[0])
-    from .gint import factor
-
-    square_free = [(ONE, 1)]
-    for p, _a in factor(spec.s).factors:
-        square_free += [(d * p, -m) for d, m in square_free]
-    t = [exact_div(spec.s, d) for d, _ in square_free]
-    L = escape_counts(
-        [x.re for x in t], [x.im for x in t], [S2 // norm(d) for d, _ in square_free]
-    )
-    return sum(sign * int(n) for (_, sign), n in zip(square_free, L))
 
 
 def omega_lattice_count_bruteforce(spec: OmegaSpec, coprime_filter: bool = False) -> int:

@@ -206,8 +206,13 @@ class TestCounting:
             moment.moment_first_counting(2, "foo")
 
     def test_cap(self):
-        with pytest.raises(DomainError):
-            moment.moment_first_counting(300)
+        assert moment.COUNTING_CAP_DEFAULT == 1024
+        with pytest.raises(DomainError, match="capped at S = 1024"):
+            moment.moment_first_counting(1025)
+
+    def test_default_cap_admits_257(self):
+        rep = moment.moment_first_counting(257)
+        assert rep.value > 0 and rep.S == 257
 
 
 class TestCalibration:

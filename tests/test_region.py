@@ -19,6 +19,7 @@ from fordspheres.region import (
     omega_area_monte_carlo,
     omega_area_quadrature,
     escape_counts,
+    escape_counts_rows,
     omega_contains,
     omega_lattice_count,
     omega_lattice_count_bruteforce,
@@ -203,6 +204,65 @@ class TestLatticeCount:
         assert escape_counts(t_re, t_im, bounds).tolist() == whole.tolist()
         scanned = [_escape_count_scan(a, b, B) for a, b, B in zip(t_re, t_im, bounds)]
         assert whole.tolist() == scanned
+
+    def test_closed_form_equals_rows_on_every_small_bound(self):
+        # every t in the box |Re t|, |Im t| <= isqrt(B) + 2, which includes
+        # every |t|^2 > B case near the disc, for every B in 1..300
+        t_re, t_im, bounds = [], [], []
+        for B in range(1, 301):
+            m = isqrt(B) + 2
+            xs, ys = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1))
+            keep = (xs != 0) | (ys != 0)
+            t_re.append(xs[keep]), t_im.append(ys[keep]), bounds.append(np.full(keep.sum(), B))
+        t_re, t_im, bounds = map(np.concatenate, (t_re, t_im, bounds))
+        got = escape_counts(t_re, t_im, bounds)
+        assert got.tolist() == escape_counts_rows(t_re, t_im, bounds).tolist()
+
+    @pytest.mark.parametrize(
+        "t, B",
+        [
+            ((3, 4), 25),  # |t|^2 = B: the four discs meet in the origin alone
+            ((5, 0), 25),  # the same on the real axis
+            ((1, 0), 1),
+            ((0, 7), 50),  # Im t = 0 after the swap
+            ((6, 0), 1000),
+            ((4, 4), 32),  # Re t = Im t, |t|^2 = B
+            ((9, 9), 1000),
+            ((2, 1), 10_000),  # B = k^2
+            ((2, 1), 9_999),  # B = k^2 - 1
+            ((70, 70), 10_000),
+            ((99, 14), 9_999),
+            ((3, 4), 24),  # |t|^2 = B + 1: the intersection is empty
+        ],
+    )
+    def test_closed_form_edge_cases(self, t, B):
+        (a, b) = t
+        got = escape_counts([a, -b, b], [b, a, -a], B).tolist()
+        want = escape_counts_rows([a], [b], B)[0]
+        assert got == [want] * 3
+        if B <= 1000:
+            assert want == _escape_count_scan(a, b, B)
+
+    def test_zero_t_escapes_nothing(self):
+        assert escape_counts([0, 1, 0], [0, 0, 0], [5, 5, 1000]).tolist() == [
+            0, _escape_count_scan(1, 0, 5), 0,
+        ]
+        assert escape_counts_rows([0], [0], 5).tolist() == [0]
+
+    def test_closed_form_equals_rows_near_two_to_the_forty(self):
+        B = (1 << 40) + 12_345
+        R = isqrt(B)
+        t = [(1, 0), (1, 1), (R, 0), (R // 2, R // 2), (R - 1, 1), (123_456, 654_321), (R // 3, 5)]
+        t_re, t_im = [a for a, _ in t], [b for _, b in t]
+        assert escape_counts(t_re, t_im, B).tolist() == escape_counts_rows(t_re, t_im, B).tolist()
+
+    def test_sweep_unchanged_with_the_row_kernel(self, monkeypatch):
+        from fordspheres import moment
+
+        closed = [moment.consecutive_partner_counts(S) for S in range(1, 129)]
+        monkeypatch.setattr(region, "escape_counts", escape_counts_rows)
+        for S in range(1, 129):
+            assert moment.consecutive_partner_counts(S).tolist() == closed[S - 1].tolist(), S
 
     def test_kernel_exactness_bound(self):
         with pytest.raises(ArithmeticError):
