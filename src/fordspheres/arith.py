@@ -7,11 +7,18 @@ The Moebius and Euler-phi analogues used here are
     phi_i(q) = number of units of Z[i]/(q)
              = prod over prime powers p^a || q of (|p|^2a - |p|^(2a-2)).
 
-Single values go through :func:`fordspheres.gint.factor`; bulk sweeps that
-need phi or mu per lattice point use :class:`CanonicalSieve`, a
-smallest-prime-first sieve over the canonical lattice points of
-norm <= max_norm that fills phi and mu tables in one pass (numpy-backed).
-The sweeps build it at the scale they sum over, S^2 for a level S.
+Single values go through :func:`fordspheres.gint.factor`.  Bulk sweeps
+read :class:`CanonicalSieve`, arrays of phi_i and mu_i on the canonical q
+of norm <= max_norm (S^2 for a level S), from n = norm(q) and
+g = gcd(re q, im q), with phi*, mu* and D multiplicative in n:
+
+    phi_i(q) = phi*(n) * prod over p | g, p = 1 (mod 4) of (1 - 1/p),
+    mu_i(q)  = mu*(n) * [D(n) divides g].
+
+This holds one rational prime p at a time: the p-part of n fixes that of
+q unless p = 1 (mod 4) splits as pi conj(pi), and then both pi and
+conj(pi) divide q exactly when p | g.  One pass over the rational primes
+fills the tables over n here and the zeta coefficients below.
 
 Truncated zeta values are lattice sums
 
@@ -191,20 +198,17 @@ def canonical_cells(max_norm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if max_norm < 1:
         raise DomainError("max_norm must be >= 1")
     R = isqrt(max_norm)
-    res = []
-    ims = []
-    for x in range(1, R + 1):
-        ymax = isqrt(max_norm - x * x)
-        ys = np.arange(0, ymax + 1, dtype=np.int64)
-        res.append(np.full(len(ys), x, dtype=np.int64))
-        ims.append(ys)
-    rex = np.concatenate(res)
-    imy = np.concatenate(ims)
+    counts = np.array([isqrt(max_norm - x * x) + 1 for x in range(1, R + 1)], dtype=np.int64)
+    rex = np.repeat(np.arange(1, R + 1, dtype=np.int64), counts)
+    imy = np.arange(len(rex), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
     nrm = rex * rex + imy * imy
     # generation order is already (re, im)-ascending, so a stable sort on
-    # the norm alone yields (norm, re, im) order
+    # the norm alone yields (norm, re, im) order; the arrays are permuted
+    # one at a time, so that one old copy at a time is alive
     order = np.argsort(nrm, kind="stable")
-    return rex[order], imy[order], nrm[order]
+    nrm = nrm[order]
+    rex = rex[order]
+    return rex, imy[order], nrm
 
 
 def canonical_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,105 +221,117 @@ def canonical_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return cx, cy
 
 
-class CanonicalSieve:
-    """phi_i and mu_i tables over canonical q with norm(q) <= max_norm.
+def _rational_prime_pass(max_norm: int):
+    """The pass over the rational primes behind the multiplicative tables
+    on n = 0..max_norm of :func:`norm_coefficients` and :class:`CanonicalSieve`.
 
-    Build: walk cells in norm order up to sqrt(max_norm); a cell whose phi
-    is still untouched is prime, and for each such prime p the updates
-    phi[m] -= phi[m] // norm(p), mu[m] = -mu[m] run over every canonical
-    multiple m of p (mu = 0 on multiples of p^2).  Every composite has a
-    prime factor of norm <= sqrt(max_norm), so afterwards the untouched
-    cells are exactly the remaining primes; their multiples p*w are then
-    applied in one vectorized pass per small multiplier w.  Each (prime,
-    multiple) pair is visited exactly once, which makes the fancy-indexed
-    updates collision free.
+    For each prime p <= isqrt(max_norm) it yields (p, k, exps), k = 0..top
+    the exponents of p that occur and exps[j - 1] the one in n = p*j: a
+    table whose factor on p^k is local[k] takes it by table[p::p] *=
+    local[exps].  What is left of n is 1 or one prime above isqrt(max_norm),
+    to the first power; the last item is (0, None, that cofactor per n).
+    """
+    root = isqrt(max_norm)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for i in range(2, isqrt(root) + 1):
+        if is_prime[i]:
+            is_prime[i * i :: i] = False
+    small_part = np.ones(max_norm + 1, dtype=np.int32)  # the p-parts for p <= root
+    for p in np.flatnonzero(is_prime).tolist():
+        exps = np.ones(max_norm // p, dtype=np.intp)
+        top, pk = 1, p * p
+        while pk <= max_norm:
+            exps[pk // p - 1 :: pk // p] += 1
+            top, pk = top + 1, pk * p
+        k = np.arange(top + 1, dtype=np.int32)
+        yield p, k, exps
+        small_part[p::p] *= (np.int32(p) ** k)[exps]
+    n = np.arange(max_norm + 1, dtype=np.int32)
+    yield 0, None, np.floor_divide(n, small_part, out=small_part)
+
+
+class CanonicalSieve:
+    """phi_i and mu_i over the canonical q with norm(q) <= max_norm, as
+    arrays aligned with the cells of :func:`canonical_cells`, from
+    n = norm(q) and g = gcd(re q, im q):
+
+        phi_i(q) = phi*(n) * prod over p | g, p = 1 (mod 4) of (1 - 1/p),
+        mu_i(q)  = mu*(n) * [D(n) divides g],
+
+        phi*(2^k) = 2^(k-1);  phi*(p^k) = p^k - p^(k-2), p = 3 (mod 4);
+                              phi*(p^k) = p^k - p^(k-1), p = 1 (mod 4);
+        mu*(p) = -1;  mu*(p^2) = -1 for p = 3 (mod 4), +1 for p = 1 (mod 4),
+                      0 for p = 2;  mu*(p^k) = 0 for k >= 3;
+        D(n) = product of the primes p = 1 (mod 4) with p^2 | n.
+
+    Why, one rational prime p at a time: the p-part of q is (1+i)^k of
+    norm 2^k for p = 2, p^j of norm p^2j for an inert p = 3 (mod 4), and
+    pi^a conj(pi)^b of norm p^k, k = a + b, for a split p = pi conj(pi)
+    = 1 (mod 4).  The first two are fixed by the norm.  For a split p,
+    a and b are both >= 1 exactly when p | q, that is p | g; then phi_i of
+    the p-part is p^(k-2) (p - 1)^2 = phi*(p^k) (1 - 1/p), and otherwise
+    the part is pi^k or conj(pi)^k, with phi_i = phi*(p^k).  mu_i is -1
+    at k = 1; at k = 2 it is +1 on pi conj(pi) = p but 0 on pi^2; at
+    k >= 3 mu* is 0.  A split p | g has p^2 | n, so p <= isqrt(max_norm)
+    and p divides phi*(n): the same pass fills the factors over g.
+
+    The tables over n are int32 and int8, so max_norm must lie in
+    [1, 2^31); that is checked before anything is allocated.
     """
 
     def __init__(self, max_norm: int):
+        if not 1 <= max_norm < 2**31:
+            raise DomainError("max_norm must be in [1, 2^31): the tables are int32")
         self.max_norm = max_norm
-        rex, imy, nrm = canonical_cells(max_norm)
-        self.re = rex
-        self.im = imy
-        self.norms = nrm
-        R = isqrt(max_norm)
-        W = R + 1
-        flat = (rex - 1) * W + imy
-        phi_tab = np.zeros(R * W, dtype=np.int64)
-        mu_tab = np.zeros(R * W, dtype=np.int8)
-        phi_tab[flat] = nrm
-        mu_tab[flat] = 1
-        small_bound = isqrt(max_norm)
-        for i in range(len(rex)):
-            n = int(nrm[i])
-            if n > small_bound:
+        self.re, self.im, self.norms = canonical_cells(max_norm)
+        phi_star = np.ones(max_norm + 1, dtype=np.int32)
+        mu_star = np.ones(max_norm + 1, dtype=np.int8)
+        split_square = np.ones(max_norm + 1, dtype=np.int32)  # D(n)
+        root = isqrt(max_norm)
+        split_rad = np.ones(root + 1, dtype=np.int32)  # product of split p | g
+        split_phi = np.ones(root + 1, dtype=np.int32)  # ... of p - 1
+        for p, k, exps in _rational_prime_pass(max_norm):
+            if not p:  # exps is the cofactor: a prime q has phi* = q - 1, mu* = -1
+                large = exps > 1
+                phi_star[large] *= exps[large] - 1
+                mu_star[large] = -mu_star[large]
                 break
-            if n == 1:
-                continue
-            x = int(rex[i])
-            y = int(imy[i])
-            if phi_tab[(x - 1) * W + y] != n:
-                continue  # composite
-            self._apply_small_prime(x, y, n, rex, imy, nrm, phi_tab, mu_tab, W)
-        # everything untouched beyond the small range is prime
-        is_large_prime = (phi_tab[flat] == nrm) & (nrm > small_bound)
-        px = rex[is_large_prime]
-        py = imy[is_large_prime]
-        pn = nrm[is_large_prime]
-        # proper multiples p*w, batched per multiplier w; cofactors of a
-        # large prime have norm at most max_norm / (small_bound + 1)
-        w_count = int(np.searchsorted(nrm, max_norm // (small_bound + 1), side="right"))
-        for j in range(w_count):
-            wn = int(nrm[j])
-            if wn == 1:
-                continue
-            k = int(np.searchsorted(pn, max_norm // wn, side="right"))
-            if k == 0:
-                continue
-            wx = int(rex[j])
-            wy = int(imy[j])
-            cx, cy = canonical_arrays(px[:k] * wx - py[:k] * wy, px[:k] * wy + py[:k] * wx)
-            mi = (cx - 1) * W + cy
-            phi_tab[mi] -= phi_tab[mi] // pn[:k]
-            mu_tab[mi] = -mu_tab[mi]
-        # the large primes themselves
-        flp = flat[is_large_prime]
-        phi_tab[flp] = pn - 1
-        mu_tab[flp] = -1
-        self.phi = phi_tab[flat]
-        self.mu = mu_tab[flat]
-        self._flat = flat
-        self._W = W
-        self._phi_tab = phi_tab
-        self._mu_tab = mu_tab
+            pk = np.int32(p) ** k
+            phi_pk = pk - pk // (p * p if p % 4 == 3 else p)
+            phi_pk[0] = 1
+            mu_pk = np.zeros(len(k), dtype=np.int8)
+            mu_pk[:3] = (1, -1, 0) if p == 2 else (1, -1, 1 if p % 4 == 1 else -1)
+            phi_star[p::p] *= phi_pk[exps]
+            mu_star[p::p] *= mu_pk[exps]
+            if p % 4 == 1:
+                split_square[p * p :: p * p] *= p
+                split_rad[p::p] *= p
+                split_phi[p::p] *= p - 1
+        n = self.norms
+        d = split_square[n]
+        # a split p | g has p^2 | n, so g matters only where D(n) > 1
+        sel = np.flatnonzero(d > 1)
+        g = np.gcd(self.re[sel], self.im[sel])
+        self.phi = phi_star[n].astype(np.int64)
+        self.phi[sel] = self.phi[sel] // split_rad[g] * split_phi[g]
+        self.mu = mu_star[n]
+        self.mu[sel[g % d[sel] != 0]] = 0
 
-    def _apply_small_prime(self, x, y, n, rex, imy, nrm, phi_tab, mu_tab, W):
-        k = int(np.searchsorted(nrm, self.max_norm // n, side="right"))
-        wx = rex[:k]
-        wy = imy[:k]
-        cx, cy = canonical_arrays(x * wx - y * wy, x * wy + y * wx)
-        mi = (cx - 1) * W + cy
-        phi_tab[mi] -= phi_tab[mi] // n
-        mu_tab[mi] = -mu_tab[mi]
-        n2 = n * n
-        if n2 <= self.max_norm:
-            px, py = x * x - y * y, 2 * x * y
-            k2 = int(np.searchsorted(nrm, self.max_norm // n2, side="right"))
-            wx2 = rex[:k2]
-            wy2 = imy[:k2]
-            cx2, cy2 = canonical_arrays(px * wx2 - py * wy2, px * wy2 + py * wx2)
-            mu_tab[(cx2 - 1) * W + cy2] = 0
+    def _index(self, q: GInt) -> int:
+        q = _as_canonical(q)
+        n = norm(q)
+        if n > self.max_norm:
+            raise DomainError("q beyond sieve range")
+        # cells of one norm ascend in re, and re fixes im
+        lo, hi = np.searchsorted(self.norms, (n, n + 1))
+        return int(lo + np.searchsorted(self.re[lo:hi], q.re))
 
     def phi_of(self, q: GInt) -> int:
-        q = _as_canonical(q)
-        if norm(q) > self.max_norm:
-            raise DomainError("q beyond sieve range")
-        return int(self._phi_tab[(q.re - 1) * self._W + q.im])
+        return int(self.phi[self._index(q)])
 
     def mu_of(self, q: GInt) -> int:
-        q = _as_canonical(q)
-        if norm(q) > self.max_norm:
-            raise DomainError("q beyond sieve range")
-        return int(self._mu_tab[(q.re - 1) * self._W + q.im])
+        return int(self.mu[self._index(q)])
 
     def upto(self, radius: int) -> slice:
         """Slice of the sorted cell arrays with |q| <= radius."""
@@ -366,30 +382,26 @@ def norm_coefficients(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
         p = 3 (mod 4)    one inert prime of norm p^2:    a = 1 for even k, else 0;
                                                          b = 1, 0, -1, 0, ...
 
-    One pass per rational prime p <= sqrt(max_norm) multiplies in the
-    p-parts along the strided multiples of p.  What is left of n after
-    those primes is 1 or a single prime above sqrt(max_norm), whose factor
-    depends only on its residue mod 4; one vectorized pass applies it.
+    The p-parts come from :func:`_rational_prime_pass`, along the strided
+    multiples of each p <= sqrt(max_norm); a prime above sqrt(max_norm)
+    divides n at most once, and its factor depends only on its residue
+    mod 4.
     """
     if not 1 <= max_norm < 2**31:
         raise DomainError("max_norm must be in [1, 2^31): the tables are int32")
     a = np.ones(max_norm + 1, dtype=np.int32)
     b = np.ones(max_norm + 1, dtype=np.int32)
-    small_part = np.ones(max_norm + 1, dtype=np.int32)  # the p-parts for p <= root
-    root = isqrt(max_norm)
-    is_prime = np.ones(root + 1, dtype=bool)
-    is_prime[:2] = False
-    for i in range(2, isqrt(root) + 1):
-        if is_prime[i]:
-            is_prime[i * i :: i] = False
-    for p in np.flatnonzero(is_prime).tolist():
-        # exponent of p in each multiple p*j, j = 1..max_norm // p
-        exps = np.ones(max_norm // p, dtype=np.intp)
-        top, pk = 1, p * p
-        while pk <= max_norm:
-            exps[pk // p - 1 :: pk // p] += 1
-            top, pk = top + 1, pk * p
-        k = np.arange(top + 1, dtype=np.int32)
+    for p, k, exps in _rational_prime_pass(max_norm):
+        if not p:
+            # exps is the cofactor, 1 or a prime q > root; its residue class
+            # picks the factor: q = 1 (mod 4) splits, 3 (mod 4) is inert
+            # (odd exponent, so a = b = 0), and q = 2 occurs only when root < 2
+            cls = exps
+            cls[cls == 1] = 0
+            cls &= 3
+            a *= np.array([1, 2, 1, 0], dtype=np.int32)[cls]
+            b *= np.array([1, -2, -1, 0], dtype=np.int32)[cls]
+            break
         if p == 2:
             a_pk, b_head = np.ones_like(k), (1, -1)
         elif p % 4 == 1:
@@ -400,15 +412,6 @@ def norm_coefficients(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
         b_pk[: len(b_head)] = b_head  # top >= 2, since p^2 <= max_norm
         a[p::p] *= a_pk[exps]
         b[p::p] *= b_pk[exps]
-        small_part[p::p] *= (np.int32(p) ** k)[exps]
-    # the cofactor is 1 (no large prime) or a prime q > root; its residue
-    # class picks the factor: q = 1 (mod 4) splits, 3 (mod 4) is inert
-    # (odd exponent, so a = b = 0), and q = 2 occurs only when root < 2
-    cls = np.arange(max_norm + 1, dtype=np.int32) // small_part
-    cls[cls == 1] = 0
-    cls &= 3
-    a *= np.array([1, 2, 1, 0], dtype=np.int32)[cls]
-    b *= np.array([1, -2, -1, 0], dtype=np.int32)[cls]
     a[0] = b[0] = 0
     return a, b
 

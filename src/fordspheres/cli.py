@@ -160,7 +160,7 @@ def cmd_enumerate(args, config: RunConfig) -> int:
             )
         meta = _metadata(config, include_constants=False)
         if config.output_path:
-            write_json(config.output_path, meta, rows)
+            _emit(config, meta, ("fraction", "base_re", "base_im", "radius"), rows)
         else:
             print(json.dumps({"meta": meta, "rows": rows}, sort_keys=True, indent=2))
     return EXIT_OK
@@ -171,8 +171,7 @@ def cmd_constants(args, config: RunConfig) -> int:
     payload = dataclasses.asdict(bundle)
     payload["zeta_tail_allowance"] = arith.zeta_tail_allowance(bundle.zeta_radius)
     print(json.dumps(payload, sort_keys=True, indent=2))
-    if config.output_path:
-        write_json(config.output_path, _metadata(config), [payload])
+    _emit(config, _metadata(config), tuple(payload), [payload])
     return EXIT_OK
 
 
@@ -187,8 +186,7 @@ def cmd_area(args, config: RunConfig) -> int:
         "prediction": region.coprime_count_prediction(spec),
     }
     print(json.dumps(payload, sort_keys=True, indent=2))
-    if config.output_path:
-        write_json(config.output_path, _metadata(config), [payload])
+    _emit(config, _metadata(config), tuple(payload), [payload])
     return EXIT_OK
 
 

@@ -203,19 +203,14 @@ def _sqrt_minus_one_mod(p: int) -> int:
 def two_squares_prime(p: int) -> tuple[int, int]:
     """(a, b) with a^2 + b^2 == p for prime p == 1 (mod 4) or p == 2.
 
-    Direct search below 10^6, Cornacchia's descent above.
+    Cornacchia's descent: Euclid's algorithm on p and a square root of
+    -1 mod p stops at the first remainder b below sqrt(p), and then
+    p - b^2 is a square.
     """
     if p == 2:
         return 1, 1
     if p % 4 != 1:
         raise DomainError(f"{p} is not a sum of two squares")
-    if p < 10**6:
-        for a in range(1, isqrt(p) + 1):
-            b2 = p - a * a
-            b = isqrt(b2)
-            if b * b == b2:
-                return a, b
-        raise ArithmeticError(f"no representation found for {p}")
     a, b = p, _sqrt_minus_one_mod(p)
     while b * b > p:
         a, b = b, a % b

@@ -262,7 +262,7 @@ def consecutive_partner_counts(S: int) -> np.ndarray:
         np.repeat(bounds, k_eval),
     )
     first = np.cumsum(k_eval) - k_eval  # where the values of each bound start in L
-    W = S + 1  # flat cell index (re - 1) * W + im, as in CanonicalSieve
+    W = S + 1  # flat cell index (re - 1) * W + im of the scatter tables
     cell = (re - 1) * W + im
     # rank[j]: position among the evaluated cells of cell j, or of b + ai
     # for cell j = a + bi with a < b (same norm, so within the same prefix)

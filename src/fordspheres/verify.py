@@ -163,8 +163,9 @@ def check_sieve_vs_factorization() -> tuple[bool, str]:
 
 @_check("arith", "per-norm zeta coefficients match the per-cell sieve")
 def check_norm_coefficients() -> tuple[bool, str]:
-    # a(n) counts the canonical cells of norm n and b(n) sums their mu;
-    # the sieve's cells, binned by norm, give both independently
+    # a(n) counts the canonical cells of norm n and b(n) sums their mu; the
+    # sieve's cells, binned by norm, give both from the same rational-prime
+    # pass but their own local factors and gcd(re, im)
     sieve = arith.CanonicalSieve(EXACT_IDENTITY_MAX_NORM)
     a, b = arith.norm_coefficients(EXACT_IDENTITY_MAX_NORM)
     size = EXACT_IDENTITY_MAX_NORM + 1

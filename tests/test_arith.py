@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from random import Random
@@ -162,10 +163,32 @@ class TestR2:
 
 class TestSieve:
     def test_matches_scalar_route(self):
-        sieve = CanonicalSieve(3000)
-        for q in cells_upto(3000):
-            assert sieve.mu_of(q) == mu_i(q), q
-            assert sieve.phi_of(q) == phi_i(q), q
+        # 1..3 sieve no prime, 4 and 5 sieve 2 first, 9 is the inert square
+        # N(3), and at norm 25 mu_i is +1 on 5 but 0 on 3+4i and 4+3i
+        for max_norm in (1, 2, 3, 4, 5, 9, 25, 3000):
+            sieve = CanonicalSieve(max_norm)
+            for q in cells_upto(max_norm):
+                assert sieve.mu_of(q) == mu_i(q), (max_norm, q)
+                assert sieve.phi_of(q) == phi_i(q), (max_norm, q)
+
+    def test_arrays_pinned(self):
+        # SHA-256 of the re, im, norms, phi and mu bytes, as the Gaussian-prime
+        # sieve built them
+        sieve = CanonicalSieve(512**2)
+        digest = hashlib.sha256()
+        for arr, dtype in zip(
+            (sieve.re, sieve.im, sieve.norms, sieve.phi, sieve.mu),
+            (np.int64, np.int64, np.int64, np.int64, np.int8),
+        ):
+            assert arr.dtype == dtype
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == "ddd5e1438d20a028e6c0e0a08407c346757cbc6048bc6130c43c8fd09b566a3c"
+
+    def test_domain(self):
+        # int32 tables: refused before anything is allocated
+        for bad in (0, 2**31):
+            with pytest.raises(DomainError):
+                CanonicalSieve(bad)
 
     def test_cell_order_is_sorted(self):
         sieve = get_sieve(500)

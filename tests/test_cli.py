@@ -24,13 +24,36 @@ class TestEnumerate:
 
     def test_json_artifact(self, capsys, tmp_path):
         path = tmp_path / "gs.json"
-        code, _, _ = run(capsys, "enumerate", "--S", "1", "--out-path", str(path))
+        code, _, _ = run(capsys, "enumerate", "--S", "1", "--out", "json", "--out-path", str(path))
         assert code == 0
         meta, rows = cli.read_artifact(str(path))
         assert meta["tool"] == "fordspheres"
         assert meta["config"]["command"] == "enumerate"
         assert len(rows) == 4
         assert {r["radius"] for r in rows} == {"1/2"}
+
+
+class TestOutFormat:
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (("enumerate", "--S", "1"), 4),
+            (("constants",), 1),
+            (("area", "--s", "1+i", "--S", "4"), 1),
+        ],
+    )
+    def test_csv_and_json_hold_the_same_rows(self, capsys, tmp_path, argv, count):
+        rows = {}
+        for fmt in ("csv", "json"):
+            path = tmp_path / f"artifact.{fmt}"
+            code, _, _ = run(capsys, *argv, "--out", fmt, "--out-path", str(path))
+            assert code == 0
+            assert path.read_text().startswith("{") == (fmt == "json")
+            meta, got = cli.read_artifact(str(path))
+            assert meta["config"]["output_format"] == fmt
+            rows[fmt] = [{k: str(v) for k, v in row.items()} for row in got]
+        assert len(rows["csv"]) == count
+        assert rows["csv"] == rows["json"]
 
 
 class TestConstants:
@@ -236,6 +259,8 @@ class TestBadInput:
             (("--kind", "bsum", "--S-values", "-3"), cli.EXIT_NUMERIC, "S must be >= 1"),
             (("--kind", "bsum", "--S-values", "4,0"), cli.EXIT_NUMERIC, "S must be >= 1"),
             (("--kind", "arith", "--radius", "-2"), cli.EXIT_NUMERIC, "radius"),
+            # a sieve to norm 46341^2 >= 2^31 is refused before any table exists
+            (("--kind", "arith", "--radius", "46341"), cli.EXIT_NUMERIC, "2^31"),
         ],
     )
     def test_report(self, capsys, argv, code, word):

@@ -191,9 +191,11 @@ class TestFactor:
                 assert factor(u * q).value() == u * q
 
     def test_two_squares_large_prime(self):
-        p = 1_000_033  # 1 mod 4, above the direct-search cutoff
-        a, b = two_squares_prime(p)
-        assert a * a + b * b == p
+        # every prime p = 1 (mod 4) below 10^5, and one above 10^6
+        primes = [p for p in range(5, 10**5, 4) if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+        for p in primes + [1_000_033]:
+            a, b = two_squares_prime(p)
+            assert a * a + b * b == p, p
 
 
 class TestTextGrammar:
