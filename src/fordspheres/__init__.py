@@ -5,6 +5,14 @@ of radius sums."""
 
 __version__ = "0.1.0"
 
+try:  # on glibc, keep freed numpy temporaries in the heap for reuse (README, "Set-up")
+    import ctypes as _ctypes
+
+    _ctypes.CDLL(None).mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    _ctypes.CDLL(None).mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+except (AttributeError, OSError, TypeError):  # another C library: left as it is
+    pass
+
 from .gint import (
     DomainError,
     Factorization,

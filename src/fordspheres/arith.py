@@ -20,7 +20,8 @@ q unless p = 1 (mod 4) splits as pi conj(pi), and then both pi and
 conj(pi) divide q exactly when p | g.  One pass over the rational primes
 fills the tables over n here and the zeta coefficients below.
 
-Truncated zeta values are lattice sums
+zeta_i(2) is the closed form :data:`ZETA_I_2` = zeta(2) * L(2, chi_-4)
+= (pi^2/6) * Catalan.  Its oracles are the truncated lattice sums
 
     zeta_i(s)      ~ sum of norm(q)^-s   over canonical q, |q| <= radius,
     zeta_i^{-1}(s) ~ same sum weighted by mu_i(q),
@@ -50,6 +51,9 @@ from .gint import (
     is_coprime,
     norm,
 )
+
+CATALAN = 0.9159655941772190150546  # L(2, chi_-4) = sum of (-1)^k / (2k+1)^2
+ZETA_I_2 = pi**2 / 6 * CATALAN  # Dedekind zeta of Q(i): zeta_i(s) = zeta(s) L(s, chi_-4)
 
 
 def _as_canonical(q: GInt) -> GInt:
@@ -353,7 +357,7 @@ def get_sieve(max_norm: int) -> CanonicalSieve:
 
 
 # ---------------------------------------------------------------------------
-# truncated zeta values and lattice sums
+# truncated zeta values (the oracles of ZETA_I_2) and lattice sums
 # ---------------------------------------------------------------------------
 
 
@@ -432,8 +436,9 @@ def zeta_i_truncated(s: float, radius: float) -> ZetaTruncation:
 
 
 def zeta_tail_allowance(radius: float) -> float:
-    """Allowed |value * inverse_value - 1| of the truncation at radius R:
-    20 / R^2.  At s = 2 each truncated series omits a tail of about
+    """Allowed gap of the truncation at radius R, 20 / R^2: for
+    |value * inverse_value - 1| and for the distance of either series from
+    its limit.  At s = 2 each truncated series omits a tail of about
     (pi/4) / R^2."""
     return 20.0 / (radius * radius)
 
@@ -468,9 +473,5 @@ def sum_phi_upto(Q: int) -> tuple[int, float]:
     if Q < 1:
         raise DomainError("Q must be >= 1")
     sieve = get_sieve(Q * Q)
-    sl = sieve.upto(Q)
-    exact = int(np.sum(sieve.phi[sl]))
-    # radius 1000 keeps the zeta tail below 1e-5 relative without forcing
-    # a sieve larger than the sum itself usually needs
-    zi = zeta_i_truncated(2, max(Q, 1000)).inverse_value
-    return exact, pi / 8 * zi * Q**4
+    exact = int(np.sum(sieve.phi[sieve.upto(Q)]))
+    return exact, pi / 8 / ZETA_I_2 * Q**4

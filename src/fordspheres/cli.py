@@ -8,7 +8,8 @@ timing column, for any --threads value (accepted for compatibility; no
 command starts worker processes).
 
 Exit codes: 0 success, 2 usage or parse error, 3 numeric domain or cap
-violation, 4 verification failure, 5 unwritable output path.
+violation or a request beyond host memory, 4 verification failure,
+5 unwritable output path.
 """
 
 from __future__ import annotations
@@ -167,9 +168,7 @@ def cmd_enumerate(args, config: RunConfig) -> int:
 
 
 def cmd_constants(args, config: RunConfig) -> int:
-    bundle = moment.constants_bundle(zeta_radius=args.zeta_radius, with_z2=args.with_z2)
-    payload = dataclasses.asdict(bundle)
-    payload["zeta_tail_allowance"] = arith.zeta_tail_allowance(bundle.zeta_radius)
+    payload = dataclasses.asdict(moment.constants_bundle(with_z2=args.with_z2))
     print(json.dumps(payload, sort_keys=True, indent=2))
     _emit(config, _metadata(config), tuple(payload), [payload])
     return EXIT_OK
@@ -201,7 +200,7 @@ def _print_report_table(reports):
 
 
 def _calibration_meta() -> dict[str, Any]:
-    ratios = moment.calibration_ratios()
+    ratios = moment.calibration_ratios(verify.CALIBRATION_RANGE)
     return {
         "full_over_direct": {str(S): r for S, r in ratios.items()},
         "band": [min(ratios.values()), max(ratios.values())],
@@ -363,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("constants", help="print the constants bundle as JSON")
-    p.add_argument("--zeta-radius", type=float, default=moment.ZETA_RADIUS_DEFAULT)
     p.add_argument("--with-z2", action="store_true", help="fit the z2 intercept (slow)")
     common(p)
 
@@ -454,6 +452,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except (DomainError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of host memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except _IoFailure as exc:
         print(f"error: cannot write artifact: {exc}", file=sys.stderr)

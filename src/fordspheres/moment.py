@@ -16,6 +16,8 @@ Three routes to the same quantity:
               quarter main term;
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
+              zeta_i(2) = zeta(2) * Catalan in closed form (arith.ZETA_I_2;
+              the truncated lattice sums are oracles) and
               C = -int_0^{1/sqrt 2} ln(sqrt 2 u) sqrt(1 - u^2) du, summed
               from its termwise series (the quadratures are oracles).
 
@@ -31,6 +33,7 @@ the CLI and report_sweep both call it.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -44,7 +47,6 @@ from . import arith, farey, region
 
 DIRECT_CAP_DEFAULT = 24
 COUNTING_CAP_DEFAULT = 1024
-ZETA_RADIUS_DEFAULT = 2000
 
 NORMALIZATIONS = ("omega_full", "omega_quarter")
 METHODS = ("direct", "counting", "main_term")
@@ -64,7 +66,6 @@ class ConstantsBundle:
     zeta_i_inv_2: float
     main_coeff: float
     z1: float
-    zeta_radius: float
     z2_estimate: float | None = None
 
     def validate(self) -> None:
@@ -133,19 +134,12 @@ def constant_C_tanh_sinh(dps: int = 25) -> float:
         return float(val)
 
 
-_bundle_cache: dict[tuple[float, bool], ConstantsBundle] = {}
-
-
-def constants_bundle(zeta_radius: float = ZETA_RADIUS_DEFAULT, with_z2: bool = False) -> ConstantsBundle:
+@functools.cache
+def constants_bundle(with_z2: bool = False) -> ConstantsBundle:
     """Compute (and cache) the constants used by every main-term evaluation."""
-    key = (float(zeta_radius), with_z2)
-    if key in _bundle_cache:
-        return _bundle_cache[key]
     C = constant_C()
-    zt = arith.zeta_i_truncated(2, zeta_radius)
-    if abs(zt.value * zt.inverse_value - 1.0) > arith.zeta_tail_allowance(zeta_radius):
-        raise ArithmeticError("zeta truncation inconsistent beyond tail bound")
-    z1 = math.pi / 8.0 * zt.inverse_value
+    zeta_i_inv_2 = 1.0 / arith.ZETA_I_2
+    z1 = math.pi / 8.0 * zeta_i_inv_2
     z2 = None
     if with_z2:
         ladder = [64, 128, 256, 512, 1024, 2048]
@@ -153,15 +147,13 @@ def constants_bundle(zeta_radius: float = ZETA_RADIUS_DEFAULT, with_z2: bool = F
         z2 = intercept - z1
     bundle = ConstantsBundle(
         C=C,
-        zeta_i_2=zt.value,
-        zeta_i_inv_2=zt.inverse_value,
-        main_coeff=math.pi * zt.inverse_value * (8.0 * C - 1.0),
+        zeta_i_2=arith.ZETA_I_2,
+        zeta_i_inv_2=zeta_i_inv_2,
+        main_coeff=math.pi * zeta_i_inv_2 * (8.0 * C - 1.0),
         z1=z1,
-        zeta_radius=float(zeta_radius),
         z2_estimate=z2,
     )
     bundle.validate()
-    _bundle_cache[key] = bundle
     return bundle
 
 
@@ -357,7 +349,7 @@ def evaluate(
     raise DomainError(f"unknown method {method!r}")
 
 
-def calibration_ratios(S_values: Iterable[int] = range(4, 13)) -> dict[int, float]:
+def calibration_ratios(S_values: Iterable[int]) -> dict[int, float]:
     """counting(omega_full) / direct per S; the measured normalization gap."""
     out = {}
     for S in S_values:
@@ -448,8 +440,7 @@ def sum_phi_over_norm2(S: int) -> tuple[float, float]:
     sl = sieve.upto(S)
     fn = sieve.norms[sl].astype(np.float64)
     exact = float(np.sum(sieve.phi[sl].astype(np.float64) / fn))
-    bundle = constants_bundle()
-    return exact, math.pi / 4.0 * bundle.zeta_i_inv_2 * S * S
+    return exact, math.pi / 4.0 / arith.ZETA_I_2 * S * S
 
 
 def sum_phi_over_norm4(S: int) -> float:

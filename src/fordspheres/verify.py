@@ -227,21 +227,19 @@ def check_sum_r2_weighted() -> tuple[bool, str]:
     )
 
 
-@_check("arith", "truncated zeta matches the classical product and inverts")
+@_check("arith", "truncated zeta converges to the closed form and inverts")
 def check_zeta_truncation() -> tuple[bool, str]:
-    zt = arith.zeta_i_truncated(2, 2000)
-    classical = (math.pi**2 / 6.0) * 0.9159655941772190  # zeta(2) * Catalan
-    ok_value = abs(zt.value - classical) < 1e-5
+    # each lattice sum falls short of zeta_i(2) = zeta(2) * Catalan by its
+    # positive tail, and its Moebius companion approaches 1 / zeta_i(2)
     ok_unit = arith.zeta_i_truncated(2, 1).value == 1.0
-    ok_prod = True
-    for R in (10, 40, 160, 640):
-        z = arith.zeta_i_truncated(2, R)
-        gap = abs(z.value * z.inverse_value - 1.0)
-        if gap > arith.zeta_tail_allowance(R):
-            ok_prod = False
-    return ok_value and ok_unit and ok_prod, (
-        f"value(2000) = {zt.value:.7f} vs {classical:.7f}; "
-        f"product gap within the tail allowance along radius ladder: {ok_prod}"
+    rows = [(arith.zeta_i_truncated(2, R), arith.zeta_tail_allowance(R)) for R in (10, 40, 160, 640, 2000)]
+    gaps = [arith.ZETA_I_2 - z.value for z, _ in rows]
+    ok_value = all(0.0 < gap <= allowance for gap, (_, allowance) in zip(gaps, rows))
+    ok_inverse = all(abs(z.inverse_value - 1.0 / arith.ZETA_I_2) <= allowance for z, allowance in rows)
+    ok_prod = all(abs(z.value * z.inverse_value - 1.0) <= allowance for z, allowance in rows)
+    return ok_unit and ok_value and ok_inverse and ok_prod, (
+        "zeta_i(2) - value(R) for R = 10..2000: " + ", ".join(f"{g:.1e}" for g in gaps)
+        + f"; inverse and product within the tail allowance: {ok_inverse and ok_prod}"
     )
 
 

@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from fordspheres import arith
 from fordspheres.arith import (
     CanonicalSieve,
     canonical_cells,
@@ -240,8 +241,13 @@ class TestZeta:
     def test_converges_to_classical_product(self):
         # zeta(2) times the alternating L-series value at 2 (Catalan)
         zt = zeta_i_truncated(2, 2000)
-        classical = (math.pi**2 / 6.0) * 0.9159655941772190
-        assert zt.value == pytest.approx(classical, abs=1e-5)
+        assert zt.value == pytest.approx(arith.ZETA_I_2, abs=1e-5)
+
+    def test_catalan_literal_is_the_double_nearest_catalan(self):
+        import mpmath
+
+        assert arith.CATALAN.hex() == float(mpmath.catalan).hex()
+        assert arith.ZETA_I_2 == math.pi**2 / 6 * arith.CATALAN
 
     def test_product_tends_to_one(self):
         gaps = []
@@ -255,8 +261,9 @@ class TestZeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             zeta_i_truncated(1.0, 10)
-        with pytest.raises(DomainError):
-            zeta_i_truncated(2.0, 0.5)
+        for radius in (0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                zeta_i_truncated(2.0, radius)
 
     def test_tail_bound_shape(self):
         vals = [Q * Q * zeta_tail(2.0, Q, 4 * Q) for Q in (8, 16, 32, 64)]

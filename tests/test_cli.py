@@ -1,11 +1,12 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import pytest
 
-from fordspheres import cli, verify
+from fordspheres import arith, cli, verify
 
 
 def run(capsys, *argv):
@@ -64,7 +65,8 @@ class TestConstants:
         assert abs(payload["C"] - 0.68644) < 1e-4
         assert payload["main_coeff"] == pytest.approx(9.3652, abs=2e-4)
         assert payload["z2_estimate"] is None
-        assert payload["zeta_radius"] == 2000.0
+        assert payload["zeta_i_2"] == arith.ZETA_I_2
+        assert set(payload) == {"C", "zeta_i_2", "zeta_i_inv_2", "main_coeff", "z1", "z2_estimate"}
 
 
 class TestConstantsZ2:
@@ -266,9 +268,22 @@ class TestBadInput:
     def test_report(self, capsys, argv, code, word):
         self._refused(capsys, code, ("report",) + argv, word)
 
-    @pytest.mark.parametrize("radius", ["nan", "inf", "0.5"])
-    def test_constants(self, capsys, radius):
-        self._refused(capsys, cli.EXIT_NUMERIC, ("constants", "--zeta-radius", radius), "zeta radius")
+    def test_zeta_radius_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["constants", "--zeta-radius", "2000"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "--zeta-radius" in capsys.readouterr().err
+
+    def test_host_memory_failure(self, capsys, monkeypatch):
+        # stands in for a table beyond host memory (report --kind arith
+        # --radius 46340 asks for 12.6 GiB); an empty cache makes the sieve
+        # reach canonical_cells
+        def out_of_memory(max_norm):
+            raise MemoryError(f"cannot allocate the cells to norm {max_norm}")
+
+        monkeypatch.setattr(arith, "_sieve_cache", [])
+        monkeypatch.setattr(arith, "canonical_cells", out_of_memory)
+        self._refused(capsys, cli.EXIT_NUMERIC, ("report", "--kind", "arith", "--radius", "1000"), "memory")
 
 
 class TestReport:
@@ -376,15 +391,33 @@ class TestVersionAndUsage:
 
 
 class TestColdStart:
+    @staticmethod
+    def _fresh(code):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+
     def test_import_loads_no_scipy(self):
-        # the constants build needs no quadrature; scipy stays an oracle
-        # dependency, imported only by the checks that use it
+        # the constants build needs no quadrature and no arbitrary
+        # precision; scipy and mpmath stay oracle dependencies, imported
+        # only by the checks that use them
         code = (
             "import sys, fordspheres, fordspheres.cli\n"
             "fordspheres.constants_bundle()\n"
-            "print('scipy' in sys.modules)\n"
+            "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert self._fresh(code).stdout.strip() == "False False"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are set on glibc only")
+    def test_repeat_calls_reuse_freed_arrays(self):
+        # with glibc's default thresholds each counting call at S = 64
+        # faults about 850 pages of fresh temporaries in again
+        code = (
+            "import resource, fordspheres\n"
+            "fordspheres.moment_first_counting(64)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(10):\n"
+            "    fordspheres.moment_first_counting(64)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(self._fresh(code).stdout) < 1000

@@ -45,6 +45,19 @@ class TestBundle:
         assert b.z1 == pytest.approx(math.pi / 8 * b.zeta_i_inv_2, rel=1e-15)
         assert b.main_coeff == pytest.approx(9.3652, abs=2e-4)
 
+    def test_needs_no_lattice_sum(self, monkeypatch):
+        # zeta_i(2) is a closed form; the sieve and the norm coefficients
+        # stay oracles, so the bundle builds with both refusing to run
+        def refuse(*args, **kwargs):
+            raise AssertionError("the constants bundle touched a lattice table")
+
+        monkeypatch.setattr(arith, "norm_coefficients", refuse)
+        monkeypatch.setattr(arith, "get_sieve", refuse)
+        moment.constants_bundle.cache_clear()
+        b = moment.constants_bundle()
+        assert b.zeta_i_2 == arith.ZETA_I_2
+        assert b.zeta_i_inv_2 == 1.0 / arith.ZETA_I_2
+
     def test_zeta_product_consistency(self):
         b = moment.constants_bundle()
         assert b.zeta_i_2 * b.zeta_i_inv_2 == pytest.approx(1.0, abs=1e-5)
@@ -174,12 +187,12 @@ class TestCounting:
             time.sleep(0.5)
             return real_constant_C(*args, **kwargs)
 
-        monkeypatch.setattr(moment, "_bundle_cache", {})
         monkeypatch.setattr(moment, "constant_C", slow_constant_C)
+        moment.constants_bundle.cache_clear()
         assert moment.moment_first_counting(4).elapsed < 0.5
-        monkeypatch.setattr(moment, "_bundle_cache", {})
+        moment.constants_bundle.cache_clear()
         assert moment.moment_first_direct(4).elapsed < 0.5
-        monkeypatch.setattr(moment, "_bundle_cache", {})
+        moment.constants_bundle.cache_clear()
         assert moment.moment_main_term_report(4).elapsed < 0.5
 
     def test_threads_do_not_change_bytes(self):
