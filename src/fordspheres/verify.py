@@ -617,6 +617,30 @@ def check_direct_quarter_reconciliation() -> tuple[bool, str]:
     return True, f"S in {lo}..{hi}: direct == quarter + real-axis correction, exactly"
 
 
+COUNTING_ORACLE_RANGE = range(1, 25)
+COUNTING_ORACLE_TOLERANCE = Fraction(1, 2**50)  # measured: at most 3.3e-16 relative
+
+
+@_check("moment", "counting route matches the per-denominator counts")
+def check_counting_vs_per_denominator() -> tuple[bool, str]:
+    # the route sums W(B) F(B) over bounds in floats; the per-denominator
+    # counts of the same Moebius regrouping give the exact rational
+    worst = Fraction(0)
+    for S in COUNTING_ORACLE_RANGE:
+        per_norm: dict[int, int] = {}
+        counts = moment.consecutive_partner_counts(S).tolist()
+        for q, c in zip(_canonical_upto(S * S), counts):
+            n = norm(q)
+            per_norm[n] = per_norm.get(n, 0) + c
+        exact = 2 * sum((Fraction(c, n) for n, c in per_norm.items()), Fraction(0))
+        error = abs(Fraction(moment.moment_first_counting(S).value) - exact) / exact
+        if error > COUNTING_ORACLE_TOLERANCE:
+            return False, f"S = {S}: relative error {float(error):.2e} above 2^-50"
+        worst = max(worst, error)
+    lo, hi = COUNTING_ORACLE_RANGE[0], COUNTING_ORACLE_RANGE[-1]
+    return True, f"S in {lo}..{hi}: worst relative error {float(worst):.2e} (allowed 2^-50)"
+
+
 COUNTING_LADDER = (32, 64, 128)
 COUNTING_FINAL_GAP = 0.10
 RESIDUAL_OVER_S15_BOUND = 3.0  # measured: 0.97, 0.73, 0.53

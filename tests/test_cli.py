@@ -256,6 +256,18 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv, code, word",
         [
+            (("--S", "-3", "--method", "counting"), cli.EXIT_NUMERIC, "S must be >= 1"),
+            (("--S", "0", "--method", "counting"), cli.EXIT_NUMERIC, "S must be >= 1"),
+            (("--S", "-3", "--method", "direct"), cli.EXIT_NUMERIC, "S must be >= 1"),
+            (("--S", "0", "--method", "direct"), cli.EXIT_NUMERIC, "S must be >= 1"),
+        ],
+    )
+    def test_moment(self, capsys, argv, code, word):
+        self._refused(capsys, code, ("moment",) + argv, word)
+
+    @pytest.mark.parametrize(
+        "argv, code, word",
+        [
             (("--S-values", "1,x"), cli.EXIT_USAGE, "--S-values"),
             (("--kind", "bsum", "--S-values", "1,x"), cli.EXIT_USAGE, "--S-values"),
             (("--kind", "bsum", "--S-values", "-3"), cli.EXIT_NUMERIC, "S must be >= 1"),

@@ -164,9 +164,59 @@ class TestCounting:
                 spec = region.OmegaSpec(g(x, y), S)
                 assert c == region.omega_lattice_count_bruteforce(spec, True), (x, y, S)
 
+    @staticmethod
+    def _per_denominator_exact(S):
+        # sum of N(s)/|s|^2 from the per-denominator oracle, as a rational
+        counts = moment.consecutive_partner_counts(S).tolist()
+        _, _, nrm = arith.canonical_cells(S * S)
+        return sum((Fraction(c, n) for c, n in zip(counts, nrm.tolist())), Fraction(0))
+
+    @staticmethod
+    def _by_bound_exact(S):
+        # sum over squarefree d of mu(d)/|d|^2 F(S^2 // |d|^2), with F(B)
+        # summed over the octant a >= b >= 0 straight from the kernel
+        sieve = arith.get_sieve(S * S)
+        sl = sieve.upto(S)
+        re, im = sieve.re[sl].tolist(), sieve.im[sl].tolist()
+        octant = [(a, b) for a, b in zip(re, im) if a >= b]
+        F = {}
+        total = Fraction(0)
+        for d_norm, mu in zip(sieve.norms[sl].tolist(), sieve.mu[sl].tolist()):
+            if mu == 0:
+                continue
+            B = S * S // d_norm
+            if B not in F:
+                ts = [(a, b) for a, b in octant if a * a + b * b <= B]
+                L = region.escape_counts([a for a, _ in ts], [b for _, b in ts], B).tolist()
+                F[B] = sum(
+                    (Fraction(2 * l if a > b > 0 else l, a * a + b * b) for (a, b), l in zip(ts, L)),
+                    Fraction(0),
+                )
+            total += Fraction(mu, d_norm) * F[B]
+        return total
+
+    def test_bound_regrouping_is_exact(self):
+        # the route's identity in rationals, and its float within 2^-50
+        for S in range(1, 41):
+            exact = self._per_denominator_exact(S)
+            assert self._by_bound_exact(S) == exact, S
+            for normalization, scale in (("omega_full", 2), ("omega_quarter", Fraction(1, 2))):
+                value = moment.moment_first_counting(S, normalization).value
+                assert abs(Fraction(value) - scale * exact) <= scale * exact / 2**50, (S, normalization)
+
+    def test_route_does_not_form_per_denominator_counts(self, monkeypatch):
+        def refuse(S):
+            raise AssertionError("the per-denominator oracle is on the counting route")
+
+        monkeypatch.setattr(moment, "consecutive_partner_counts", refuse)
+        for S in (1, 8, 64):
+            for normalization in moment.NORMALIZATIONS:
+                assert moment.moment_first_counting(S, normalization).value > 0
+
     # float.hex of the values the per-denominator grid scan gave before the
-    # row-interval kernel replaced it; the fsum over exact counts in sieve
-    # order must reproduce them bit for bit
+    # row-interval kernel replaced it; the bound-by-bound sum still
+    # reproduces them bit for bit (other S moved by at most 3 ulps when it
+    # replaced the fsum of per-denominator quotients)
     PINNED = {
         1: ("0x1.0000000000000p+3", "0x1.0000000000000p+1"),
         2: ("0x1.6000000000000p+4", "0x1.6000000000000p+2"),
