@@ -314,19 +314,22 @@ def cmd_verify(args, config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_cap(name: str, default: int) -> int:
     import os
 
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ParseError(f"{name} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise ParseError(f"{name} must be >= 1, got {value}")
+    return value
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -342,15 +345,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact enumeration and asymptotic verification of consecutive "
         "Ford sphere radius sums over the Gaussian integers.",
     )
-    direct_cap = _env_int("FORDSPHERES_DIRECT_CAP", moment.DIRECT_CAP_DEFAULT)
-    counting_cap = _env_int("FORDSPHERES_COUNTING_CAP", moment.COUNTING_CAP_DEFAULT)
+    direct_cap = _env_cap("FORDSPHERES_DIRECT_CAP", moment.DIRECT_CAP_DEFAULT)
+    counting_cap = _env_cap("FORDSPHERES_COUNTING_CAP", moment.COUNTING_CAP_DEFAULT)
     parser.add_argument("--version", action="version", version=f"fordspheres {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed recorded in artifacts (default 0)")
         p.add_argument(
-            "--threads", type=_thread_count, default=1,
+            "--threads", type=_positive_int, default=1,
             help="accepted for compatibility and recorded in artifacts; starts no processes",
         )
         p.add_argument("--out", choices=("csv", "json"), default="csv", help="artifact format")
@@ -377,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--normalization", choices=("omega-full", "omega-quarter"), default=None,
         help="counting only (default omega-full); direct rows are omega_quarter, main-term rows none",
     )
-    p.add_argument("--direct-cap", type=int, default=direct_cap)
+    p.add_argument("--direct-cap", type=_positive_int, default=direct_cap)
     p.add_argument(
-        "--counting-cap", type=int, default=counting_cap,
+        "--counting-cap", type=_positive_int, default=counting_cap,
         help=f"largest S the counting method runs (default {counting_cap})",
     )
     p.add_argument(
@@ -397,9 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="applies to counting rows only; direct rows are omega_quarter, main-term rows none",
     )
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--direct-cap", type=int, default=direct_cap)
+    p.add_argument("--direct-cap", type=_positive_int, default=direct_cap)
     p.add_argument(
-        "--counting-cap", type=int, default=counting_cap,
+        "--counting-cap", type=_positive_int, default=counting_cap,
         help=f"largest S the counting method runs (default {counting_cap})",
     )
     p.add_argument("--radius", type=int, default=20, help="|q| bound for the arith table")

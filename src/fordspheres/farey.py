@@ -14,17 +14,21 @@ when one of the four complex mediants (r + u r')/(s + u s') has
 denominator of modulus > S.
 
 The consecutive pairs of G_S come from a neighbour solve: the partners of
-r/s have denominators in one residue class modulo s, so each fraction
-scans O(S^2/|s|^2) candidates (consecutive_neighbours, in int64 arrays).
-The all-pairs determinant scan is kept as the oracle
-consecutive_pairs_scan.
+r/s have denominators s' = x + k s in one residue class modulo s, and
+|s'| <= S is a disc of k whose rows and columns are exact integer
+intervals, so each fraction visits exactly the O(S^2/|s|^2) candidates
+s' with |s'| <= S (partner_degrees, consecutive_neighbours, in int64
+arrays).  The partner r'/s' lies in the square when both parts of
+r conj(s) |s'|^2 - conj(s s') lie in [0, |s|^2 |s'|^2], a test with no
+division; r' itself is divided out only for the partners kept.  The
+all-pairs determinant scan is kept as the oracle consecutive_pairs_scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd
 
 import numpy as np
 
@@ -43,9 +47,11 @@ from .gint import (
     xgcd,
 )
 
-# below this S every quantity of gs_arrays and consecutive_neighbours stays
-# far inside int64: the partner keys are below 4 (S + 1)^4, and the
-# largest product, (r s' - 1) conj(s), is below 8 S^3
+# below this S every quantity of gs_arrays and the neighbour solve stays
+# inside int64: the largest are at most S^4 < 2^56 (the disc bound S^2 |s|^2
+# and (n m + Re y)^2 of the row intervals, and the products r conj(s) |s'|^2
+# and |s|^2 |s'|^2 of the square test) and the partner keys, below
+# 4 (S + 1)^4; region._floor_sqrt is exact on them
 INT64_S_LIMIT = 1 << 14
 
 _UNIT_INV = {u: v for u, v in zip(UNITS, (UNITS[0], UNITS[3], UNITS[2], UNITS[1]))}
@@ -371,64 +377,77 @@ def _inverse_mod(r_re, r_im, s_re, s_im) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _partner_blocks(S: int, gs: tuple[np.ndarray, ...]):
-    """The neighbour solve, one block at a time: yields (i, Re s', Im s',
-    Re r', Im r') for the consecutive partners r'/s' of the fractions i of
-    the block, with r s' - r' s = 1 (s' not yet canonical).
+    """The neighbour solve, one block at a time: yields (i, Re s', Im s')
+    for the consecutive partners r'/s' of the fractions i of the block,
+    with r s' - r' s = 1 (s' not yet canonical).
 
     For f = r/s, scaling a partner r'/s' by a unit makes r s' - r' s = 1,
     and exactly one of the four associates of (r', s') does so.  Then
     s' = x + k s with x = r^-1 mod s and k a Gaussian integer, and
-    r' = (r s' - 1)/s exactly.  With x reduced, |s'| <= S puts both parts
-    of k within floor(S/|s|) + 1 of zero, so each fraction scans one box
-    of k, and the fractions sharing a box half-width are evaluated
-    together, at most region.BLOCK_ELEMENTS candidates at a time.  A
-    candidate is kept when r'/s' lies in the closed unit square and some
-    mediant denominator s + u s' has modulus > S: the tests of
-    in_unit_square and is_consecutive.
+    r' = (r s' - 1)/s exactly; that x is an inverse is checked once per
+    fraction, as (r x - 1) conj(s) == 0 mod n, n = norm(s).  With
+    y = x conj(s), |s'| <= S is |n k + y|^2 <= S^2 n, a disc of k whose
+    rows and columns are exact integer intervals: Re k = m for
+    |n m + Re y| <= M = isqrt(S^2 n), and in row m, Im k = j for
+    |n j + Im y| <= isqrt(S^2 n - (n m + Re y)^2).  The rows of all
+    fractions, then the points of the rows, go through region.flat_blocks,
+    so each step visits exactly the s' != 0 with |s'| <= S.  A candidate
+    is kept when r'/s' lies in the closed unit square and some mediant
+    denominator s + u s' has modulus > S: the tests of in_unit_square and
+    is_consecutive.  The square test needs no r': r'/s' = r/s - 1/(s s'),
+    so with P = r conj(s), r'/s' is in the square exactly when both parts
+    of P norm(s') - conj(s s') lie in [0, n norm(s')].
     """
     if S >= INT64_S_LIMIT:
         raise ArithmeticError(f"the neighbour solve is exact in int64 for S < {INT64_S_LIMIT}; got {S}")
     n, s_re, s_im, r_re, r_im = gs
     S2 = S * S
     x_re, x_im = _inverse_mod(r_re, r_im, s_re, s_im)
-    # the half-width isqrt(S^2 // norm) + 1 is constant on runs of the
-    # norm-sorted fractions
-    norms, first = np.unique(n, return_index=True)
-    h_of_norm = np.array([isqrt(S2 // v) + 1 for v in norms.tolist()], dtype=np.int64)
-    cuts = np.flatnonzero(np.diff(h_of_norm)) + 1
-    starts = first[np.r_[0, cuts]].tolist()
-    for lo, hi, h in zip(starts, starts[1:] + [len(n)], h_of_norm[np.r_[0, cuts]].tolist()):
-        side = np.arange(-h, h + 1, dtype=np.int64)
-        k_re = np.repeat(side, 2 * h + 1)[None, :]
-        k_im = np.tile(side, 2 * h + 1)[None, :]
-        step = max(1, region.BLOCK_ELEMENTS // k_re.size)
-        for b0 in range(lo, hi, step):
-            blk = slice(b0, min(b0 + step, hi))
-            sr, si = s_re[blk, None], s_im[blk, None]
-            sp_re = x_re[blk, None] + k_re * sr - k_im * si
-            sp_im = x_im[blk, None] + k_re * si + k_im * sr
+    # r x == 1 mod s, once per fraction: then every r s' - 1 = r x - 1 + r k s
+    # is divisible by s
+    w_re = r_re * x_re - r_im * x_im - 1
+    w_im = r_re * x_im + r_im * x_re
+    if np.any((w_re * s_re + w_im * s_im) % n) or np.any((w_im * s_re - w_re * s_im) % n):
+        raise ArithmeticError("r s' - 1 is not divisible by s")
+    del w_re, w_im  # at S = 48 each per-fraction column is 11 MB
+    y_re = x_re * s_re + x_im * s_im  # y = x conj(s)
+    y_im = x_im * s_re - x_re * s_im
+    p_re = r_re * s_re + r_im * s_im  # P = r conj(s)
+    p_im = r_im * s_re - r_re * s_im
+    disc = S2 * n
+    M = region._floor_sqrt(disc)
+    # the rows run from m_lo = ceil((-M - Re y)/n) to floor((M - Re y)/n)
+    m_lo = -((M + y_re) // n)
+    step = max(region.BLOCK_ELEMENTS // 4, 1)  # a point holds about a dozen int64 temporaries
+    for rows, per_fraction, m in region.flat_blocks((M - y_re) // n - m_lo + 1, step):
+        f = np.repeat(np.arange(rows.start, rows.stop), per_fraction)
+        nf = n[f]
+        m += m_lo[f]
+        u = nf * m + y_re[f]
+        e = region._floor_sqrt(disc[f] - u * u)  # the columns: |n j + Im y| <= e
+        j_lo = -((e + y_im[f]) // nf)
+        # s' = x + m s + j i s along the row
+        base_re = x_re[f] + m * s_re[f]
+        base_im = x_im[f] + m * s_im[f]
+        for pts, per_row, j in region.flat_blocks((e - y_im[f]) // nf - j_lo + 1, step):
+            row = np.repeat(np.arange(pts.start, pts.stop), per_row)
+            i = f[row]
+            j += j_lo[row]
+            sr, si, ns = s_re[i], s_im[i], nf[row]
+            sp_re = base_re[row] - j * si
+            sp_im = base_im[row] + j * sr
             nsp = sp_re * sp_re + sp_im * sp_im
-            row, col = np.nonzero((nsp > 0) & (nsp <= S2))
-            sp_re, sp_im, nsp = sp_re[row, col], sp_im[row, col], nsp[row, col]
-            i = row + b0
-            sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
-            # r' = (r s' - 1) / s, computed as (r s' - 1) conj(s) / norm(s)
-            w_re = rr * sp_re - ri * sp_im - 1
-            w_im = rr * sp_im + ri * sp_re
-            t_re = w_re * sr + w_im * si
-            t_im = w_im * sr - w_re * si
-            if np.any(t_re % ns) or np.any(t_im % ns):
-                raise ArithmeticError("r s' - 1 is not divisible by s")
-            rp_re = t_re // ns
-            rp_im = t_im // ns
-            # r'/s' in the square: r' conj(s') in [0, norm(s')]^2, unchanged
-            # by a unit on both; escape: max over units of |s + u s'|^2 is
-            # norm(s) + norm(s') + 2 max(|Re c|, |Im c|), c = conj(s) s'
-            p_re = rp_re * sp_re + rp_im * sp_im
-            p_im = rp_im * sp_re - rp_re * sp_im
-            c = np.maximum(np.abs(sr * sp_re + si * sp_im), np.abs(sr * sp_im - si * sp_re))
-            keep = (p_re >= 0) & (p_re <= nsp) & (p_im >= 0) & (p_im <= nsp) & (ns + nsp + 2 * c > S2)
-            yield i[keep], sp_re[keep], sp_im[keep], rp_re[keep], rp_im[keep]
+            # s s' = (a - b) + (c + d) i and conj(s) s' = (a + b) + (c - d) i
+            a, b, c, d = sr * sp_re, si * sp_im, sr * sp_im, si * sp_re
+            # the square test on P norm(s') - conj(s s'); escape: max over
+            # units of |s + u s'|^2 is norm(s) + norm(s') + 2 max(|Re z|,
+            # |Im z|), z = conj(s) s'
+            q_re = p_re[i] * nsp - (a - b)
+            q_im = p_im[i] * nsp + (c + d)
+            top = ns * nsp
+            keep = (q_re >= 0) & (q_re <= top) & (q_im >= 0) & (q_im <= top)
+            keep &= (nsp > 0) & (ns + nsp + 2 * np.maximum(np.abs(a + b), np.abs(c - d)) > S2)
+            yield i[keep], sp_re[keep], sp_im[keep]
 
 
 def partner_degrees(S: int, gs: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -444,8 +463,9 @@ def consecutive_neighbours(S: int, gs: tuple[np.ndarray, ...]) -> tuple[np.ndarr
     """Every consecutive partner in gs = gs_arrays(S) as index arrays
     (i, j): fraction j is consecutive to fraction i.  Each unordered pair
     appears once in each direction.  A partner of the neighbour solve is
-    found in gs by rotating s' to its canonical associate."""
-    _, s_re, s_im, r_re, r_im = gs
+    found in gs by its numerator r' = (r s' - 1)/s, an exact division,
+    after rotating s' to its canonical associate."""
+    n, s_re, s_im, r_re, r_im = gs
     # every fraction has a key that increases along the sort_key order:
     # the rank of its denominator, then its numerator offset in the box
     # -S <= Re r <= S, 0 <= Im r <= 2S
@@ -455,7 +475,13 @@ def consecutive_neighbours(S: int, gs: tuple[np.ndarray, ...]) -> tuple[np.ndarr
     den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
     keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
     out_i, out_j = [], []
-    for i, sp_re, sp_im, rp_re, rp_im in _partner_blocks(S, gs):
+    for i, sp_re, sp_im in _partner_blocks(S, gs):
+        # r' = (r s' - 1) conj(s) / norm(s)
+        sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
+        w_re = rr * sp_re - ri * sp_im - 1
+        w_im = rr * sp_im + ri * sp_re
+        rp_re = (w_re * sr + w_im * si) // ns
+        rp_im = (w_im * sr - w_re * si) // ns
         # rotate (r', s') by the unit that makes s' canonical
         q1 = (sp_re <= 0) & (sp_im > 0)  # times -i
         q2 = (sp_re < 0) & (sp_im <= 0)  # times -1

@@ -194,7 +194,7 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     the neighbour solve of farey.partner_degrees.
 
     Rational accumulation throughout (direct_total); the float conversion
-    happens once at the end.  The work grows like S^4 (about 7 S^4
+    happens once at the end.  The work grows like S^4 (about 1.65 S^4
     candidate denominators), hence the cap; use the counting route beyond
     it.
     The row is compared with the quarter main term main_term(S) / 4, the

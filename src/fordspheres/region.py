@@ -44,11 +44,11 @@ evaluated exactly, so the count is exact.  Each t carries its own bound;
 one flat table of exact integer square roots, one segment per distinct
 bound and no pad, serves them all, and the t go through in fixed-size
 steps.  The table takes a float square root and corrects it by one
-either way, which is exact while B < 2^52 (the float carries every
-integer of the table exactly); beyond that the kernel raises
-ArithmeticError.  The row-by-row kernel, O(sqrt B) rows per t, is kept
-as the oracle escape_counts_rows, beside the point-by-point scan
-omega_lattice_count_bruteforce.
+either way (_floor_sqrt, exact for B < 2^62); the kernel stops at
+B < 2^52, where its float boundaries are still far within one row, and
+beyond that raises ArithmeticError.  The row-by-row kernel, O(sqrt B)
+rows per t, is kept as the oracle escape_counts_rows, beside the
+point-by-point scan omega_lattice_count_bruteforce.
 
 Scaling by a divisor d turns the coprime count into kernel values: d w
 lies in the region of (s, S) exactly when w lies in the region of s/d at
@@ -169,7 +169,13 @@ BLOCK_ELEMENTS = 1 << 16  # elements per vectorized step: flat peak memory, cach
 
 
 def _floor_sqrt(n: np.ndarray) -> np.ndarray:
-    """isqrt(n) for each n >= 0 and -1 for each n < 0, exact while n < 2^52."""
+    """isqrt(n) for each n >= 0 and -1 for each n < 0, exact while n < 2^62.
+
+    The float root of n is within sqrt(n) 2^-52 < 2^-21 of the true root
+    (one rounding to float, one in the square root), so its truncation is
+    off by at most one, and the two corrections square integers of at
+    most 2^31 + 1, below 2^63.  farey's neighbour solve takes roots of
+    S^4 < 2^56, the lattice kernel of bounds below 2^52."""
     r = np.sqrt(np.maximum(n, 0).astype(np.float64)).astype(np.int64)
     r -= r * r > n
     r += (r + 1) * (r + 1) <= n
@@ -186,16 +192,18 @@ def _half_widths(bounds, reaches) -> np.ndarray:
     return _floor_sqrt(np.repeat(bounds, sizes) - x * x)
 
 
-def flat_blocks(counts: np.ndarray):
+def flat_blocks(counts: np.ndarray, step: int | None = None):
     """Cut the elements (i, k), 0 <= k < counts[i], taken in order, into
-    steps of at most BLOCK_ELEMENTS.  Each step yields (items, c, k): it
-    holds c[j] elements of the j-th item of the slice items, and k gives
-    each element's k.  The elements of one item may span several steps."""
+    steps of at most step elements (default BLOCK_ELEMENTS).  Each step
+    yields (items, c, k): it holds c[j] elements of the j-th item of the
+    slice items, and k gives each element's k.  The elements of one item
+    may span several steps."""
+    step = step or BLOCK_ELEMENTS
     ends = np.cumsum(counts, dtype=np.int64)
     starts = ends - counts
     total = int(ends[-1]) if len(ends) else 0
-    for e0 in range(0, total, BLOCK_ELEMENTS):
-        e1 = min(e0 + BLOCK_ELEMENTS, total)
+    for e0 in range(0, total, step):
+        e1 = min(e0 + step, total)
         lo = int(np.searchsorted(ends, e0, side="right"))
         hi = int(np.searchsorted(starts, e1, side="left"))
         c = np.minimum(ends[lo:hi], e1) - np.maximum(starts[lo:hi], e0)

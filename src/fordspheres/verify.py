@@ -588,7 +588,7 @@ def check_calibration() -> tuple[bool, str]:
     )
 
 
-RECONCILIATION_RANGE = range(2, 17)
+RECONCILIATION_RANGE = range(2, 25)
 
 
 @_check("moment", "direct moment reconciles exactly with quarter counting")

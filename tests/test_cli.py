@@ -253,6 +253,26 @@ class TestBadInput:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert word in err
 
+    @pytest.mark.parametrize("command", ["moment", "report"])
+    @pytest.mark.parametrize("flag", ["--direct-cap", "--counting-cap"])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_cap_below_one(self, capsys, command, flag, value):
+        # refused by the parser, as --threads is: usage lines, then one error line
+        argv = [command, flag, value] + (["--S", "4", "--method", "direct"] if command == "moment" else [])
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_USAGE
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0] and "must be >= 1" in errors[0]
+
+    @pytest.mark.parametrize("name", ["FORDSPHERES_DIRECT_CAP", "FORDSPHERES_COUNTING_CAP"])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_cap_below_one_in_environment(self, capsys, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        self._refused(capsys, cli.EXIT_USAGE, ("moment", "--S", "4", "--method", "direct"), name)
+
     @pytest.mark.parametrize(
         "argv, code, word",
         [

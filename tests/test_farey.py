@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import numpy as np
@@ -23,7 +24,7 @@ from fordspheres.farey import (
     partner_degrees,
     spheres_tangent,
 )
-from fordspheres import region
+from fordspheres import farey, region
 from fordspheres.gint import DomainError, GInt, ONE, norm
 
 
@@ -33,6 +34,40 @@ def g(re, im=0):
 
 def frac(nre, nim, dre, dim=0):
     return GFraction.make(g(nre, nim), g(dre, dim))
+
+
+def box_scan_degrees(S, gs):
+    """Partner degrees by scanning the box |Re k|, |Im k| <= isqrt(S^2 // |s|^2) + 1
+    of s' = x + k s per fraction r/s, with r' = (r s' - 1)/s divided out and
+    the square and escape tests taken on r' and s' literally; also the
+    number of partners on the circle |s'| = S."""
+    n, s_re, s_im, r_re, r_im = gs
+    x_re, x_im = farey._inverse_mod(r_re, r_im, s_re, s_im)
+    degrees = np.zeros(len(n), dtype=np.int64)
+    on_circle = 0
+    for v in np.unique(n).tolist():
+        side = np.arange(-isqrt(S * S // v) - 1, isqrt(S * S // v) + 2)
+        k_re, k_im = (a.ravel()[None, :] for a in np.meshgrid(side, side))
+        idx = np.flatnonzero(n == v)
+        sr, si, rr, ri = (c[idx, None] for c in (s_re, s_im, r_re, r_im))
+        sp_re = x_re[idx, None] + k_re * sr - k_im * si
+        sp_im = x_im[idx, None] + k_re * si + k_im * sr
+        nsp = sp_re * sp_re + sp_im * sp_im
+        w_re, w_im = rr * sp_re - ri * sp_im - 1, rr * sp_im + ri * sp_re
+        t_re, t_im = w_re * sr + w_im * si, w_im * sr - w_re * si
+        assert not np.any(t_re % v) and not np.any(t_im % v)
+        rp_re, rp_im = t_re // v, t_im // v
+        p_re, p_im = rp_re * sp_re + rp_im * sp_im, rp_im * sp_re - rp_re * sp_im
+        escape = np.zeros(nsp.shape, dtype=bool)
+        for u_re, u_im in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            m_re = sr + u_re * sp_re - u_im * sp_im
+            m_im = si + u_re * sp_im + u_im * sp_re
+            escape |= m_re * m_re + m_im * m_im > S * S
+        keep = (nsp > 0) & (nsp <= S * S) & escape
+        keep &= (p_re >= 0) & (p_re <= nsp) & (p_im >= 0) & (p_im <= nsp)
+        degrees[idx] = keep.sum(axis=1)
+        on_circle += int(np.count_nonzero(keep & (nsp == S * S)))
+    return degrees, on_circle
 
 
 F0 = frac(0, 0, 1)
@@ -243,6 +278,37 @@ class TestConsecutive:
         i2, j2 = consecutive_neighbours(S, gs)
         assert set(zip(i2.tolist(), j2.tolist())) == directed
         assert partner_degrees(S, gs).tolist() == degrees.tolist()
+
+    @pytest.mark.parametrize("S", [5, 10, 13, 25])
+    def test_disc_scan_equals_box_scan_on_the_edge(self, S):
+        # S^2 is a sum of two nonzero squares: the circle |s'| = S carries
+        # lattice points off the axes, and partners lie on it
+        gs = gs_arrays(S)
+        degrees, on_circle = box_scan_degrees(S, gs)
+        assert on_circle > 0
+        assert partner_degrees(S, gs).tolist() == degrees.tolist()
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_neighbour_solve_is_independent_of_block_size(self, monkeypatch, block):
+        S = 6
+        gs = gs_arrays(S)
+        degrees = partner_degrees(S, gs)
+        i, j = consecutive_neighbours(S, gs)
+        monkeypatch.setattr(region, "BLOCK_ELEMENTS", block)
+        assert partner_degrees(S, gs).tolist() == degrees.tolist()
+        i2, j2 = consecutive_neighbours(S, gs)
+        assert sorted(zip(i2.tolist(), j2.tolist())) == sorted(zip(i.tolist(), j.tolist()))
+
+    def test_neighbour_solve_checks_the_inverse(self, monkeypatch):
+        # a wrong x = r^-1 mod s is caught once per fraction, before any scan
+        def off_by_one(r_re, r_im, s_re, s_im):
+            x_re, x_im = inverse(r_re, r_im, s_re, s_im)
+            return x_re + (s_re * s_re + s_im * s_im > 1), x_im
+
+        inverse = farey._inverse_mod
+        monkeypatch.setattr(farey, "_inverse_mod", off_by_one)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            partner_degrees(4, gs_arrays(4))
 
     def test_neighbour_solve_refuses_inexact_input(self):
         with pytest.raises(ArithmeticError):

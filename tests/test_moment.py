@@ -292,7 +292,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 17)
+        assert verify.RECONCILIATION_RANGE == range(2, 25)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 

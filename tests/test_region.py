@@ -205,6 +205,26 @@ class TestLatticeCount:
         scanned = [_escape_count_scan(a, b, B) for a, b, B in zip(t_re, t_im, bounds)]
         assert whole.tolist() == scanned
 
+    def test_explicit_step(self):
+        steps = list(region.flat_blocks(np.array([3, 0, 25]), 10))
+        assert [(items, c.tolist(), k.tolist()) for items, c, k in steps] == [
+            (slice(0, 3), [3, 0, 7], [0, 1, 2, 0, 1, 2, 3, 4, 5, 6]),
+            (slice(2, 3), [10], list(range(7, 17))),
+            (slice(2, 3), [8], list(range(17, 25))),
+        ]
+
+    def test_floor_sqrt_is_exact_to_2_62(self):
+        # the neighbour solve takes roots of S^4 < 2^56 and the lattice
+        # kernel of bounds below 2^52; the float root is exact to 2^62
+        roots = [2**26, 2**28 - 1, 2**28, (2**14 - 1) ** 2, 2**31 - 1]
+        values = [k * k + d for k in roots for d in (-1, 0, 1)]
+        values += [(2**14 - 1) ** 4, 2**56 - 1, 2**56, 2**62 - 1]
+        rng = Random(0)
+        values += [rng.randrange(2**52, 2**62) for _ in range(20000)]
+        got = region._floor_sqrt(np.array(values, dtype=np.int64))
+        assert got.tolist() == [isqrt(v) for v in values]
+        assert region._floor_sqrt(np.array([-3, 0, 1])).tolist() == [-1, 0, 1]
+
     def test_closed_form_equals_rows_on_every_small_bound(self):
         # every t in the box |Re t|, |Im t| <= isqrt(B) + 2, which includes
         # every |t|^2 > B case near the disc, for every B in 1..300
