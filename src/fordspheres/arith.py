@@ -215,16 +215,6 @@ def canonical_cells(max_norm: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rex, imy[order], nrm
 
 
-def canonical_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized canonical representative of nonzero lattice points."""
-    q0 = (x > 0) & (y >= 0)
-    q1 = (x <= 0) & (y > 0)
-    q2 = (x < 0) & (y <= 0)
-    cx = np.where(q0, x, np.where(q1, y, np.where(q2, -x, -y)))
-    cy = np.where(q0, y, np.where(q1, -x, np.where(q2, -y, x)))
-    return cx, cy
-
-
 def _rational_prime_pass(max_norm: int):
     """The pass over the rational primes behind the multiplicative tables
     on n = 0..max_norm of :func:`norm_coefficients` and :class:`CanonicalSieve`.

@@ -125,7 +125,7 @@ def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
     arith.canonical_cells in (norm, re, im) order and each box is expanded
     in (x, y) order, so the output is in sort_key order as built.  The
     boxes of consecutive denominators are expanded together, at most
-    region.BLOCK_ELEMENTS candidates at a time.
+    region.BLOCK_ELEMENTS candidates at a time (region.flat_blocks).
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -133,15 +133,9 @@ def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
         raise ArithmeticError(f"G_S arrays are exact in int64 for S < {INT64_S_LIMIT}; got {S}")
     a, b, norms = arith.canonical_cells(S * S)
     side = a + b + 1
-    ends = np.cumsum(side * side)
     parts = []
-    lo = 0
-    while lo < len(a):
-        start = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, start + region.BLOCK_ELEMENTS, side="right")))
-        sizes = (side * side)[lo:hi]
-        owner = np.repeat(np.arange(lo, hi), sizes)
-        local = np.arange(int(ends[hi - 1]) - start) - np.repeat(ends[lo:hi] - sizes - start, sizes)
+    for items, c, local in region.flat_blocks(side * side):
+        owner = np.repeat(np.arange(items.start, items.stop), c)
         sa, sb, n, w = a[owner], b[owner], norms[owner], side[owner]
         x = local // w - sb
         y = local % w
@@ -150,7 +144,6 @@ def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
         keep = (px >= 0) & (px <= n) & (qy >= 0) & (qy <= n)
         keep &= np.gcd(np.gcd(n, x * x + y * y), np.gcd(px, qy)) == 1
         parts.append(np.stack([n[keep], sa[keep], sb[keep], x[keep], y[keep]]))
-        lo = hi
     return tuple(np.concatenate(parts, axis=1))
 
 

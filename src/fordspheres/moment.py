@@ -16,8 +16,9 @@ Three routes to the same quantity:
               quarter main term.  The sum is taken by Moebius regrouping
               over the distinct bounds B = S^2 // |d|^2, as sum W(B) F(B)
               of one kernel pass, without forming any N(s);
-              consecutive_partner_counts regroups the same pass per
-              denominator and is kept as its oracle;
+              consecutive_partner_counts, its oracle, forms every N(s)
+              as region.coprime_counts, the per-denominator Moebius sum
+              over the divisors of gint.factor;
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
               zeta_i(2) = zeta(2) * Catalan in closed form (arith.ZETA_I_2;
@@ -42,7 +43,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -205,6 +206,8 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     """
     if S < 1:
         raise DomainError("S must be >= 1")
+    if cap < 1:
+        raise DomainError("cap must be >= 1")
     if S > cap:
         raise DomainError(
             f"direct method capped at S = {cap}; "
@@ -224,83 +227,19 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     )
 
 
-class _MoebiusPass(NamedTuple):
-    """The kernel pass both reductions of the counting identity share."""
+def consecutive_partner_counts(S: int) -> np.ndarray:
+    """N(s) for every canonical |s| <= S in sieve order (full-plane counts),
+    as an int64 array aligned with arith.canonical_cells(S * S).
 
-    re: np.ndarray  # canonical cells |s| <= S, in sieve order
-    im: np.ndarray
-    nrm: np.ndarray
-    squarefree: np.ndarray  # mask of the cells d with mu(d) != 0
-    mu: np.ndarray  # mu(d), int64, of the squarefree cells
-    d_bound: np.ndarray  # index of each squarefree d among the distinct bounds B, ascending
-    k: np.ndarray  # the canonical t of norm <= B are the first k cells
-    evaluated: np.ndarray  # the cells a + bi with a >= b
-    first: np.ndarray  # where the elements of each bound start in the kernel's t
-    t_re: np.ndarray  # the kernel's t, bound by bound, each the evaluated cells of norm <= B
-    t_im: np.ndarray
-    L: np.ndarray  # L(t, B) of each kernel element
-
-
-def _moebius_pass(S: int) -> _MoebiusPass:
-    """One kernel call over every (B, t) pair of the Moebius regrouping
-    N(s) = sum over squarefree d | s of mu(d) L(s/d, S^2 // |d|^2).
-
-    Each squarefree canonical d with |d| <= S pairs with every canonical t
-    with |t|^2 <= B = S^2 // |d|^2 (s = canonical(d t)).  B depends on d
-    only through |d|, so L is needed once per distinct B (O(S) of them)
-    and canonical t of norm <= B.  L(t) = L(conj t) = L(i conj t), so only
-    t = a + bi with a >= b is evaluated, and b + ai takes its value.  The
-    Moebius values come from the sieve, with no factorization.
+    The per-denominator oracle of moment_first_counting, which needs only
+    sum N(s)/|s|^2: region.coprime_counts over every s, each a Moebius sum
+    over the squarefree divisors of gint.factor.  It shares only the
+    lattice kernel with the route, not the sieve or the bound regrouping.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
-    sieve = arith.get_sieve(S * S)
-    sl = sieve.upto(S)
-    re, im, nrm, mu = sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.mu[sl]
-    squarefree = mu != 0
-    bounds, d_bound = np.unique((S * S) // nrm[squarefree], return_inverse=True)
-    # the t of bound B are the first k cells, as norms ascend, and the
-    # evaluated ones (a + bi with a >= b) among them the first k_eval
-    k = np.searchsorted(nrm, bounds, side="right")
-    evaluated = np.flatnonzero(re >= im)
-    k_eval = np.searchsorted(evaluated, k)
-    first = np.cumsum(k_eval) - k_eval
-    t = evaluated[np.arange(k_eval.sum()) - np.repeat(first, k_eval)]
-    t_re, t_im = re[t], im[t]
-    L = region.escape_counts(t_re, t_im, np.repeat(bounds, k_eval))
-    return _MoebiusPass(
-        re, im, nrm, squarefree, mu[squarefree].astype(np.int64),
-        d_bound, k, evaluated, first, t_re, t_im, L,
-    )
-
-
-def consecutive_partner_counts(S: int) -> np.ndarray:
-    """N(s) for every canonical |s| <= S in sieve order (full-plane counts),
-    as an int64 array aligned with the sieve's cells up to radius S.
-
-    The per-denominator oracle of moment_first_counting, which needs only
-    sum N(s)/|s|^2 and regroups the same kernel pass by bound instead.
-    Each squarefree d of _moebius_pass adds mu(d) L(t, B) to
-    N(canonical(d t)) for every canonical t with |t|^2 <= B; the (d, t)
-    pairs feed one blocked scatter.
-    """
-    p = _moebius_pass(S)
-    re, im = p.re, p.im
-    d_re, d_im = re[p.squarefree], im[p.squarefree]
-    W = S + 1  # flat cell index (re - 1) * W + im of the scatter tables
-    cell = (re - 1) * W + im
-    # rank[j]: position among the evaluated cells of cell j, or of b + ai
-    # for cell j = a + bi with a < b (same norm, so within the same prefix)
-    position = np.empty(S * W, dtype=np.int64)
-    position[cell[p.evaluated]] = np.arange(len(p.evaluated))
-    rank = position[np.where(re >= im, cell, (im - 1) * W + re)]
-    table = np.zeros(S * W, dtype=np.int64)
-    for span, c, j in region.flat_blocks(p.k[p.d_bound]):
-        a, b = np.repeat(d_re[span], c), np.repeat(d_im[span], c)
-        cx, cy = arith.canonical_arrays(a * re[j] - b * im[j], a * im[j] + b * re[j])
-        terms = np.repeat(p.mu[span], c) * p.L[np.repeat(p.first[p.d_bound[span]], c) + rank[j]]
-        np.add.at(table, (cx - 1) * W + cy, terms)
-    return table[cell]
+    re, im, _ = arith.canonical_cells(S * S)
+    return region.coprime_counts(re, im, S)
 
 
 def moment_first_counting(
@@ -326,29 +265,43 @@ def moment_first_counting(
                w(t) L(t, B)/|t|^2,
 
     with w(t) = 2 when a > b > 0 (b + ai is canonical too) and 1 otherwise.
-    Each quotient is correctly rounded, F(B) and W(B) are float sums, and
-    the outer sum over bounds is exactly rounded (math.fsum); the value
-    agrees with the exact rational of the per-denominator oracle
-    consecutive_partner_counts to a few ulps.  N(s) is divisible by 4, so
-    the 'omega_quarter' value is the full one divided by 4, exactly.
-    threads is accepted and ignored, for callers that still pass it: the
-    route runs in the calling process and starts no workers.  elapsed
-    excludes the main-term constants, which are built (once per process)
-    beforehand.
+    B depends on d only through |d|, so one kernel call covers the O(S)
+    distinct bounds, each with the octant t of norm <= B, and mu(d) comes
+    from the sieve, with no factorization.  Each quotient is correctly
+    rounded, F(B) and W(B) are float sums, and the outer sum over bounds
+    is exactly rounded (math.fsum); the value agrees with the exact
+    rational of the per-denominator oracle consecutive_partner_counts to a
+    few ulps.  N(s) is divisible by 4, so the 'omega_quarter' value is the
+    full one divided by 4, exactly.  threads is accepted and ignored, for
+    callers that still pass it: the route runs in the calling process and
+    starts no workers.  elapsed excludes the main-term constants, which
+    are built (once per process) beforehand.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
     if normalization not in NORMALIZATIONS:
         raise DomainError(f"unknown normalization {normalization!r}")
+    if cap < 1:
+        raise DomainError("cap must be >= 1")
     if S > cap:
         raise DomainError(f"counting method capped at S = {cap}; raise cap= explicitly")
     mt = main_term(S) / 4 if normalization == "omega_quarter" else main_term(S)
     t0 = time.perf_counter()
-    p = _moebius_pass(S)
-    a, b = p.t_re, p.t_im
-    weighted = np.where((a > b) & (b > 0), 2 * p.L, p.L)
-    F = np.add.reduceat(weighted / (a * a + b * b), p.first)
-    W = np.bincount(p.d_bound, weights=p.mu / p.nrm[p.squarefree])
+    # the t of bound B are the first k cells of the octant, as norms ascend
+    sieve = arith.get_sieve(S * S)
+    sl = sieve.upto(S)
+    re, im, nrm, mu = sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.mu[sl]
+    squarefree = mu != 0
+    bounds, d_bound = np.unique((S * S) // nrm[squarefree], return_inverse=True)
+    octant = re >= im
+    k = np.searchsorted(nrm[octant], bounds, side="right")
+    first = np.cumsum(k) - k
+    t = np.arange(k.sum()) - np.repeat(first, k)
+    a, b = re[octant][t], im[octant][t]
+    L = region.escape_counts(a, b, np.repeat(bounds, k))
+    weighted = np.where((a > b) & (b > 0), 2 * L, L)
+    F = np.add.reduceat(weighted / (a * a + b * b), first)
+    W = np.bincount(d_bound, weights=mu[squarefree] / nrm[squarefree])
     value = 2.0 * math.fsum(W * F)
     if normalization == "omega_quarter":
         value /= 4
@@ -529,10 +482,13 @@ def report_sweep(
     counting_cap: int = COUNTING_CAP_DEFAULT,
 ) -> SweepResult:
     """Evaluate every (S, method) cell, collecting per-row failures
-    instead of aborting the sweep."""
+    instead of aborting the sweep; an unknown method or a cap below 1
+    refuses the whole sweep."""
     for m in methods:
         if m not in METHODS:
             raise DomainError(f"unknown method {m!r}")
+    if min(direct_cap, counting_cap) < 1:
+        raise DomainError("cap must be >= 1")
     reports: list[MomentReport] = []
     errors: list[tuple[int, str, str]] = []
     for S in S_values:

@@ -57,8 +57,9 @@ inclusion-exclusion over the squarefree divisors of s then gives
 
     #{z in region : gcd(z, s) = 1} = sum_{d | s} mu(d) L(s/d, floor(S^2/|d|^2)),
 
-and the unfiltered count is L(s, S^2); omega_lattice_count sends every
-divisor's (t, bound) pair in one kernel call.
+and the unfiltered count is L(s, S^2).  coprime_counts, the one home of
+this sum, sends the pairs of every s and divisor in one kernel call, for
+omega_lattice_count and moment.consecutive_partner_counts alike.
 """
 
 from __future__ import annotations
@@ -211,12 +212,12 @@ def flat_blocks(counts: np.ndarray, step: int | None = None):
 
 
 def _bound_tables(bounds: np.ndarray):
-    """The set-up both kernels share, for an int64 array of bounds or one
-    scalar bound: the distinct bounds in ascending order; R = isqrt(B) for
-    each; one flat table of half-widths isqrt(B - x^2), x in [-R, R], one
-    segment per distinct bound and no pad; the index of x = 0 in each
-    segment; and the point count of each disc."""
-    uB = np.unique(bounds) if bounds.ndim else bounds.reshape(1)
+    """The set-up both kernels share, for a nonempty int64 array of bounds:
+    the distinct bounds in ascending order; R = isqrt(B) for each; one flat
+    table of half-widths isqrt(B - x^2), x in [-R, R], one segment per
+    distinct bound and no pad; the index of x = 0 in each segment; and the
+    point count of each disc."""
+    uB = np.unique(bounds)
     if uB[-1] >= KERNEL_BOUND_LIMIT:
         raise ArithmeticError(
             f"lattice kernel is exact for norm bounds below 2^52; got {uB[-1]}"
@@ -270,7 +271,7 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     """
     t_re = np.asarray(t_re, dtype=np.int64)
     t_im = np.asarray(t_im, dtype=np.int64)
-    bounds = np.asarray(bounds, dtype=np.int64)
+    bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), t_re.shape)
     out = np.empty(len(t_re), dtype=np.int64)
     if not len(out):
         return out
@@ -280,14 +281,12 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     for s in range(0, len(out), step):
         re, im = np.abs(t_re[s : s + step]), np.abs(t_im[s : s + step])
         a, b = np.maximum(re, im), np.minimum(re, im)
-        w = np.searchsorted(uB, bounds[s : s + step]) if bounds.ndim else 0
+        w = np.searchsorted(uB, bounds[s : s + step])
         n = a * a + b * b
         out[s : s + len(a)] = np.where(n > 0, disc[w], 0)
         live = np.flatnonzero((n > 0) & (n <= uB[w]))
         if len(live) < len(a):
-            a, b, n = a[live], b[live], n[live]
-            if bounds.ndim:
-                w = w[live]
+            a, b, n, w = a[live], b[live], n[live], w[live]
         c, top = centre[w], R[w] - a + 1  # rows x = 1 ... top - 1 follow row 0
         q = np.sqrt((2 * uB[w] - n) / (4 * n)) - 0.5
         j1 = ((a - b) * q).astype(np.int64)  # the upper run switches
@@ -320,27 +319,32 @@ def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
     """Exact count of lattice points in the region (full plane, all four
     quadrants), optionally restricted to points coprime to s.
 
-    Unfiltered this is L(s, S^2); the coprime restriction is the Moebius
-    sum over the squarefree divisors d of s of mu(d) L(s/d, S^2 // |d|^2),
-    with every divisor in one kernel call.
+    Unfiltered this is L(s, S^2); the coprime restriction is coprime_counts
+    of the one s.
     """
-    S2 = spec.S * spec.S
     if not coprime_filter:
-        return int(escape_counts([spec.s.re], [spec.s.im], S2)[0])
+        return int(escape_counts([spec.s.re], [spec.s.im], spec.S * spec.S)[0])
+    return int(coprime_counts([spec.s.re], [spec.s.im], spec.S)[0])
+
+
+def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
+    """The region's lattice points coprime to s, for each s = s_re + s_im i
+    (at least one, each nonzero with |s| <= S) at level S, as an int64
+    array: the sum over the squarefree divisors d of s (from gint.factor)
+    of mu(d) L(s/d, S^2 // |d|^2), every (s, d) pair in one kernel call."""
     from .gint import factor
 
-    square_free = [(1, 0, 1)]  # (Re d, Im d, mu(d))
-    for p, _a in factor(spec.s).factors:
-        square_free += [(x * p.re - y * p.im, x * p.im + y * p.re, -m) for x, y, m in square_free]
-    a, b = spec.s.re, spec.s.im
-    nd = [x * x + y * y for x, y, _ in square_free]
-    # s / d = s conj(d) / |d|^2, an exact division
-    L = escape_counts(
-        [(a * x + b * y) // k for (x, y, _), k in zip(square_free, nd)],
-        [(b * x - a * y) // k for (x, y, _), k in zip(square_free, nd)],
-        [S2 // k for k in nd],
-    )
-    return sum(m * int(n) for (_, _, m), n in zip(square_free, L))
+    pairs, starts = [], []  # (Re s/d, Im s/d, S^2 // |d|^2, mu(d)) of each s and d
+    for a, b in zip(np.asarray(s_re).tolist(), np.asarray(s_im).tolist()):
+        square_free = [(1, 0, 1)]  # (Re d, Im d, mu(d))
+        for p, _a in factor(GInt(a, b)).factors:
+            square_free += [(x * p.re - y * p.im, x * p.im + y * p.re, -m) for x, y, m in square_free]
+        starts.append(len(pairs))
+        for x, y, m in square_free:
+            k = x * x + y * y  # s / d = s conj(d) / |d|^2, an exact division
+            pairs.append(((a * x + b * y) // k, (b * x - a * y) // k, S * S // k, m))
+    t_re, t_im, bounds, mu = np.array(pairs, dtype=np.int64).T
+    return np.add.reduceat(mu * escape_counts(t_re, t_im, bounds), starts)
 
 
 def escape_counts_rows(t_re, t_im, bounds) -> np.ndarray:

@@ -624,7 +624,8 @@ COUNTING_ORACLE_TOLERANCE = Fraction(1, 2**50)  # measured: at most 3.3e-16 rela
 @_check("moment", "counting route matches the per-denominator counts")
 def check_counting_vs_per_denominator() -> tuple[bool, str]:
     # the route sums W(B) F(B) over bounds in floats; the per-denominator
-    # counts of the same Moebius regrouping give the exact rational
+    # counts, each a Moebius sum over the divisors from gint.factor and
+    # sharing only the kernel with the route, give the exact rational
     worst = Fraction(0)
     for S in COUNTING_ORACLE_RANGE:
         per_norm: dict[int, int] = {}

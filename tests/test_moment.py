@@ -2,6 +2,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fordspheres import arith, moment, region
@@ -95,6 +96,11 @@ class TestDirect:
             moment.moment_first_direct(6, cap=5)
         assert moment.moment_first_direct(6, cap=6).value == moment.moment_first_direct(6).value
 
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_refused(self, cap):
+        with pytest.raises(DomainError, match="cap must be >= 1"):
+            moment.moment_first_direct(4, cap=cap)
+
     # float.hex of the values, and the pair counts, the all-pairs
     # determinant scan gave before the neighbour solve replaced it
     PINNED = {
@@ -145,14 +151,26 @@ class TestCounting:
     def test_level_two(self):
         assert moment.moment_first_counting(2).value == pytest.approx(22.0)
 
-    def test_delegates_to_region_counts(self):
-        # the sieve-driven Moebius scatter against the per-spec factorized sum
-        for S in range(1, 25):
-            counts = moment.consecutive_partner_counts(S)
-            re, im, _ = arith.canonical_cells(S * S)
-            assert len(counts) == len(re)
-            for x, y, c in zip(re.tolist(), im.tolist(), counts.tolist()):
-                assert c == region.omega_lattice_count(region.OmegaSpec(g(x, y), S), True), (x, y, S)
+    def test_batched_counts_equal_one_spec_calls(self):
+        # s = 1, prime powers above 2, 3 and 5, and s with repeated primes
+        s = [(1, 0), (1, 1), (2, 0), (2, 2), (4, 0), (3, 0), (9, 0), (2, 1), (3, 4),
+             (2, 11), (5, 0), (6, 0), (12, 0), (18, 0), (6, 3), (10, 20), (7, 1)]
+        S = 30
+        batch = region.coprime_counts([a for a, _ in s], [b for _, b in s], S)
+        assert batch.dtype == np.int64
+        for (a, b), c in zip(s, batch.tolist()):
+            assert c == region.omega_lattice_count(region.OmegaSpec(g(a, b), S), True), (a, b)
+
+    def test_oracle_does_not_use_the_sieve(self, monkeypatch):
+        want = {S: moment.consecutive_partner_counts(S).tolist() for S in (1, 8, 24)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the per-denominator oracle uses the sieve")
+
+        monkeypatch.setattr(arith, "get_sieve", refuse)
+        monkeypatch.setattr(arith, "CanonicalSieve", refuse)
+        for S, counts in want.items():
+            assert moment.consecutive_partner_counts(S).tolist() == counts, S
 
     def test_sweep_equals_bruteforce_scan(self):
         # the sweep against the point-by-point scan with a gcd per point,
@@ -272,6 +290,11 @@ class TestCounting:
         assert moment.COUNTING_CAP_DEFAULT == 1024
         with pytest.raises(DomainError, match="capped at S = 1024"):
             moment.moment_first_counting(1025)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_refused(self, cap):
+        with pytest.raises(DomainError, match="cap must be >= 1"):
+            moment.moment_first_counting(4, cap=cap)
 
     def test_default_cap_admits_257(self):
         rep = moment.moment_first_counting(257)
@@ -409,6 +432,11 @@ class TestSweep:
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             moment.report_sweep((1,), methods=("nope",))
+
+    @pytest.mark.parametrize("caps", [{"counting_cap": -1}, {"direct_cap": 0}])
+    def test_cap_below_one_refuses_the_sweep(self, caps):
+        with pytest.raises(DomainError, match="cap must be >= 1"):
+            moment.report_sweep((2, 4), **caps)
 
     def test_evaluate_dispatches_each_method(self):
         assert moment.evaluate(5, "direct").value == moment.moment_first_direct(5).value

@@ -277,12 +277,27 @@ class TestLatticeCount:
         assert escape_counts(t_re, t_im, B).tolist() == escape_counts_rows(t_re, t_im, B).tolist()
 
     def test_sweep_unchanged_with_the_row_kernel(self, monkeypatch):
+        # every (t, B) the counting route sends for S = 1..128, and the
+        # per-denominator oracle for S <= 40, goes through both kernels and
+        # is compared value by value; fed the row kernel's values, the
+        # route keeps its float bit for bit
         from fordspheres import moment
 
-        closed = [moment.consecutive_partner_counts(S) for S in range(1, 129)]
-        monkeypatch.setattr(region, "escape_counts", escape_counts_rows)
+        closed = {S: moment.moment_first_counting(S).value for S in range(1, 129)}
+        sent = []
+
+        def both(t_re, t_im, bounds):
+            rows = escape_counts_rows(t_re, t_im, bounds)
+            assert escape_counts(t_re, t_im, bounds).tolist() == rows.tolist()
+            sent.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(region, "escape_counts", both)
         for S in range(1, 129):
-            assert moment.consecutive_partner_counts(S).tolist() == closed[S - 1].tolist(), S
+            assert moment.moment_first_counting(S).value.hex() == closed[S].hex(), S
+        assert sum(sent) == 827_509
+        for S in range(1, 41):
+            moment.consecutive_partner_counts(S)
 
     def test_kernel_exactness_bound(self):
         with pytest.raises(ArithmeticError):
