@@ -8,8 +8,9 @@ The Moebius and Euler-phi analogues used here are
              = prod over prime powers p^a || q of (|p|^2a - |p|^(2a-2)).
 
 Single values go through :func:`fordspheres.gint.factor`.  Bulk sweeps
-read :class:`CanonicalSieve`, arrays of phi_i and mu_i on the canonical q
-of norm <= max_norm (S^2 for a level S), from n = norm(q) and
+read :func:`get_sieve`: arrays of phi_i and mu_i on the canonical q with
+|q| <= radius (the level S), cut from the one cached
+:class:`CanonicalSieve`.  That builds them from n = norm(q) and
 g = gcd(re q, im q), with phi*, mu* and D multiplicative in n:
 
     phi_i(q) = phi*(n) * prod over p | g, p = 1 (mod 4) of (1 - 1/p),
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt, pi
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -271,7 +272,9 @@ class CanonicalSieve:
     and p divides phi*(n): the same pass fills the factors over g.
 
     The tables over n are int32 and int8, so max_norm must lie in
-    [1, 2^31); that is checked before anything is allocated.
+    [1, 2^31); that is checked before anything is allocated.  This class
+    only builds the arrays; readers take them through :func:`get_sieve`,
+    which caches one sieve and cuts it to a radius.
     """
 
     def __init__(self, max_norm: int):
@@ -312,38 +315,35 @@ class CanonicalSieve:
         self.mu = mu_star[n]
         self.mu[sel[g % d[sel] != 0]] = 0
 
-    def _index(self, q: GInt) -> int:
-        q = _as_canonical(q)
-        n = norm(q)
-        if n > self.max_norm:
-            raise DomainError("q beyond sieve range")
-        # cells of one norm ascend in re, and re fixes im
-        lo, hi = np.searchsorted(self.norms, (n, n + 1))
-        return int(lo + np.searchsorted(self.re[lo:hi], q.re))
 
-    def phi_of(self, q: GInt) -> int:
-        return int(self.phi[self._index(q)])
+class SieveCells(NamedTuple):
+    """phi_i and mu_i on the canonical q with |q| <= radius: views of the
+    cached :class:`CanonicalSieve`, in its (norm, re, im) cell order."""
 
-    def mu_of(self, q: GInt) -> int:
-        return int(self.mu[self._index(q)])
-
-    def upto(self, radius: int) -> slice:
-        """Slice of the sorted cell arrays with |q| <= radius."""
-        k = int(np.searchsorted(self.norms, radius * radius, side="right"))
-        return slice(0, k)
+    re: np.ndarray
+    im: np.ndarray
+    norms: np.ndarray
+    phi: np.ndarray
+    mu: np.ndarray
 
 
 _sieve_cache: list[CanonicalSieve] = []
 
 
-def get_sieve(max_norm: int) -> CanonicalSieve:
-    """Build (or reuse) a sieve covering at least max_norm."""
-    if _sieve_cache and _sieve_cache[0].max_norm >= max_norm:
-        return _sieve_cache[0]
-    sieve = CanonicalSieve(max_norm)
-    _sieve_cache.clear()
-    _sieve_cache.append(sieve)
-    return sieve
+def get_sieve(radius: int) -> SieveCells:
+    """The cells with |q| <= radius: the one door to per-cell phi_i and mu_i.
+
+    radius < 1 is refused before the cache is looked at.  One sieve is
+    cached, and it is rebuilt to norm radius^2 when that is beyond it.
+    """
+    if radius < 1:
+        raise DomainError(f"radius must be >= 1, got {radius}")
+    max_norm = radius * radius
+    if not _sieve_cache or _sieve_cache[0].max_norm < max_norm:
+        _sieve_cache[:] = [CanonicalSieve(max_norm)]
+    sieve = _sieve_cache[0]
+    k = int(np.searchsorted(sieve.norms, max_norm, side="right"))
+    return SieveCells(sieve.re[:k], sieve.im[:k], sieve.norms[:k], sieve.phi[:k], sieve.mu[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +460,5 @@ def sum_phi_upto(Q: int) -> tuple[int, float]:
 
     The main term is (pi/8) * zeta_i^{-1}(2) * Q^4.
     """
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
-    sieve = get_sieve(Q * Q)
-    exact = int(np.sum(sieve.phi[sieve.upto(Q)]))
+    exact = int(np.sum(get_sieve(Q).phi))
     return exact, pi / 8 / ZETA_I_2 * Q**4

@@ -236,14 +236,9 @@ def _levels(text: str) -> list[int]:
 
 def cmd_report(args, config: RunConfig) -> int:
     if args.kind == "arith":
-        if args.radius < 1:
-            raise DomainError(f"radius must be >= 1, got {args.radius}")
-        sieve = arith.get_sieve(args.radius * args.radius)
-        sl = sieve.upto(args.radius)
+        sieve = arith.get_sieve(args.radius)
         rows = []
-        for x, y, n, mu, phi in zip(
-            sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.mu[sl], sieve.phi[sl]
-        ):
+        for x, y, n, mu, phi in zip(sieve.re, sieve.im, sieve.norms, sieve.mu, sieve.phi):
             rows.append(
                 {"q": str(GInt(int(x), int(y))), "norm": int(n), "mu_i": int(mu), "phi_i": int(phi)}
             )

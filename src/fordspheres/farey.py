@@ -546,8 +546,6 @@ def enumerate_fq(Q: int) -> list[Fraction]:
 
 
 def is_consecutive_fq(f1: Fraction, f2: Fraction, Q: int) -> bool:
-    """Adjacent (bc - ad == 1 for a/b < c/d) with denominator sum > Q."""
-    lo, hi = (f1, f2) if f1 < f2 else (f2, f1)
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
-    return b * c - a * d == 1 and b + d > Q
+    """Adjacent (|bc - ad| == 1 for a/b and c/d) with denominator sum > Q."""
+    b, d = f1.denominator, f2.denominator
+    return abs(b * f2.numerator - f1.numerator * d) == 1 and b + d > Q

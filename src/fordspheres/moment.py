@@ -288,9 +288,7 @@ def moment_first_counting(
     mt = main_term(S) / 4 if normalization == "omega_quarter" else main_term(S)
     t0 = time.perf_counter()
     # the t of bound B are the first k cells of the octant, as norms ascend
-    sieve = arith.get_sieve(S * S)
-    sl = sieve.upto(S)
-    re, im, nrm, mu = sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.mu[sl]
+    re, im, nrm, _, mu = arith.get_sieve(S)
     squarefree = mu != 0
     bounds, d_bound = np.unique((S * S) // nrm[squarefree], return_inverse=True)
     octant = re >= im
@@ -373,12 +371,9 @@ def sum_A(S: int) -> tuple[float, float]:
     |s|, so terms of equal norm share one evaluation.  The prediction is
     main_term(S) / 2.
     """
-    if S < 1:
-        raise DomainError("S must be >= 1")
-    sieve = arith.get_sieve(S * S)
-    sl = sieve.upto(S)
-    uniq, inverse = np.unique(sieve.norms[sl], return_inverse=True)
-    phi_by_norm = np.bincount(inverse, weights=sieve.phi[sl].astype(np.float64))
+    sieve = arith.get_sieve(S)
+    uniq, inverse = np.unique(sieve.norms, return_inverse=True)
+    phi_by_norm = np.bincount(inverse, weights=sieve.phi.astype(np.float64))
     fn = uniq.astype(np.float64)
     exact = float(np.sum(phi_by_norm / (fn * fn) * region.area_closed_form(uniq, S)))
     return exact, main_term(S) / 2
@@ -438,24 +433,23 @@ def sum_B_band(S: int, epsilon: float = 0.1) -> tuple[float, float]:
 
 def sum_phi_over_norm2(S: int) -> tuple[float, float]:
     """(sum of phi_i(s)/|s|^2 over |s| <= S, prediction (pi/4) zeta_i^{-1}(2) S^2)."""
-    sieve = arith.get_sieve(S * S)
-    sl = sieve.upto(S)
-    fn = sieve.norms[sl].astype(np.float64)
-    exact = float(np.sum(sieve.phi[sl].astype(np.float64) / fn))
+    sieve = arith.get_sieve(S)
+    fn = sieve.norms.astype(np.float64)
+    exact = float(np.sum(sieve.phi.astype(np.float64) / fn))
     return exact, math.pi / 4.0 / arith.ZETA_I_2 * S * S
 
 
 def sum_phi_over_norm4(S: int) -> float:
     """sum of phi_i(s)/|s|^4 over canonical |s| <= S; grows like
     4 z1 ln S + (z1 + z2)."""
-    sieve = arith.get_sieve(S * S)
-    sl = sieve.upto(S)
-    fn = sieve.norms[sl].astype(np.float64)
-    return float(np.sum(sieve.phi[sl].astype(np.float64) / (fn * fn)))
+    sieve = arith.get_sieve(S)
+    fn = sieve.norms.astype(np.float64)
+    return float(np.sum(sieve.phi.astype(np.float64) / (fn * fn)))
 
 
 def fit_phi_over_norm4(ladder: Sequence[int]) -> tuple[float, float]:
     """Least-squares fit a*ln(S) + b of sum_phi_over_norm4 over the ladder."""
+    arith.get_sieve(max(ladder))  # one build for the whole ladder
     xs = np.log(np.array(ladder, dtype=np.float64))
     ys = np.array([sum_phi_over_norm4(S) for S in ladder])
     slope, intercept = np.polyfit(xs, ys, 1)

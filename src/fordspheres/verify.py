@@ -151,13 +151,11 @@ def check_phi_residue_oracle() -> tuple[bool, str]:
 
 @_check("arith", "sieve agrees with the factorization route")
 def check_sieve_vs_factorization() -> tuple[bool, str]:
-    sieve = arith.get_sieve(EXACT_IDENTITY_MAX_NORM)
+    # both run over the cells of canonical_cells, in its order
+    sieve = arith.CanonicalSieve(EXACT_IDENTITY_MAX_NORM)
     tab = _scalar_tables(EXACT_IDENTITY_MAX_NORM)
-    bad = sum(
-        1
-        for q, (mu, phi) in tab.items()
-        if sieve.mu_of(q) != mu or sieve.phi_of(q) != phi
-    )
+    mu, phi = np.array(list(tab.values())).T
+    bad = int(np.count_nonzero((sieve.mu != mu) | (sieve.phi != phi)))
     return bad == 0, f"{len(tab)} values, {bad} sieve mismatches"
 
 

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
 import numpy as np
 import pytest
 
-from fordspheres import arith
+from fordspheres import arith, moment
 from fordspheres.arith import (
     CanonicalSieve,
     canonical_cells,
@@ -168,9 +171,9 @@ class TestSieve:
         # N(3), and at norm 25 mu_i is +1 on 5 but 0 on 3+4i and 4+3i
         for max_norm in (1, 2, 3, 4, 5, 9, 25, 3000):
             sieve = CanonicalSieve(max_norm)
-            for q in cells_upto(max_norm):
-                assert sieve.mu_of(q) == mu_i(q), (max_norm, q)
-                assert sieve.phi_of(q) == phi_i(q), (max_norm, q)
+            cells = cells_upto(max_norm)
+            assert sieve.mu.tolist() == [mu_i(q) for q in cells], max_norm
+            assert sieve.phi.tolist() == [phi_i(q) for q in cells], max_norm
 
     def test_arrays_pinned(self):
         # SHA-256 of the re, im, norms, phi and mu bytes, as the Gaussian-prime
@@ -192,14 +195,44 @@ class TestSieve:
                 CanonicalSieve(bad)
 
     def test_cell_order_is_sorted(self):
-        sieve = get_sieve(500)
-        key = list(zip(sieve.norms, sieve.re, sieve.im))
-        assert key == sorted(key)
+        # (norm, re, im) ascending: the door's cells whatever is cached, and
+        # a fresh build; lexsort takes its primary key last
+        for sieve in (get_sieve(22), CanonicalSieve(500)):
+            order = np.lexsort((sieve.im, sieve.re, sieve.norms))
+            assert np.array_equal(order, np.arange(len(sieve.norms)))
 
-    def test_out_of_range(self):
-        sieve = CanonicalSieve(100)
+    def test_door_cuts_to_the_radius(self):
+        get_sieve(40)  # cache a larger sieve first
+        cells = get_sieve(22)
+        rex, imy, nrm = canonical_cells(22 * 22)
+        assert np.array_equal(cells.re, rex) and np.array_equal(cells.im, imy)
+        assert np.array_equal(cells.norms, nrm)
+        assert len(cells.phi) == len(cells.mu) == len(nrm)
+
+    # a radius or S below 1, refused by the door whatever sieve is cached
+    DOOR_REFUSALS = (
+        "arith.get_sieve(0)",
+        "moment.sum_phi_over_norm2(0)",
+        "moment.sum_phi_over_norm4(-3)",
+        "moment.sum_A(0)",
+        "arith.sum_phi_upto(0)",
+    )
+
+    @pytest.mark.parametrize("call", DOOR_REFUSALS)
+    def test_door_domain_with_a_sieve_cached(self, call):
+        get_sieve(64)
         with pytest.raises(DomainError):
-            sieve.phi_of(g(99, 99))
+            eval(call, {"arith": arith, "moment": moment})
+
+    def test_door_domain_in_a_fresh_process(self):
+        code = "from fordspheres import arith, moment\nfrom fordspheres.gint import DomainError\n" + "".join(
+            f"try:\n    {call}\n    print('accepted')\nexcept DomainError:\n    print('refused')\n"
+            for call in self.DOOR_REFUSALS
+        )
+        src = os.path.dirname(os.path.dirname(arith.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.split() == ["refused"] * len(self.DOOR_REFUSALS)
 
 
 class TestNormCoefficients:

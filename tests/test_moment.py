@@ -193,13 +193,12 @@ class TestCounting:
     def _by_bound_exact(S):
         # sum over squarefree d of mu(d)/|d|^2 F(S^2 // |d|^2), with F(B)
         # summed over the octant a >= b >= 0 straight from the kernel
-        sieve = arith.get_sieve(S * S)
-        sl = sieve.upto(S)
-        re, im = sieve.re[sl].tolist(), sieve.im[sl].tolist()
+        sieve = arith.get_sieve(S)
+        re, im = sieve.re.tolist(), sieve.im.tolist()
         octant = [(a, b) for a, b in zip(re, im) if a >= b]
         F = {}
         total = Fraction(0)
-        for d_norm, mu in zip(sieve.norms[sl].tolist(), sieve.mu[sl].tolist()):
+        for d_norm, mu in zip(sieve.norms.tolist(), sieve.mu.tolist()):
             if mu == 0:
                 continue
             B = S * S // d_norm
@@ -329,11 +328,10 @@ class TestSums:
         # sum_A and omega_area evaluate the one closed form of the area
         S = 16
         exact, prediction = moment.sum_A(S)
-        sieve = arith.get_sieve(S * S)
-        sl = sieve.upto(S)
+        sieve = arith.get_sieve(S)
         total = math.fsum(
             int(ph) / int(n) ** 2 * region.omega_area(region.OmegaSpec(g(int(x), int(y)), S))
-            for x, y, n, ph in zip(sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.phi[sl])
+            for x, y, n, ph in zip(sieve.re, sieve.im, sieve.norms, sieve.phi)
         )
         assert exact == pytest.approx(total, rel=1e-12)
         assert prediction == moment.main_term(S) / 2
@@ -341,9 +339,8 @@ class TestSums:
     def test_sum_A_vs_counts_at_64(self):
         exact, _ = moment.sum_A(64)
         total = 0.0
-        sieve = arith.get_sieve(64 * 64)
-        sl = sieve.upto(64)
-        for x, y, n, ph in zip(sieve.re[sl], sieve.im[sl], sieve.norms[sl], sieve.phi[sl]):
+        sieve = arith.get_sieve(64)
+        for x, y, n, ph in zip(sieve.re, sieve.im, sieve.norms, sieve.phi):
             spec = region.OmegaSpec(g(int(x), int(y)), 64)
             total += ph / n**2 * region.omega_lattice_count(spec)
         assert abs(total - exact) <= 50.0  # measured gap is ~13.1

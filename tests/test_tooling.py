@@ -35,3 +35,8 @@ def test_every_traced_attribute_exists(monkeypatch):
         "farey.is_consecutive",
         "gint.is_coprime",
     }
+    # arith.sieve.cells counts the cells the door hands out: those with
+    # norm <= 8^2, whatever larger sieve an earlier test cached
+    a.get_sieve(8)
+    sieve = reg.spans["arith.get_sieve"]
+    assert (sieve.calls, sieve.items) == (1, len(arith.canonical_cells(64)[2]))
