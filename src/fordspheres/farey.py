@@ -13,6 +13,14 @@ sphere smaller than 1/(2 S^2) is tangent to both, which happens exactly
 when one of the four complex mediants (r + u r')/(s + u s') has
 denominator of modulus > S.
 
+G_S has one door, gs_arrays(S), which hands out read-only views of one
+cached table in sort_key order.  Since that order starts with norm(s),
+G_S is a prefix of the table for every S up to the level built; a larger
+S appends only the shell of denominators between the two levels.  The
+table also holds each fraction's inverse x = r^-1 mod s, which does not
+depend on S: it is solved and checked once per fraction, as the fraction
+enters the table.
+
 The consecutive pairs of G_S come from a neighbour solve: the partners of
 r/s have denominators s' = x + k s in one residue class modulo s, and
 |s'| <= S is a disc of k whose rows and columns are exact integer
@@ -112,28 +120,57 @@ class Sphere:
     radius: Fraction
 
 
-def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
-    """G_S as int64 arrays (norm(s), Re s, Im s, Re r, Im r), one entry per
-    fraction r/s, in sort_key order.
+# the one cached table behind gs_arrays: (S, a read-only (7, |G_S|) int64
+# array whose rows are norm(s), Re s, Im s, Re r, Im r, Re x, Im x with
+# x = r^-1 mod s, in sort_key order); G_S' for S' <= S is a prefix of it.
+# It is never released: it lives, at the largest S asked for, for the rest
+# of the process (56 bytes per fraction: 74 MiB at S = 48, 233 MiB at 64)
+_gs_cache: list[tuple[int, np.ndarray]] = []
 
-    For the denominator s = a+bi the candidate numerators x+iy satisfy
-    0 <= ax+by <= norm(s) and 0 <= ay-bx <= norm(s), a tilted square with
-    corners at x in [-b, a], y in [0, a+b].  r/s is reduced exactly when
-    the ideal (r, s) is the whole ring, i.e. when its index
-    gcd(norm(s), norm(r), Re(r conj(s)), Im(r conj(s))) is 1; for r = 0
-    that leaves only 0/1.  The denominators come from
-    arith.canonical_cells in (norm, re, im) order and each box is expanded
-    in (x, y) order, so the output is in sort_key order as built.  The
-    boxes of consecutive denominators are expanded together, at most
-    region.BLOCK_ELEMENTS candidates at a time (region.flat_blocks).
+
+def _table(S: int) -> np.ndarray:
+    """G_S as a read-only (7, |G_S|) view of the one cached table: the
+    five columns of gs_arrays, then Re x and Im x, x = r^-1 mod s.
+
+    sort_key order starts with norm(s), so G_S is the prefix of the table
+    up to the last norm <= S^2, found by searchsorted.  When S is beyond
+    the table, only the shell of denominators between the old and the new
+    level is built (_shell) and appended; a build that raises leaves the
+    table as it was.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
     if S >= INT64_S_LIMIT:
         raise ArithmeticError(f"G_S arrays are exact in int64 for S < {INT64_S_LIMIT}; got {S}")
+    built, table = _gs_cache[0] if _gs_cache else (0, np.empty((7, 0), dtype=np.int64))
+    if S > built:
+        table = np.concatenate([table, *_shell(built, S)], axis=1)
+        table.flags.writeable = False
+        _gs_cache[:] = [(S, table)]
+    return table[:, : int(np.searchsorted(table[0], S * S, side="right"))]
+
+
+def _shell(lo: int, S: int):
+    """The fractions r/s of G_S with |s| > lo, as (7, k) blocks of table
+    columns in sort_key order.
+
+    For the denominator s = a+bi the candidate numerators x+iy satisfy
+    0 <= ax+by <= norm(s) and 0 <= ay-bx <= norm(s), a tilted square with
+    corners at x in [-b, a], y in [0, a+b].  r/s is reduced exactly when
+    the ideal (r, s) is the whole ring, i.e. when its index
+    gcd(norm(s), norm(r), Re(r conj(s)), Im(r conj(s))) is 1, taken only
+    on the candidates inside the square; for r = 0 that leaves only 0/1.
+    The denominators come from arith.canonical_cells in (norm, re, im)
+    order and each box is expanded in (x, y) order, so the output is in
+    sort_key order as built.  The boxes of consecutive denominators are
+    expanded together, at most region.BLOCK_ELEMENTS candidates at a time
+    (region.flat_blocks), and the inverses are solved and checked per
+    block (_inverse_columns).
+    """
     a, b, norms = arith.canonical_cells(S * S)
+    first = int(np.searchsorted(norms, lo * lo, side="right"))
+    a, b, norms = a[first:], b[first:], norms[first:]
     side = a + b + 1
-    parts = []
     for items, c, local in region.flat_blocks(side * side):
         owner = np.repeat(np.arange(items.start, items.stop), c)
         sa, sb, n, w = a[owner], b[owner], norms[owner], side[owner]
@@ -141,21 +178,30 @@ def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
         y = local % w
         px = sa * x + sb * y
         qy = sa * y - sb * x
-        keep = (px >= 0) & (px <= n) & (qy >= 0) & (qy <= n)
-        keep &= np.gcd(np.gcd(n, x * x + y * y), np.gcd(px, qy)) == 1
-        parts.append(np.stack([n[keep], sa[keep], sb[keep], x[keep], y[keep]]))
-    return tuple(np.concatenate(parts, axis=1))
+        inside = np.flatnonzero((px >= 0) & (px <= n) & (qy >= 0) & (qy <= n))
+        n, sa, sb, x, y, px, qy = (v[inside] for v in (n, sa, sb, x, y, px, qy))
+        keep = np.gcd(np.gcd(n, x * x + y * y), np.gcd(px, qy)) == 1
+        cols = (n[keep], sa[keep], sb[keep], x[keep], y[keep])
+        yield np.stack(cols + _inverse_columns(*cols))
 
 
-def _fractions(gs: tuple[np.ndarray, ...]) -> list[GFraction]:
-    _, s_re, s_im, r_re, r_im = (c.tolist() for c in gs)
-    return [GFraction(GInt(x, y), GInt(a, b)) for a, b, x, y in zip(s_re, s_im, r_re, r_im)]
+def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
+    """G_S as int64 arrays (norm(s), Re s, Im s, Re r, Im r), one entry per
+    fraction r/s, in sort_key order: read-only views of the one cached
+    table (_table), built shell by shell as S grows.  The table, with the
+    inverses of its fractions, stays cached at the largest S asked for
+    for the whole life of the process."""
+    return tuple(_table(S)[:5])
 
 
 def enumerate_gs(S: int) -> list[GFraction]:
     """All reduced fractions in the closed unit square with canonical
-    denominator of modulus <= S, sorted by (norm(s), s, r)."""
-    return _fractions(gs_arrays(S))
+    denominator of modulus <= S, sorted by (norm(s), s, r).  They are read
+    from gs_arrays(S), so a first call at a new S also solves and checks
+    the inverses of the new fractions and leaves them in the table for the
+    life of the process."""
+    _, s_re, s_im, r_re, r_im = (c.tolist() for c in gs_arrays(S))
+    return [GFraction(GInt(x, y), GInt(a, b)) for a, b, x, y in zip(s_re, s_im, r_re, r_im)]
 
 
 def is_adjacent(f1: GFraction, f2: GFraction) -> bool:
@@ -369,96 +415,105 @@ def _inverse_mod(r_re, r_im, s_re, s_im) -> tuple[np.ndarray, np.ndarray]:
     return x_re - (k_re * s_re - k_im * s_im), x_im - (k_re * s_im + k_im * s_re)
 
 
-def _partner_blocks(S: int, gs: tuple[np.ndarray, ...]):
+def _inverse_columns(n, s_re, s_im, r_re, r_im) -> tuple[np.ndarray, np.ndarray]:
+    """x = r^-1 mod s for each fraction r/s (_inverse_mod), checked once
+    per fraction as (r x - 1) conj(s) == 0 mod n, n = norm(s): then every
+    r s' - 1 = r x - 1 + r k s of the neighbour solve is divisible by s.
+    A fraction that is not reduced has no inverse and is refused."""
+    x_re, x_im = _inverse_mod(r_re, r_im, s_re, s_im)
+    w_re = r_re * x_re - r_im * x_im - 1
+    w_im = r_re * x_im + r_im * x_re
+    if np.any((w_re * s_re + w_im * s_im) % n) or np.any((w_im * s_re - w_re * s_im) % n):
+        raise ArithmeticError("r s' - 1 is not divisible by s")
+    return x_re, x_im
+
+
+def _partner_blocks(S: int):
     """The neighbour solve, one block at a time: yields (i, Re s', Im s')
-    for the consecutive partners r'/s' of the fractions i of the block,
-    with r s' - r' s = 1 (s' not yet canonical).
+    for the consecutive partners r'/s' of the fractions i (indices into
+    gs_arrays(S)) of the block, with r s' - r' s = 1 (s' not yet
+    canonical).
 
     For f = r/s, scaling a partner r'/s' by a unit makes r s' - r' s = 1,
     and exactly one of the four associates of (r', s') does so.  Then
     s' = x + k s with x = r^-1 mod s and k a Gaussian integer, and
-    r' = (r s' - 1)/s exactly; that x is an inverse is checked once per
-    fraction, as (r x - 1) conj(s) == 0 mod n, n = norm(s).  With
+    r' = (r s' - 1)/s exactly; x is read from the table of _table, which
+    solved and checked it once per fraction (_inverse_columns).  With
     y = x conj(s), |s'| <= S is |n k + y|^2 <= S^2 n, a disc of k whose
     rows and columns are exact integer intervals: Re k = m for
     |n m + Re y| <= M = isqrt(S^2 n), and in row m, Im k = j for
-    |n j + Im y| <= isqrt(S^2 n - (n m + Re y)^2).  The rows of all
-    fractions, then the points of the rows, go through region.flat_blocks,
-    so each step visits exactly the s' != 0 with |s'| <= S.  A candidate
+    |n j + Im y| <= isqrt(S^2 n - (n m + Re y)^2).  The rows of a block
+    of fractions, then the points of the rows, go through
+    region.flat_blocks, so each step visits exactly the s' != 0 with
+    |s'| <= S.  A candidate
     is kept when r'/s' lies in the closed unit square and some mediant
     denominator s + u s' has modulus > S: the tests of in_unit_square and
     is_consecutive.  The square test needs no r': r'/s' = r/s - 1/(s s'),
     so with P = r conj(s), r'/s' is in the square exactly when both parts
     of P norm(s') - conj(s s') lie in [0, n norm(s')].
     """
-    if S >= INT64_S_LIMIT:
-        raise ArithmeticError(f"the neighbour solve is exact in int64 for S < {INT64_S_LIMIT}; got {S}")
-    n, s_re, s_im, r_re, r_im = gs
+    table = _table(S)
     S2 = S * S
-    x_re, x_im = _inverse_mod(r_re, r_im, s_re, s_im)
-    # r x == 1 mod s, once per fraction: then every r s' - 1 = r x - 1 + r k s
-    # is divisible by s
-    w_re = r_re * x_re - r_im * x_im - 1
-    w_im = r_re * x_im + r_im * x_re
-    if np.any((w_re * s_re + w_im * s_im) % n) or np.any((w_im * s_re - w_re * s_im) % n):
-        raise ArithmeticError("r s' - 1 is not divisible by s")
-    del w_re, w_im  # at S = 48 each per-fraction column is 11 MB
-    y_re = x_re * s_re + x_im * s_im  # y = x conj(s)
-    y_im = x_im * s_re - x_re * s_im
-    p_re = r_re * s_re + r_im * s_im  # P = r conj(s)
-    p_im = r_im * s_re - r_re * s_im
-    disc = S2 * n
-    M = region._floor_sqrt(disc)
-    # the rows run from m_lo = ceil((-M - Re y)/n) to floor((M - Re y)/n)
-    m_lo = -((M + y_re) // n)
     step = max(region.BLOCK_ELEMENTS // 4, 1)  # a point holds about a dozen int64 temporaries
-    for rows, per_fraction, m in region.flat_blocks((M - y_re) // n - m_lo + 1, step):
-        f = np.repeat(np.arange(rows.start, rows.stop), per_fraction)
-        nf = n[f]
-        m += m_lo[f]
-        u = nf * m + y_re[f]
-        e = region._floor_sqrt(disc[f] - u * u)  # the columns: |n j + Im y| <= e
-        j_lo = -((e + y_im[f]) // nf)
-        # s' = x + m s + j i s along the row
-        base_re = x_re[f] + m * s_re[f]
-        base_im = x_im[f] + m * s_im[f]
-        for pts, per_row, j in region.flat_blocks((e - y_im[f]) // nf - j_lo + 1, step):
-            row = np.repeat(np.arange(pts.start, pts.stop), per_row)
-            i = f[row]
-            j += j_lo[row]
-            sr, si, ns = s_re[i], s_im[i], nf[row]
-            sp_re = base_re[row] - j * si
-            sp_im = base_im[row] + j * sr
-            nsp = sp_re * sp_re + sp_im * sp_im
-            # s s' = (a - b) + (c + d) i and conj(s) s' = (a + b) + (c - d) i
-            a, b, c, d = sr * sp_re, si * sp_im, sr * sp_im, si * sp_re
-            # the square test on P norm(s') - conj(s s'); escape: max over
-            # units of |s + u s'|^2 is norm(s) + norm(s') + 2 max(|Re z|,
-            # |Im z|), z = conj(s) s'
-            q_re = p_re[i] * nsp - (a - b)
-            q_im = p_im[i] * nsp + (c + d)
-            top = ns * nsp
-            keep = (q_re >= 0) & (q_re <= top) & (q_im >= 0) & (q_im <= top)
-            keep &= (nsp > 0) & (ns + nsp + 2 * np.maximum(np.abs(a + b), np.abs(c - d)) > S2)
-            yield i[keep], sp_re[keep], sp_im[keep]
+    # the per-fraction set-up below (y, P, the row bounds) is taken for
+    # step fractions at a time, so that it stays small beside the table
+    for lo in range(0, table.shape[1], step):
+        n, s_re, s_im, r_re, r_im, x_re, x_im = table[:, lo : lo + step]
+        y_re = x_re * s_re + x_im * s_im  # y = x conj(s)
+        y_im = x_im * s_re - x_re * s_im
+        p_re = r_re * s_re + r_im * s_im  # P = r conj(s)
+        p_im = r_im * s_re - r_re * s_im
+        disc = S2 * n
+        M = region._floor_sqrt(disc)
+        # the rows run from m_lo = ceil((-M - Re y)/n) to floor((M - Re y)/n)
+        m_lo = -((M + y_re) // n)
+        for rows, per_fraction, m in region.flat_blocks((M - y_re) // n - m_lo + 1, step):
+            f = np.repeat(np.arange(rows.start, rows.stop), per_fraction)
+            nf = n[f]
+            m += m_lo[f]
+            u = nf * m + y_re[f]
+            e = region._floor_sqrt(disc[f] - u * u)  # the columns: |n j + Im y| <= e
+            j_lo = -((e + y_im[f]) // nf)
+            # s' = x + m s + j i s along the row
+            base_re = x_re[f] + m * s_re[f]
+            base_im = x_im[f] + m * s_im[f]
+            for pts, per_row, j in region.flat_blocks((e - y_im[f]) // nf - j_lo + 1, step):
+                row = np.repeat(np.arange(pts.start, pts.stop), per_row)
+                i = f[row]
+                j += j_lo[row]
+                sr, si, ns = s_re[i], s_im[i], nf[row]
+                sp_re = base_re[row] - j * si
+                sp_im = base_im[row] + j * sr
+                nsp = sp_re * sp_re + sp_im * sp_im
+                # s s' = (a - b) + (c + d) i and conj(s) s' = (a + b) + (c - d) i
+                a, b, c, d = sr * sp_re, si * sp_im, sr * sp_im, si * sp_re
+                # the square test on P norm(s') - conj(s s'); escape: max over
+                # units of |s + u s'|^2 is norm(s) + norm(s') + 2 max(|Re z|,
+                # |Im z|), z = conj(s) s'
+                q_re = p_re[i] * nsp - (a - b)
+                q_im = p_im[i] * nsp + (c + d)
+                top = ns * nsp
+                keep = (q_re >= 0) & (q_re <= top) & (q_im >= 0) & (q_im <= top)
+                keep &= (nsp > 0) & (ns + nsp + 2 * np.maximum(np.abs(a + b), np.abs(c - d)) > S2)
+                yield lo + i[keep], sp_re[keep], sp_im[keep]
 
 
-def partner_degrees(S: int, gs: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The number of consecutive partners of every fraction of gs =
+def partner_degrees(S: int) -> np.ndarray:
+    """The number of consecutive partners of every fraction of
     gs_arrays(S), from the neighbour solve."""
-    degrees = np.zeros(len(gs[0]), dtype=np.int64)
-    for i, *_ in _partner_blocks(S, gs):
+    degrees = np.zeros(_table(S).shape[1], dtype=np.int64)
+    for i, *_ in _partner_blocks(S):
         degrees += np.bincount(i, minlength=len(degrees))
     return degrees
 
 
-def consecutive_neighbours(S: int, gs: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Every consecutive partner in gs = gs_arrays(S) as index arrays
-    (i, j): fraction j is consecutive to fraction i.  Each unordered pair
+def consecutive_neighbours(S: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every consecutive partner in gs_arrays(S) as index arrays (i, j):
+    fraction j is consecutive to fraction i.  Each unordered pair
     appears once in each direction.  A partner of the neighbour solve is
-    found in gs by its numerator r' = (r s' - 1)/s, an exact division,
+    found in G_S by its numerator r' = (r s' - 1)/s, an exact division,
     after rotating s' to its canonical associate."""
-    n, s_re, s_im, r_re, r_im = gs
+    n, s_re, s_im, r_re, r_im = gs_arrays(S)
     # every fraction has a key that increases along the sort_key order:
     # the rank of its denominator, then its numerator offset in the box
     # -S <= Re r <= S, 0 <= Im r <= 2S
@@ -468,7 +523,7 @@ def consecutive_neighbours(S: int, gs: tuple[np.ndarray, ...]) -> tuple[np.ndarr
     den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
     keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
     out_i, out_j = [], []
-    for i, sp_re, sp_im in _partner_blocks(S, gs):
+    for i, sp_re, sp_im in _partner_blocks(S):
         # r' = (r s' - 1) conj(s) / norm(s)
         sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
         w_re = rr * sp_re - ri * sp_im - 1
@@ -495,12 +550,11 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     """Every unordered consecutive pair of fractions at level S, each as
     (f, f') with f first in sort_key order, sorted by (f, f'): the pairs
     of consecutive_neighbours, the same list as consecutive_pairs_scan."""
-    gs = gs_arrays(S)
-    i, j = consecutive_neighbours(S, gs)
+    i, j = consecutive_neighbours(S)
     forward = i < j
     i, j = i[forward], j[forward]
     order = np.lexsort((j, i))
-    fractions = _fractions(gs)
+    fractions = enumerate_gs(S)
     return [(fractions[a], fractions[b]) for a, b in zip(i[order].tolist(), j[order].tolist())]
 
 

@@ -176,18 +176,20 @@ def direct_total(S: int) -> Fraction:
 
     Each unordered pair contributes 1/(2|s|^2) + 1/(2|s'|^2), so
     M(S) = sum over f in G_S of deg(f) / (2 |s_f|^2), where deg(f) counts
-    the consecutive partners of f; the degrees are summed per norm in
-    integers and the per-norm terms as one exact rational.
+    the consecutive partners of f.  G_S and the inverses the solve starts
+    from are views of farey's one cached table, which a sweep over S
+    builds once, shell by shell; the inverses are checked as they enter
+    it.  The degrees are summed per norm in integers, and the per-norm
+    terms d/(2n) over one common denominator, the lcm L of the norms, as
+    one integer numerator and one exact rational.
     """
-    gs = farey.gs_arrays(S)
-    norms = gs[0]
-    degrees = farey.partner_degrees(S, gs)
+    norms = farey.gs_arrays(S)[0]
+    degrees = farey.partner_degrees(S)
     first = np.flatnonzero(np.r_[True, np.diff(norms) != 0])
-    per_norm = np.add.reduceat(degrees, first)
-    return sum(
-        (Fraction(d, 2 * n) for d, n in zip(per_norm.tolist(), norms[first].tolist())),
-        Fraction(0),
-    )
+    per_norm = np.add.reduceat(degrees, first).tolist()
+    distinct = norms[first].tolist()
+    L = math.lcm(*distinct)
+    return Fraction(sum(d * (L // n) for d, n in zip(per_norm, distinct)), 2 * L)
 
 
 def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
@@ -197,7 +199,9 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     Rational accumulation throughout (direct_total); the float conversion
     happens once at the end.  The work grows like S^4 (about 1.65 S^4
     candidate denominators), hence the cap; use the counting route beyond
-    it.
+    it.  G_S and the inverses come from farey's one cached table, so in a
+    sweep over S only the first call at each new level builds the shell
+    of new denominators, solving and checking their inverses once.
     The row is compared with the quarter main term main_term(S) / 4, the
     one-per-unit-orbit normalization the direct sum follows (real-axis
     denominator pairs, which realize eight fraction pairs instead of four,

@@ -543,21 +543,32 @@ def check_constant_schemes() -> tuple[bool, str]:
     return worst <= 1e-8, f"series vs gauss-kronrod vs tanh-sinh: max gap {worst:.2e}"
 
 
+# M(S) summed over the pairs of the all-pairs oracle
+# farey.consecutive_pairs_scan, which shares only the G_S enumeration (the
+# table of farey._table, with its inverse check) with the neighbour solve,
+# not the partner scan
 DIRECT_BASELINES = {
     1: Fraction(4),
     2: Fraction(8),
     3: Fraction(1016, 45),
     4: Fraction(27067, 780),
+    5: Fraction(234619, 3978),
+    6: Fraction(599994119, 7690800),
+    7: Fraction(26525449921877, 245005815600),
+    8: Fraction(263202182080694881, 1848242204281200),
 }
 
 
 @_check("moment", "direct moment baselines are exact")
 def check_direct_baselines() -> tuple[bool, str]:
     for S, expected in DIRECT_BASELINES.items():
+        total = moment.direct_total(S)
+        if total != expected:
+            return False, f"S = {S}: got {total}, expected {expected}"
         got = moment.moment_first_direct(S).value
         if got != float(expected):
             return False, f"S = {S}: got {got}, expected {float(expected)}"
-    return True, f"S in {sorted(DIRECT_BASELINES)}: values match the frozen scan results"
+    return True, f"S in {sorted(DIRECT_BASELINES)}: exact totals and values match the frozen scan results"
 
 
 @_check("moment", "normalization gap at S = 1 is the measured 8 / 4 / 2 split")

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
 from random import Random
@@ -140,6 +143,43 @@ class TestEnumerate:
             assert np.array_equal(order, np.arange(cols.shape[1])), S
 
 
+class TestTable:
+    LEVELS = range(1, 17)
+
+    def fresh_builds(self, monkeypatch):
+        out = {}
+        for S in self.LEVELS:
+            monkeypatch.setattr(farey, "_gs_cache", [])
+            out[S] = farey._table(S).tobytes()
+        return out
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "jumping"])
+    def test_prefix_views_equal_a_fresh_build(self, monkeypatch, order):
+        fresh = self.fresh_builds(monkeypatch)
+        levels = list(self.LEVELS)
+        if order == "descending":
+            levels.reverse()
+        elif order == "jumping":
+            levels = [3, 1, 9, 2, 16, 5, 12, 4, 8, 15, 6, 7, 14, 10, 13, 11]
+        monkeypatch.setattr(farey, "_gs_cache", [])
+        for S in levels + list(self.LEVELS):
+            assert farey._table(S).tobytes() == fresh[S], S
+            assert b"".join(c.tobytes() for c in gs_arrays(S)) == farey._table(S)[:5].tobytes(), S
+
+    def test_views_are_read_only(self):
+        with pytest.raises(ValueError):
+            gs_arrays(5)[3][0] = 1
+        with pytest.raises(ValueError):
+            farey._table(5)[6, 0] = 0
+
+    def test_import_and_constants_leave_the_table_empty(self):
+        code = "from fordspheres import farey, moment\nmoment.constants_bundle()\nprint(len(farey._gs_cache))\n"
+        src = os.path.dirname(os.path.dirname(farey.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout.split() == ["0"]
+
+
 class TestMediants:
     def test_children_of_zero_one(self):
         kids = mediant_children(F0, F1)
@@ -264,59 +304,71 @@ class TestConsecutive:
     def test_neighbour_solve_is_symmetric_and_blockwise(self, monkeypatch):
         S = 9
         gs = gs_arrays(S)
-        i, j = consecutive_neighbours(S, gs)
+        i, j = consecutive_neighbours(S)
         directed = set(zip(i.tolist(), j.tolist()))
         assert len(directed) == len(i)
         assert directed == {(b, a) for a, b in directed}
-        degrees = partner_degrees(S, gs)
+        degrees = partner_degrees(S)
         assert degrees.tolist() == np.bincount(i, minlength=len(gs[0])).tolist()
         # blocks of a few fractions each, and one fraction per block where
-        # its box alone exceeds the block size
+        # its box alone exceeds the block size; the table is built anew in
+        # these blocks
         monkeypatch.setattr(region, "BLOCK_ELEMENTS", 40)
+        monkeypatch.setattr(farey, "_gs_cache", [])
         for a, b in zip(gs_arrays(S), gs):
             assert a.tolist() == b.tolist()
-        i2, j2 = consecutive_neighbours(S, gs)
+        i2, j2 = consecutive_neighbours(S)
         assert set(zip(i2.tolist(), j2.tolist())) == directed
-        assert partner_degrees(S, gs).tolist() == degrees.tolist()
+        assert partner_degrees(S).tolist() == degrees.tolist()
 
     @pytest.mark.parametrize("S", [5, 10, 13, 25])
     def test_disc_scan_equals_box_scan_on_the_edge(self, S):
         # S^2 is a sum of two nonzero squares: the circle |s'| = S carries
         # lattice points off the axes, and partners lie on it
-        gs = gs_arrays(S)
-        degrees, on_circle = box_scan_degrees(S, gs)
+        degrees, on_circle = box_scan_degrees(S, gs_arrays(S))
         assert on_circle > 0
-        assert partner_degrees(S, gs).tolist() == degrees.tolist()
+        assert partner_degrees(S).tolist() == degrees.tolist()
 
     @pytest.mark.parametrize("block", [1, 7, 40])
     def test_neighbour_solve_is_independent_of_block_size(self, monkeypatch, block):
         S = 6
         gs = gs_arrays(S)
-        degrees = partner_degrees(S, gs)
-        i, j = consecutive_neighbours(S, gs)
+        degrees = partner_degrees(S)
+        i, j = consecutive_neighbours(S)
         monkeypatch.setattr(region, "BLOCK_ELEMENTS", block)
-        assert partner_degrees(S, gs).tolist() == degrees.tolist()
-        i2, j2 = consecutive_neighbours(S, gs)
+        monkeypatch.setattr(farey, "_gs_cache", [])
+        for a, b in zip(gs_arrays(S), gs):
+            assert a.tolist() == b.tolist()
+        assert partner_degrees(S).tolist() == degrees.tolist()
+        i2, j2 = consecutive_neighbours(S)
         assert sorted(zip(i2.tolist(), j2.tolist())) == sorted(zip(i.tolist(), j.tolist()))
 
     def test_neighbour_solve_checks_the_inverse(self, monkeypatch):
-        # a wrong x = r^-1 mod s is caught once per fraction, before any scan
+        # a wrong x = r^-1 mod s is caught once per fraction, as the shell
+        # that holds it is built, and the table stays as it was
         def off_by_one(r_re, r_im, s_re, s_im):
             x_re, x_im = inverse(r_re, r_im, s_re, s_im)
             return x_re + (s_re * s_re + s_im * s_im > 1), x_im
 
+        fresh_table = []
+        monkeypatch.setattr(farey, "_gs_cache", fresh_table)
+        gs_arrays(1)
         inverse = farey._inverse_mod
         monkeypatch.setattr(farey, "_inverse_mod", off_by_one)
         with pytest.raises(ArithmeticError, match="not divisible"):
-            partner_degrees(4, gs_arrays(4))
+            partner_degrees(4)
+        assert [built for built, _ in fresh_table] == [1]
 
-    def test_neighbour_solve_refuses_inexact_input(self):
+    def test_neighbour_solve_refuses_inexact_input(self, monkeypatch):
+        fresh_table = []
+        monkeypatch.setattr(farey, "_gs_cache", fresh_table)
         with pytest.raises(ArithmeticError):
             gs_arrays(INT64_S_LIMIT)
+        assert fresh_table == []
         # 2/2 is not reduced: no inverse of 2 modulo 2
         bad = tuple(np.array([v], dtype=np.int64) for v in (4, 2, 0, 2, 0))
         with pytest.raises(ArithmeticError):
-            partner_degrees(2, bad)
+            farey._inverse_columns(*bad)
 
     def test_geometric_scan_at_level_two(self):
         pairs = consecutive_pairs(2)

@@ -1,11 +1,12 @@
 import math
 import time
 from fractions import Fraction
+from random import Random
 
 import numpy as np
 import pytest
 
-from fordspheres import arith, moment, region
+from fordspheres import arith, farey, moment, region
 from fordspheres.gint import DomainError, GInt
 
 
@@ -134,6 +135,18 @@ class TestDirect:
             for f1, f2 in farey.consecutive_pairs_scan(S):
                 total += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
             assert moment.direct_total(S) == total, S
+
+    def test_total_is_independent_of_the_call_order(self, monkeypatch):
+        # each level cold, from an empty table, against sweeps that grow
+        # the table shell by shell, cut it down, and jump about
+        levels = list(range(1, 25))
+        cold = {}
+        for S in levels:
+            monkeypatch.setattr(farey, "_gs_cache", [])
+            cold[S] = moment.direct_total(S)
+        for order in (levels, levels[::-1], Random(7).sample(levels, len(levels))):
+            monkeypatch.setattr(farey, "_gs_cache", [])
+            assert {S: moment.direct_total(S) for S in order} == cold, order
 
     def test_residual_against_quarter_main_term(self):
         for S in (1, 5, 12, 24):
