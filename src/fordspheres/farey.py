@@ -22,14 +22,17 @@ depend on S: it is solved and checked once per fraction, as the fraction
 enters the table.
 
 The consecutive pairs of G_S come from a neighbour solve: the partners of
-r/s have denominators s' = x + k s in one residue class modulo s, and
-|s'| <= S is a disc of k whose rows and columns are exact integer
-intervals, so each fraction visits exactly the O(S^2/|s|^2) candidates
-s' with |s'| <= S (partner_degrees, consecutive_neighbours, in int64
-arrays).  The partner r'/s' lies in the square when both parts of
-r conj(s) |s'|^2 - conj(s s') lie in [0, |s|^2 |s'|^2], a test with no
-division; r' itself is divided out only for the partners kept.  The
-all-pairs determinant scan is kept as the oracle consecutive_pairs_scan.
+r/s have denominators s' = x + k s in one residue class modulo s.  Each
+pair is found from its end with the larger denominator norm, so r/s
+visits only the partners with |s'| <= |s|, a disc of k whose rows and
+columns are exact integer intervals: about pi candidates per fraction
+(_partner_blocks, in int64 arrays).  A pair with |s'| < |s| is found
+once, a tie |s'| = |s| from both ends.  The partner r'/s' lies in the
+square when both parts of r conj(s) |s'|^2 - conj(s s') lie in
+[0, |s|^2 |s'|^2], a test with no division; r' itself is divided out
+only where a caller needs the partner's index (consecutive_neighbours,
+consecutive_pairs).  The all-pairs determinant scan is kept as the
+oracle consecutive_pairs_scan.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .gint import (
 )
 
 # below this S every quantity of gs_arrays and the neighbour solve stays
-# inside int64: the largest are at most S^4 < 2^56 (the disc bound S^2 |s|^2
+# inside int64: the largest are at most S^4 < 2^56 (the disc bound |s|^4
 # and (n m + Re y)^2 of the row intervals, and the products r conj(s) |s'|^2
 # and |s|^2 |s'|^2 of the square test) and the partner keys, below
 # 4 (S + 1)^4; region._floor_sqrt is exact on them
@@ -430,27 +433,29 @@ def _inverse_columns(n, s_re, s_im, r_re, r_im) -> tuple[np.ndarray, np.ndarray]
 
 def _partner_blocks(S: int):
     """The neighbour solve, one block at a time: yields (i, Re s', Im s')
-    for the consecutive partners r'/s' of the fractions i (indices into
-    gs_arrays(S)) of the block, with r s' - r' s = 1 (s' not yet
-    canonical).
+    for the consecutive partners r'/s' with |s'| <= |s| of the fractions
+    r/s = i (indices into gs_arrays(S)) of the block, with r s' - r' s = 1
+    (s' not yet canonical).  Each pair is found from its end with the
+    larger denominator norm: once when |s'| < |s|, from both ends when
+    |s'| = |s|.
 
     For f = r/s, scaling a partner r'/s' by a unit makes r s' - r' s = 1,
     and exactly one of the four associates of (r', s') does so.  Then
     s' = x + k s with x = r^-1 mod s and k a Gaussian integer, and
     r' = (r s' - 1)/s exactly; x is read from the table of _table, which
     solved and checked it once per fraction (_inverse_columns).  With
-    y = x conj(s), |s'| <= S is |n k + y|^2 <= S^2 n, a disc of k whose
-    rows and columns are exact integer intervals: Re k = m for
-    |n m + Re y| <= M = isqrt(S^2 n), and in row m, Im k = j for
-    |n j + Im y| <= isqrt(S^2 n - (n m + Re y)^2).  The rows of a block
-    of fractions, then the points of the rows, go through
-    region.flat_blocks, so each step visits exactly the s' != 0 with
-    |s'| <= S.  A candidate
-    is kept when r'/s' lies in the closed unit square and some mediant
-    denominator s + u s' has modulus > S: the tests of in_unit_square and
-    is_consecutive.  The square test needs no r': r'/s' = r/s - 1/(s s'),
-    so with P = r conj(s), r'/s' is in the square exactly when both parts
-    of P norm(s') - conj(s s') lie in [0, n norm(s')].
+    n = norm(s) and y = x conj(s), |s'| <= |s| is |n k + y|^2 <= n^2, a
+    disc of k whose rows and columns are exact integer intervals:
+    Re k = m for |n m + Re y| <= n, and in row m, Im k = j for
+    |n j + Im y| <= isqrt(n^2 - (n m + Re y)^2).  The rows of a block of
+    fractions, then the points of the rows, go through region.flat_blocks,
+    so each step visits exactly the s' with |s'| <= |s|, about pi per
+    fraction.  A candidate is kept when s' != 0, r'/s' lies in the closed
+    unit square and some mediant denominator s + u s' has modulus > S:
+    the tests of in_unit_square and is_consecutive.  The square test
+    needs no r': r'/s' = r/s - 1/(s s'), so with P = r conj(s), r'/s' is
+    in the square exactly when both parts of P norm(s') - conj(s s') lie
+    in [0, n norm(s')].
     """
     table = _table(S)
     S2 = S * S
@@ -463,11 +468,10 @@ def _partner_blocks(S: int):
         y_im = x_im * s_re - x_re * s_im
         p_re = r_re * s_re + r_im * s_im  # P = r conj(s)
         p_im = r_im * s_re - r_re * s_im
-        disc = S2 * n
-        M = region._floor_sqrt(disc)
-        # the rows run from m_lo = ceil((-M - Re y)/n) to floor((M - Re y)/n)
-        m_lo = -((M + y_re) // n)
-        for rows, per_fraction, m in region.flat_blocks((M - y_re) // n - m_lo + 1, step):
+        disc = n * n
+        # the rows run from m_lo = ceil((-n - Re y)/n) to floor((n - Re y)/n)
+        m_lo = -((n + y_re) // n)
+        for rows, per_fraction, m in region.flat_blocks((n - y_re) // n - m_lo + 1, step):
             f = np.repeat(np.arange(rows.start, rows.stop), per_fraction)
             nf = n[f]
             m += m_lo[f]
@@ -498,21 +502,12 @@ def _partner_blocks(S: int):
                 yield lo + i[keep], sp_re[keep], sp_im[keep]
 
 
-def partner_degrees(S: int) -> np.ndarray:
-    """The number of consecutive partners of every fraction of
-    gs_arrays(S), from the neighbour solve."""
-    degrees = np.zeros(_table(S).shape[1], dtype=np.int64)
-    for i, *_ in _partner_blocks(S):
-        degrees += np.bincount(i, minlength=len(degrees))
-    return degrees
-
-
-def consecutive_neighbours(S: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every consecutive partner in gs_arrays(S) as index arrays (i, j):
-    fraction j is consecutive to fraction i.  Each unordered pair
-    appears once in each direction.  A partner of the neighbour solve is
-    found in G_S by its numerator r' = (r s' - 1)/s, an exact division,
-    after rotating s' to its canonical associate."""
+def _partner_finds(S: int):
+    """The finds of _partner_blocks as index arrays (i, j) into
+    gs_arrays(S), one block at a time: fraction j is consecutive to
+    fraction i, and norm(s_j) <= norm(s_i).  A partner is found in G_S by
+    its numerator r' = (r s' - 1)/s, an exact division, after rotating s'
+    to its canonical associate."""
     n, s_re, s_im, r_re, r_im = gs_arrays(S)
     # every fraction has a key that increases along the sort_key order:
     # the rank of its denominator, then its numerator offset in the box
@@ -522,7 +517,6 @@ def consecutive_neighbours(S: int) -> tuple[np.ndarray, np.ndarray]:
     den_rank = np.full((S + 1) * (S + 1), -1, dtype=np.int64)
     den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
     keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
-    out_i, out_j = [], []
     for i, sp_re, sp_im in _partner_blocks(S):
         # r' = (r s' - 1) conj(s) / norm(s)
         sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
@@ -541,21 +535,47 @@ def consecutive_neighbours(S: int) -> tuple[np.ndarray, np.ndarray]:
         j = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         if np.any(keys[j] != key):
             raise ArithmeticError("a consecutive partner is missing from G_S")
-        out_i.append(i)
-        out_j.append(j)
+        yield i, j
+
+
+def consecutive_neighbours(S: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every consecutive partner in gs_arrays(S) as index arrays (i, j):
+    fraction j is consecutive to fraction i.  Each unordered pair
+    appears once in each direction: the finds of the one-sided neighbour
+    solve (_partner_finds), and the reverse of each find with
+    norm(s_j) < norm(s_i), the pairs found from one end only."""
+    n = gs_arrays(S)[0]
+    out_i, out_j = [], []
+    for i, j in _partner_finds(S):
+        back = n[j] < n[i]
+        out_i += [i, j[back]]
+        out_j += [j, i[back]]
     return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def partner_degrees(S: int) -> np.ndarray:
+    """The number of consecutive partners of every fraction of
+    gs_arrays(S), counted over consecutive_neighbours."""
+    return np.bincount(consecutive_neighbours(S)[0], minlength=len(gs_arrays(S)[0]))
 
 
 def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     """Every unordered consecutive pair of fractions at level S, each as
-    (f, f') with f first in sort_key order, sorted by (f, f'): the pairs
-    of consecutive_neighbours, the same list as consecutive_pairs_scan."""
-    i, j = consecutive_neighbours(S)
-    forward = i < j
-    i, j = i[forward], j[forward]
-    order = np.lexsort((j, i))
+    (f, f') with f first in sort_key order, sorted by (f, f'): the same
+    list as consecutive_pairs_scan.  Each pair is taken once from the
+    finds of the neighbour solve (_partner_finds), as the find whose
+    partner j comes before i: sort_key order starts with the norm, so
+    that is every find with norm(s_j) < norm(s_i) and one of the two finds
+    of each tie."""
+    first, second = [], []
+    for i, j in _partner_finds(S):
+        earlier = j < i
+        first.append(j[earlier])
+        second.append(i[earlier])
+    first, second = np.concatenate(first), np.concatenate(second)
+    order = np.lexsort((second, first))
     fractions = enumerate_gs(S)
-    return [(fractions[a], fractions[b]) for a, b in zip(i[order].tolist(), j[order].tolist())]
+    return [(fractions[a], fractions[b]) for a, b in zip(first[order].tolist(), second[order].tolist())]
 
 
 def consecutive_pairs_scan(S: int) -> list[tuple[GFraction, GFraction]]:

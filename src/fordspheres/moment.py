@@ -3,9 +3,11 @@
 Three routes to the same quantity:
 
   direct      enumerate the fractions at level S, solve for the
-              consecutive partners of each (farey.partner_degrees), and
-              add the radius sums 1/(2|s|^2) + 1/(2|s'|^2) in exact
-              rational arithmetic, compared with the quarter main term;
+              consecutive partners of each with a denominator no larger
+              than its own (farey._partner_blocks, each pair once, ties
+              from both ends), and add the radius sums
+              1/(2|s|^2) + 1/(2|s'|^2) per norm in exact rational
+              arithmetic, compared with the quarter main term;
 
   counting    2 * sum over canonical |s| <= S of N(s)/|s|^2, where N(s)
               counts consecutive partner denominators for s as lattice
@@ -172,36 +174,44 @@ def main_term(S: int, bundle: ConstantsBundle | None = None) -> float:
 
 
 def direct_total(S: int) -> Fraction:
-    """M(S) exactly, from the consecutive partners of the neighbour solve.
+    """M(S) exactly, from the consecutive pairs of the neighbour solve.
 
     Each unordered pair contributes 1/(2|s|^2) + 1/(2|s'|^2), so
-    M(S) = sum over f in G_S of deg(f) / (2 |s_f|^2), where deg(f) counts
-    the consecutive partners of f.  G_S and the inverses the solve starts
-    from are views of farey's one cached table, which a sweep over S
-    builds once, shell by shell; the inverses are checked as they enter
-    it.  The degrees are summed per norm in integers, and the per-norm
-    terms d/(2n) over one common denominator, the lcm L of the norms, as
-    one integer numerator and one exact rational.
+    M(S) = sum over norms n of c(n) / (2n), where c(n) counts the pair
+    ends with denominator norm n.  The neighbour solve finds each pair
+    from its end with the larger norm (farey._partner_blocks): a find
+    counts 1 at norm(s), and 1 at norm(s') when norm(s') < norm(s); a tie
+    is found from both ends and counts 1 at its norm each time.  G_S and
+    the inverses the solve starts from are views of farey's one cached
+    table, which a sweep over S builds once, shell by shell; the inverses
+    are checked as they enter it.  The per-norm terms c(n)/(2n) are
+    summed over one common denominator, the lcm L of the norms, as one
+    integer numerator and one exact rational.
     """
     norms = farey.gs_arrays(S)[0]
-    degrees = farey.partner_degrees(S)
-    first = np.flatnonzero(np.r_[True, np.diff(norms) != 0])
-    per_norm = np.add.reduceat(degrees, first).tolist()
-    distinct = norms[first].tolist()
+    counts = np.zeros(S * S + 1, dtype=np.int64)
+    for i, sp_re, sp_im in farey._partner_blocks(S):
+        n, n_p = norms[i], sp_re * sp_re + sp_im * sp_im
+        counts += np.bincount(np.concatenate([n, n_p[n_p < n]]), minlength=len(counts))
+    distinct = norms[np.flatnonzero(np.r_[True, np.diff(norms) != 0])]
+    per_norm = counts[distinct].tolist()
+    distinct = distinct.tolist()
     L = math.lcm(*distinct)
-    return Fraction(sum(d * (L // n) for d, n in zip(per_norm, distinct)), 2 * L)
+    return Fraction(sum(c * (L // n) for c, n in zip(per_norm, distinct)), 2 * L)
 
 
 def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     """Exact direct evaluation: every consecutive fraction pair, found by
-    the neighbour solve of farey.partner_degrees.
+    the neighbour solve of farey._partner_blocks from its end with the
+    larger denominator norm.
 
     Rational accumulation throughout (direct_total); the float conversion
-    happens once at the end.  The work grows like S^4 (about 1.65 S^4
-    candidate denominators), hence the cap; use the counting route beyond
-    it.  G_S and the inverses come from farey's one cached table, so in a
-    sweep over S only the first call at each new level builds the shell
-    of new denominators, solving and checking their inverses once.
+    happens once at the end.  The work grows like S^4 (about 0.8 S^4
+    candidate denominators, about pi per fraction), hence the cap; use
+    the counting route beyond it.  G_S and the inverses come from farey's
+    one cached table, so in a sweep over S only the first call at each
+    new level builds the shell of new denominators, solving and checking
+    their inverses once.
     The row is compared with the quarter main term main_term(S) / 4, the
     one-per-unit-orbit normalization the direct sum follows (real-axis
     denominator pairs, which realize eight fraction pairs instead of four,

@@ -130,11 +130,42 @@ class TestDirect:
         from fordspheres import farey
         from fordspheres.gint import norm
 
-        for S in range(1, 8):
+        for S in range(1, 9):
             total = Fraction(0)
             for f1, f2 in farey.consecutive_pairs_scan(S):
                 total += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
             assert moment.direct_total(S) == total, S
+
+    # tie finds (|s'| = |s|, each pair found from both ends) per S = 1..12
+    TIE_FINDS = (8, 0, 8, 16, 24, 32, 48, 48, 72, 88, 112, 120)
+
+    def test_ties_are_counted_once_per_pair(self):
+        # the neighbour solve finds a pair once from its end with the larger
+        # norm, and a tie from both ends: halving the tie finds counts the
+        # pairs, and the per-norm count of direct_total equals the pair sum
+        # over consecutive_pairs, which keeps one find per pair by index
+        from fordspheres.gint import norm
+
+        for S, ties in zip(range(1, 13), self.TIE_FINDS):
+            norms = farey.gs_arrays(S)[0]
+            finds = tie_finds = 0
+            for i, sp_re, sp_im in farey._partner_blocks(S):
+                finds += len(i)
+                tie_finds += int(np.count_nonzero(sp_re * sp_re + sp_im * sp_im == norms[i]))
+            assert tie_finds == ties, S
+            pairs = farey.consecutive_pairs(S)
+            assert finds - tie_finds // 2 == len(pairs), S
+            total = sum(Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den)) for f1, f2 in pairs)
+            assert moment.direct_total(S) == total, S
+
+    @pytest.mark.parametrize("block", [1, 7, 40])
+    def test_total_is_independent_of_block_size(self, monkeypatch, block):
+        # the table is built at the default size; the scan runs in blocks
+        # of a few fractions and points, which split the ties and the
+        # partners of one fraction across blocks
+        default = {S: moment.direct_total(S) for S in (6, 9)}
+        monkeypatch.setattr(region, "BLOCK_ELEMENTS", block)
+        assert {S: moment.direct_total(S) for S in (6, 9)} == default
 
     def test_total_is_independent_of_the_call_order(self, monkeypatch):
         # each level cold, from an empty table, against sweeps that grow
@@ -327,7 +358,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 25)
+        assert verify.RECONCILIATION_RANGE == range(2, 33)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 
