@@ -49,6 +49,7 @@ from .gint import (
     ONE,
     canonical,
     factor,
+    is_canonical,
     is_coprime,
     norm,
 )
@@ -60,7 +61,7 @@ ZETA_I_2 = pi**2 / 6 * CATALAN  # Dedekind zeta of Q(i): zeta_i(s) = zeta(s) L(s
 def _as_canonical(q: GInt) -> GInt:
     if not q:
         raise DomainError("expected a nonzero Gaussian integer")
-    return q if (q.re >= 1 and q.im >= 0) else canonical(q)
+    return q if is_canonical(q) else canonical(q)
 
 
 def mu_i(q: GInt) -> int:

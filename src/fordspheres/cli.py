@@ -354,6 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", choices=("csv", "json"), default="csv", help="artifact format")
         p.add_argument("--out-path", default=None, help="artifact file path")
 
+    def caps(p):
+        p.add_argument("--direct-cap", type=_positive_int, default=direct_cap)
+        p.add_argument(
+            "--counting-cap", type=_positive_int, default=counting_cap,
+            help=f"largest S the counting method runs (default {counting_cap})",
+        )
+        p.add_argument(
+            "--with-calibration", action="store_true",
+            help="embed the measured counting/direct calibration ratios in the artifact metadata",
+        )
+
     p = sub.add_parser("enumerate", help="list the fractions at level S")
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--json", action="store_true", help="also print sphere data as JSON")
@@ -375,15 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--normalization", choices=("omega-full", "omega-quarter"), default=None,
         help="counting only (default omega-full); direct rows are omega_quarter, main-term rows none",
     )
-    p.add_argument("--direct-cap", type=_positive_int, default=direct_cap)
-    p.add_argument(
-        "--counting-cap", type=_positive_int, default=counting_cap,
-        help=f"largest S the counting method runs (default {counting_cap})",
-    )
-    p.add_argument(
-        "--with-calibration", action="store_true",
-        help="embed the measured counting/direct calibration ratios in the artifact metadata",
-    )
+    caps(p)
     common(p)
 
     p = sub.add_parser("report", help="multi-row sweeps, arithmetic tables, B-sum diagnostics")
@@ -395,16 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="applies to counting rows only; direct rows are omega_quarter, main-term rows none",
     )
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--direct-cap", type=_positive_int, default=direct_cap)
-    p.add_argument(
-        "--counting-cap", type=_positive_int, default=counting_cap,
-        help=f"largest S the counting method runs (default {counting_cap})",
-    )
     p.add_argument("--radius", type=int, default=20, help="|q| bound for the arith table")
-    p.add_argument(
-        "--with-calibration", action="store_true",
-        help="embed the measured counting/direct calibration ratios in the artifact metadata",
-    )
+    caps(p)
     common(p)
 
     p = sub.add_parser("verify", help="run the named verification checks")

@@ -30,9 +30,8 @@ columns are exact integer intervals: about pi candidates per fraction
 once, a tie |s'| = |s| from both ends.  The partner r'/s' lies in the
 square when both parts of r conj(s) |s'|^2 - conj(s s') lie in
 [0, |s|^2 |s'|^2], a test with no division; r' itself is divided out
-only where a caller needs the partner's index (consecutive_neighbours,
-consecutive_pairs).  The all-pairs determinant scan is kept as the
-oracle consecutive_pairs_scan.
+only in consecutive_pairs, which needs the partner's index.  The
+all-pairs determinant scan is kept as the oracle consecutive_pairs_scan.
 """
 
 from __future__ import annotations
@@ -502,12 +501,18 @@ def _partner_blocks(S: int):
                 yield lo + i[keep], sp_re[keep], sp_im[keep]
 
 
-def _partner_finds(S: int):
-    """The finds of _partner_blocks as index arrays (i, j) into
-    gs_arrays(S), one block at a time: fraction j is consecutive to
-    fraction i, and norm(s_j) <= norm(s_i).  A partner is found in G_S by
-    its numerator r' = (r s' - 1)/s, an exact division, after rotating s'
-    to its canonical associate."""
+def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
+    """Every unordered consecutive pair of fractions at level S, each as
+    (f, f') with f first in sort_key order, sorted by (f, f'): the same
+    list as consecutive_pairs_scan.
+
+    The finds of the neighbour solve (_partner_blocks) are turned into
+    indices (i, j) into gs_arrays(S): the partner r'/s' is found in G_S
+    by its numerator r' = (r s' - 1)/s, an exact division, after rotating
+    s' to its canonical associate.  Each pair is taken once, as the find
+    whose partner j comes before i: sort_key order starts with the norm,
+    so that is every find with norm(s_j) < norm(s_i) and one of the two
+    finds of each tie."""
     n, s_re, s_im, r_re, r_im = gs_arrays(S)
     # every fraction has a key that increases along the sort_key order:
     # the rank of its denominator, then its numerator offset in the box
@@ -517,6 +522,7 @@ def _partner_finds(S: int):
     den_rank = np.full((S + 1) * (S + 1), -1, dtype=np.int64)
     den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
     keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
+    first, second = [], []
     for i, sp_re, sp_im in _partner_blocks(S):
         # r' = (r s' - 1) conj(s) / norm(s)
         sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
@@ -535,40 +541,6 @@ def _partner_finds(S: int):
         j = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
         if np.any(keys[j] != key):
             raise ArithmeticError("a consecutive partner is missing from G_S")
-        yield i, j
-
-
-def consecutive_neighbours(S: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every consecutive partner in gs_arrays(S) as index arrays (i, j):
-    fraction j is consecutive to fraction i.  Each unordered pair
-    appears once in each direction: the finds of the one-sided neighbour
-    solve (_partner_finds), and the reverse of each find with
-    norm(s_j) < norm(s_i), the pairs found from one end only."""
-    n = gs_arrays(S)[0]
-    out_i, out_j = [], []
-    for i, j in _partner_finds(S):
-        back = n[j] < n[i]
-        out_i += [i, j[back]]
-        out_j += [j, i[back]]
-    return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def partner_degrees(S: int) -> np.ndarray:
-    """The number of consecutive partners of every fraction of
-    gs_arrays(S), counted over consecutive_neighbours."""
-    return np.bincount(consecutive_neighbours(S)[0], minlength=len(gs_arrays(S)[0]))
-
-
-def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
-    """Every unordered consecutive pair of fractions at level S, each as
-    (f, f') with f first in sort_key order, sorted by (f, f'): the same
-    list as consecutive_pairs_scan.  Each pair is taken once from the
-    finds of the neighbour solve (_partner_finds), as the find whose
-    partner j comes before i: sort_key order starts with the norm, so
-    that is every find with norm(s_j) < norm(s_i) and one of the two finds
-    of each tie."""
-    first, second = [], []
-    for i, j in _partner_finds(S):
         earlier = j < i
         first.append(j[earlier])
         second.append(i[earlier])
@@ -582,12 +554,9 @@ def consecutive_pairs_scan(S: int) -> list[tuple[GFraction, GFraction]]:
     """Oracle for consecutive_pairs: the determinant test on all |G_S|^2
     fraction pairs (vectorized per row), keeping those with an escaping
     mediant.  Its cost grows like S^8."""
+    _, sx, sy, rx, ry = gs_arrays(S)
     fractions = enumerate_gs(S)
     n = len(fractions)
-    rx = np.array([f.num.re for f in fractions], dtype=np.int64)
-    ry = np.array([f.num.im for f in fractions], dtype=np.int64)
-    sx = np.array([f.den.re for f in fractions], dtype=np.int64)
-    sy = np.array([f.den.im for f in fractions], dtype=np.int64)
     out: list[tuple[GFraction, GFraction]] = []
     for i in range(n - 1):
         a, b = int(rx[i]), int(ry[i])

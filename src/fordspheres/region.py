@@ -70,7 +70,7 @@ from random import Random
 
 import numpy as np
 
-from .gint import DomainError, GInt, UNITS, is_coprime, norm
+from .gint import DomainError, GInt, UNITS, is_canonical, is_coprime, norm
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class OmegaSpec:
     S: int
 
     def __post_init__(self):
-        if not (self.s.re >= 1 and self.s.im >= 0):
+        if not is_canonical(self.s):
             raise DomainError("s must be canonical (re >= 1, im >= 0)")
         if self.S < 1:
             raise DomainError("S must be >= 1")
@@ -154,6 +154,8 @@ def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 
 
     The points are Random(seed).uniform(-S, S) pairs, x before y, drawn in
     steps of BLOCK_ELEMENTS and tested together."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
     rng = Random(seed)
     S = spec.S
     hits = 0

@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
 from random import Random
 
 import numpy as np
@@ -12,7 +11,6 @@ from fordspheres.farey import (
     GFraction,
     INT64_S_LIMIT,
     consecutive_denominator_conditions,
-    consecutive_neighbours,
     consecutive_pairs,
     consecutive_pairs_for_denoms,
     consecutive_pairs_scan,
@@ -24,7 +22,6 @@ from fordspheres.farey import (
     is_consecutive,
     is_consecutive_fq,
     mediant_children,
-    partner_degrees,
     spheres_tangent,
 )
 from fordspheres import farey, region
@@ -39,22 +36,26 @@ def frac(nre, nim, dre, dim=0):
     return GFraction.make(g(nre, nim), g(dre, dim))
 
 
+def partner_finds(S):
+    """The finds of the neighbour solve as sorted (i, Re s', Im s') triples."""
+    blocks = list(farey._partner_blocks(S))
+    return sorted(zip(*(np.concatenate(c).tolist() for c in zip(*blocks))))
+
+
 def box_scan_degrees(S, gs):
-    """Partner degrees by scanning the box |Re k|, |Im k| <= isqrt(S^2 // |s|^2) + 1
-    of s' = x + k s per fraction r/s, with r' = (r s' - 1)/s divided out and
-    the square and escape tests taken on r' and s' literally; also the
-    number of partners on the circle |s'| = S."""
-    n, s_re, s_im, r_re, r_im = gs
-    x_re, x_im = farey._inverse_mod(r_re, r_im, s_re, s_im)
-    degrees = np.zeros(len(n), dtype=np.int64)
-    on_circle = 0
-    for v in np.unique(n).tolist():
-        side = np.arange(-isqrt(S * S // v) - 1, isqrt(S * S // v) + 2)
-        k_re, k_im = (a.ravel()[None, :] for a in np.meshgrid(side, side))
-        idx = np.flatnonzero(n == v)
-        sr, si, rr, ri = (c[idx, None] for c in (s_re, s_im, r_re, r_im))
-        sp_re = x_re[idx, None] + k_re * sr - k_im * si
-        sp_im = x_im[idx, None] + k_re * si + k_im * sr
+    """Forward finds per fraction r/s by scanning the box |Re k|, |Im k| <= 2
+    of s' = x + k s for the partners with |s'| <= |s|, with r' = (r s' - 1)/s
+    divided out and the square and escape tests taken on r' and s'
+    literally, a few thousand fractions at a time; also the number of tie
+    finds, |s'| = |s|."""
+    x_re, x_im = farey._inverse_mod(*gs[3:], *gs[1:3])
+    side = np.arange(-2, 3)
+    k_re, k_im = (a.ravel()[None, :] for a in np.meshgrid(side, side))
+    degrees, ties = [], 0
+    for lo in range(0, len(gs[0]), 4096):
+        v, sr, si, rr, ri, xr, xi = (c[lo : lo + 4096, None] for c in (*gs, x_re, x_im))
+        sp_re = xr + k_re * sr - k_im * si
+        sp_im = xi + k_re * si + k_im * sr
         nsp = sp_re * sp_re + sp_im * sp_im
         w_re, w_im = rr * sp_re - ri * sp_im - 1, rr * sp_im + ri * sp_re
         t_re, t_im = w_re * sr + w_im * si, w_im * sr - w_re * si
@@ -66,11 +67,13 @@ def box_scan_degrees(S, gs):
             m_re = sr + u_re * sp_re - u_im * sp_im
             m_im = si + u_re * sp_im + u_im * sp_re
             escape |= m_re * m_re + m_im * m_im > S * S
-        keep = (nsp > 0) & (nsp <= S * S) & escape
+        keep = (nsp > 0) & (nsp <= v) & escape
         keep &= (p_re >= 0) & (p_re <= nsp) & (p_im >= 0) & (p_im <= nsp)
-        degrees[idx] = keep.sum(axis=1)
-        on_circle += int(np.count_nonzero(keep & (nsp == S * S)))
-    return degrees, on_circle
+        # the disc |s'| <= |s| lies well inside the box: |k| <= 1 + |x/s| < 2
+        assert not np.any((nsp <= v) & ((np.abs(k_re) == 2) | (np.abs(k_im) == 2)))
+        degrees.append(keep.sum(axis=1))
+        ties += int(np.count_nonzero(keep & (nsp == v)))
+    return np.concatenate(degrees), ties
 
 
 F0 = frac(0, 0, 1)
@@ -301,47 +304,46 @@ class TestConsecutive:
         for S in range(1, 9):
             assert consecutive_pairs(S) == consecutive_pairs_scan(S), S
 
-    def test_neighbour_solve_is_symmetric_and_blockwise(self, monkeypatch):
+    def test_neighbour_solve_is_blockwise(self, monkeypatch):
         S = 9
         gs = gs_arrays(S)
-        i, j = consecutive_neighbours(S)
-        directed = set(zip(i.tolist(), j.tolist()))
-        assert len(directed) == len(i)
-        assert directed == {(b, a) for a, b in directed}
-        degrees = partner_degrees(S)
-        assert degrees.tolist() == np.bincount(i, minlength=len(gs[0])).tolist()
+        pairs = consecutive_pairs(S)
+        keys = [(f.sort_key(), f2.sort_key()) for f, f2 in pairs]
+        # each pair once, its ends in sort_key order, the pairs in order
+        assert all(a < b for a, b in keys)
+        assert all(p < q for p, q in zip(keys, keys[1:]))
+        finds = partner_finds(S)
         # blocks of a few fractions each, and one fraction per block where
-        # its box alone exceeds the block size; the table is built anew in
+        # its disc alone exceeds the block size; the table is built anew in
         # these blocks
         monkeypatch.setattr(region, "BLOCK_ELEMENTS", 40)
         monkeypatch.setattr(farey, "_gs_cache", [])
         for a, b in zip(gs_arrays(S), gs):
             assert a.tolist() == b.tolist()
-        i2, j2 = consecutive_neighbours(S)
-        assert set(zip(i2.tolist(), j2.tolist())) == directed
-        assert partner_degrees(S).tolist() == degrees.tolist()
+        assert partner_finds(S) == finds
+        assert consecutive_pairs(S) == pairs
 
     @pytest.mark.parametrize("S", [5, 10, 13, 25])
     def test_disc_scan_equals_box_scan_on_the_edge(self, S):
-        # S^2 is a sum of two nonzero squares: the circle |s'| = S carries
-        # lattice points off the axes, and partners lie on it
-        degrees, on_circle = box_scan_degrees(S, gs_arrays(S))
-        assert on_circle > 0
-        assert partner_degrees(S).tolist() == degrees.tolist()
+        # the edge of the disc of r/s is |s'| = |s|; the ties on it are
+        # found from both ends
+        degrees, on_edge = box_scan_degrees(S, gs_arrays(S))
+        assert on_edge == {5: 24, 10: 88, 13: 152, 25: 584}[S]
+        finds = np.concatenate([i for i, _, _ in farey._partner_blocks(S)])
+        assert np.bincount(finds, minlength=len(degrees)).tolist() == degrees.tolist()
 
     @pytest.mark.parametrize("block", [1, 7, 40])
     def test_neighbour_solve_is_independent_of_block_size(self, monkeypatch, block):
         S = 6
         gs = gs_arrays(S)
-        degrees = partner_degrees(S)
-        i, j = consecutive_neighbours(S)
+        pairs = consecutive_pairs(S)
+        finds = partner_finds(S)
         monkeypatch.setattr(region, "BLOCK_ELEMENTS", block)
         monkeypatch.setattr(farey, "_gs_cache", [])
         for a, b in zip(gs_arrays(S), gs):
             assert a.tolist() == b.tolist()
-        assert partner_degrees(S).tolist() == degrees.tolist()
-        i2, j2 = consecutive_neighbours(S)
-        assert sorted(zip(i2.tolist(), j2.tolist())) == sorted(zip(i.tolist(), j.tolist()))
+        assert partner_finds(S) == finds
+        assert consecutive_pairs(S) == pairs
 
     def test_neighbour_solve_checks_the_inverse(self, monkeypatch):
         # a wrong x = r^-1 mod s is caught once per fraction, as the shell
@@ -356,8 +358,18 @@ class TestConsecutive:
         inverse = farey._inverse_mod
         monkeypatch.setattr(farey, "_inverse_mod", off_by_one)
         with pytest.raises(ArithmeticError, match="not divisible"):
-            partner_degrees(4)
+            gs_arrays(4)
         assert [built for built, _ in fresh_table] == [1]
+
+    def test_neighbour_solve_refuses_a_missing_partner(self, monkeypatch):
+        # 0/1 is a partner of 1/S, found from the end 1/S; G_S here holds
+        # 2Si/1 in its place, so that find has no fraction to point to
+        S = 4
+        cols = [c.copy() for c in gs_arrays(S)]
+        cols[4][0] = 2 * S
+        monkeypatch.setattr(farey, "gs_arrays", lambda level: tuple(cols))
+        with pytest.raises(ArithmeticError, match="missing from G_S"):
+            consecutive_pairs(S)
 
     def test_neighbour_solve_refuses_inexact_input(self, monkeypatch):
         fresh_table = []

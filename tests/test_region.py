@@ -93,6 +93,11 @@ class TestArea:
         mc = omega_area_monte_carlo(spec, samples=200_000, seed=1)
         assert abs(mc - omega_area(spec)) < 0.15
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_monte_carlo_refuses_no_samples(self, samples):
+        with pytest.raises(DomainError, match="samples must be >= 1"):
+            omega_area_monte_carlo(OmegaSpec(ONE, 2), samples=samples)
+
     def test_sampling_oracles_pinned_bitwise(self):
         # float.hex of the values the per-sample loop of Random draws gave
         # before the draws were tested together; the grid perimeter of
