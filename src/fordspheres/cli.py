@@ -227,9 +227,18 @@ def cmd_moment(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _tokens(text: str, flag: str, what: str) -> list[str]:
+    """The comma-separated tokens of a list flag; an empty list or an empty
+    token is refused."""
+    tokens = text.split(",")
+    if not all(tokens):
+        raise ParseError(f"{flag} must be comma-separated {what}, got {text!r}")
+    return tokens
+
+
 def _levels(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [int(tok) for tok in _tokens(text, "--S-values", "integers")]
     except ValueError:
         raise ParseError(f"--S-values must be comma-separated integers, got {text!r}") from None
 
@@ -264,7 +273,7 @@ def cmd_report(args, config: RunConfig) -> int:
         return EXIT_OK
     sweep = moment.report_sweep(
         S_values,
-        methods=[tok.replace("-", "_") for tok in args.methods.split(",") if tok],
+        methods=[tok.replace("-", "_") for tok in _tokens(args.methods, "--methods", "method names")],
         normalization=args.normalization.replace("-", "_"),
         direct_cap=args.direct_cap,
         counting_cap=args.counting_cap,

@@ -3,9 +3,11 @@
 Three routes to the same quantity:
 
   direct      enumerate the fractions at level S, solve for the
-              consecutive partners of each with a denominator no larger
-              than its own (farey._partner_blocks, each pair once, ties
-              from both ends), and add the radius sums
+              consecutive partners with a denominator no larger than its
+              own (farey._partner_blocks, each pair once, ties from both
+              ends) of one fraction per orbit of the square's eight
+              symmetries, weighted by the orbit size (farey._orbit_sizes,
+              about 0.1 S^4 candidates), and add the radius sums
               1/(2|s|^2) + 1/(2|s'|^2) per norm in exact rational
               arithmetic, compared with the quarter main term;
 
@@ -181,19 +183,30 @@ def direct_total(S: int) -> Fraction:
     ends with denominator norm n.  The neighbour solve finds each pair
     from its end with the larger norm (farey._partner_blocks): a find
     counts 1 at norm(s), and 1 at norm(s') when norm(s') < norm(s); a tie
-    is found from both ends and counts 1 at its norm each time.  G_S and
-    the inverses the solve starts from are views of farey's one cached
-    table, which a sweep over S builds once, shell by shell; the inverses
-    are checked as they enter it.  The per-norm terms c(n)/(2n) are
-    summed over one common denominator, the lcm L of the norms, as one
-    integer numerator and one exact rational.
+    is found from both ends and counts 1 at its norm each time.  The
+    eight symmetries of the unit square map each fraction's finds onto
+    those of its image, with the same norms (farey._orbit_sizes), so the
+    solve runs only on the representatives 0 <= y <= x <= 1/2, about an
+    eighth of G_S and 0.1 S^4 candidates, and each of their finds counts
+    the size of its orbit (8, 4 on a mirror, 1 at the centre) instead of
+    1.  G_S and the inverses the solve starts from are views of farey's
+    one cached table, which a sweep over S builds once, shell by shell;
+    the inverses are checked as they enter it.  The per-norm terms
+    c(n)/(2n) are summed over one common denominator, the lcm L of the
+    norms (those with a nonzero count), as one integer numerator and one
+    exact rational.
     """
     norms = farey.gs_arrays(S)[0]
+    sizes = farey._orbit_sizes(S)
     counts = np.zeros(S * S + 1, dtype=np.int64)
-    for i, sp_re, sp_im in farey._partner_blocks(S):
-        n, n_p = norms[i], sp_re * sp_re + sp_im * sp_im
-        counts += np.bincount(np.concatenate([n, n_p[n_p < n]]), minlength=len(counts))
-    distinct = norms[np.flatnonzero(np.r_[True, np.diff(norms) != 0])]
+    for i, sp_re, sp_im in farey._partner_blocks(S, np.flatnonzero(sizes)):
+        n, n_p, w = norms[i], sp_re * sp_re + sp_im * sp_im, sizes[i]
+        lower = n_p < n
+        # float weights, but every partial sum is an integer below 8 times
+        # the finds of the block, far under 2^53: the block counts are exact
+        block = np.bincount(np.concatenate([n, n_p[lower]]), np.concatenate([w, w[lower]]), len(counts))
+        counts += block.astype(np.int64)
+    distinct = np.flatnonzero(counts)
     per_norm = counts[distinct].tolist()
     distinct = distinct.tolist()
     L = math.lcm(*distinct)
@@ -203,15 +216,16 @@ def direct_total(S: int) -> Fraction:
 def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     """Exact direct evaluation: every consecutive fraction pair, found by
     the neighbour solve of farey._partner_blocks from its end with the
-    larger denominator norm.
+    larger denominator norm, for one fraction per orbit of the square's
+    symmetries and weighted by the orbit size.
 
     Rational accumulation throughout (direct_total); the float conversion
-    happens once at the end.  The work grows like S^4 (about 0.8 S^4
-    candidate denominators, about pi per fraction), hence the cap; use
-    the counting route beyond it.  G_S and the inverses come from farey's
-    one cached table, so in a sweep over S only the first call at each
-    new level builds the shell of new denominators, solving and checking
-    their inverses once.
+    happens once at the end.  The work grows like S^4 (about 0.1 S^4
+    candidate denominators, about pi per scanned fraction, one fraction
+    in eight scanned), hence the cap; use the counting route beyond it.
+    G_S and the inverses come from farey's one cached table, so in a
+    sweep over S only the first call at each new level builds the shell
+    of new denominators, solving and checking their inverses once.
     The row is compared with the quarter main term main_term(S) / 4, the
     one-per-unit-orbit normalization the direct sum follows (real-axis
     denominator pairs, which realize eight fraction pairs instead of four,

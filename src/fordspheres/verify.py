@@ -597,7 +597,7 @@ def check_calibration() -> tuple[bool, str]:
     )
 
 
-RECONCILIATION_RANGE = range(2, 33)
+RECONCILIATION_RANGE = range(2, 41)
 
 
 @_check("moment", "direct moment reconciles exactly with quarter counting")

@@ -295,6 +295,14 @@ class TestBadInput:
             (("--kind", "arith", "--radius", "-2"), cli.EXIT_NUMERIC, "radius"),
             # a sieve to norm 46341^2 >= 2^31 is refused before any table exists
             (("--kind", "arith", "--radius", "46341"), cli.EXIT_NUMERIC, "2^31"),
+            # an empty list or an empty token is refused, not dropped
+            (("--S-values", ""), cli.EXIT_USAGE, "--S-values"),
+            (("--S-values", "1,,2"), cli.EXIT_USAGE, "--S-values"),
+            (("--S-values", "1,2,"), cli.EXIT_USAGE, "--S-values"),
+            (("--kind", "bsum", "--S-values", ""), cli.EXIT_USAGE, "--S-values"),
+            (("--kind", "bsum", "--S-values", "1,,2"), cli.EXIT_USAGE, "--S-values"),
+            (("--S-values", "1,2", "--methods", ""), cli.EXIT_USAGE, "--methods"),
+            (("--S-values", "1,2", "--methods", "direct,,counting"), cli.EXIT_USAGE, "--methods"),
         ],
     )
     def test_report(self, capsys, argv, code, word):

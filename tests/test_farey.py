@@ -38,7 +38,7 @@ def frac(nre, nim, dre, dim=0):
 
 def partner_finds(S):
     """The finds of the neighbour solve as sorted (i, Re s', Im s') triples."""
-    blocks = list(farey._partner_blocks(S))
+    blocks = list(farey._partner_blocks(S, np.arange(len(gs_arrays(S)[0]))))
     return sorted(zip(*(np.concatenate(c).tolist() for c in zip(*blocks))))
 
 
@@ -181,6 +181,46 @@ class TestTable:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert run.stdout.split() == ["0"]
+
+
+def square_images(f):
+    """The images of f under x -> 1 - x, y -> 1 - y and x <-> y, written
+    as maps of (r, s) and reduced by GFraction.make."""
+    r, s = f.num.conj(), f.den.conj()
+    return (GFraction.make(s - r, s), GFraction.make(r + g(0, 1) * s, s), GFraction.make(g(0, 1) * r, s))
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("S", range(1, 11))
+    def test_orbits_of_the_representatives_partition_gs(self, S):
+        fractions = enumerate_gs(S)
+        sizes = farey._orbit_sizes(S)
+        seen = set()
+        for i in np.flatnonzero(sizes).tolist():
+            orbit, todo = {fractions[i]}, [fractions[i]]
+            while todo:
+                for image in square_images(todo.pop()):
+                    assert norm(image.den) == norm(fractions[i].den)
+                    if image not in orbit:
+                        orbit.add(image)
+                        todo.append(image)
+            assert len(orbit) == sizes[i], fractions[i]
+            assert not orbit & seen
+            seen |= orbit
+        assert seen == set(fractions)
+
+    @pytest.mark.parametrize("S", range(1, 25))
+    def test_sizes_sum_to_the_level(self, S):
+        sizes = farey._orbit_sizes(S)
+        assert sizes.sum() == len(gs_arrays(S)[0])
+        assert set(sizes.tolist()) <= {0, 1, 4, 8}
+
+    def test_representatives_at_level_twelve(self):
+        # one fraction in eight is scanned, with an eighth of the finds
+        sizes = farey._orbit_sizes(12)
+        reps = np.flatnonzero(sizes)
+        finds = sum(len(i) for i, _, _ in farey._partner_blocks(12, reps))
+        assert (len(sizes), len(reps), finds, len(partner_finds(12))) == (5157, 668, 1694, 13172)
 
 
 class TestMediants:
@@ -329,7 +369,7 @@ class TestConsecutive:
         # found from both ends
         degrees, on_edge = box_scan_degrees(S, gs_arrays(S))
         assert on_edge == {5: 24, 10: 88, 13: 152, 25: 584}[S]
-        finds = np.concatenate([i for i, _, _ in farey._partner_blocks(S)])
+        finds = np.concatenate([i for i, _, _ in farey._partner_blocks(S, np.arange(len(degrees)))])
         assert np.bincount(finds, minlength=len(degrees)).tolist() == degrees.tolist()
 
     @pytest.mark.parametrize("block", [1, 7, 40])

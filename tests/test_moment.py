@@ -136,6 +136,19 @@ class TestDirect:
                 total += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
             assert moment.direct_total(S) == total, S
 
+    def test_orbit_scan_equals_the_full_scan(self):
+        # direct_total scans one fraction per orbit of the square's
+        # symmetries and weights its finds by the orbit size; the full scan
+        # counts every find of every fraction once
+        for S in range(1, 25):
+            norms = farey.gs_arrays(S)[0]
+            counts = np.zeros(S * S + 1, dtype=np.int64)
+            for i, sp_re, sp_im in farey._partner_blocks(S, np.arange(len(norms))):
+                n, n_p = norms[i], sp_re * sp_re + sp_im * sp_im
+                counts += np.bincount(np.concatenate([n, n_p[n_p < n]]), minlength=len(counts))
+            total = sum(Fraction(int(counts[n]), 2 * n) for n in np.flatnonzero(counts).tolist())
+            assert moment.direct_total(S) == total, S
+
     # tie finds (|s'| = |s|, each pair found from both ends) per S = 1..12
     TIE_FINDS = (8, 0, 8, 16, 24, 32, 48, 48, 72, 88, 112, 120)
 
@@ -149,7 +162,7 @@ class TestDirect:
         for S, ties in zip(range(1, 13), self.TIE_FINDS):
             norms = farey.gs_arrays(S)[0]
             finds = tie_finds = 0
-            for i, sp_re, sp_im in farey._partner_blocks(S):
+            for i, sp_re, sp_im in farey._partner_blocks(S, np.arange(len(norms))):
                 finds += len(i)
                 tie_finds += int(np.count_nonzero(sp_re * sp_re + sp_im * sp_im == norms[i]))
             assert tie_finds == ties, S
@@ -358,7 +371,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 33)
+        assert verify.RECONCILIATION_RANGE == range(2, 41)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 
