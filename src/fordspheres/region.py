@@ -42,8 +42,15 @@ entries of one prefix sum of the H table, so each t costs O(1), not
 O(sqrt B) rows; the two rows on each side of each float boundary are
 evaluated exactly, so the count is exact.  Each t carries its own bound;
 one flat table of exact integer square roots, one segment per distinct
-bound and no pad, serves them all, and the t go through in fixed-size
-steps.  The table takes a float square root and corrects it by one
+bound and no pad, serves them all.  A t reads only the rows -b ... R of
+its bound, so each call builds the rows -min(b_max, R) ... R, b_max the
+largest Im t of the call's a + bi, and takes the disc's point count from
+the half x >= 0 by symmetry.  The closed form is one body, run once per t
+on Python ints for a call of at most PER_T_BATCH t (the per-spec calls,
+where numpy's per-call cost would dominate) and on int64 arrays, in
+fixed-size steps, for a larger one (the counting route's sweep); the
+constant is the measured crossover of the two, rounded down to a Moebius
+batch.  The table takes a float square root and corrects it by one
 either way (_floor_sqrt, exact for B < 2^62); the kernel stops at
 B < 2^52, where its float boundaries are still far within one row, and
 beyond that raises ArithmeticError.  The row-by-row kernel, O(sqrt B)
@@ -66,6 +73,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
 import numpy as np
@@ -169,6 +177,7 @@ def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 
 
 KERNEL_BOUND_LIMIT = 1 << 52  # float square roots of smaller integers are exact to within 1
 BLOCK_ELEMENTS = 1 << 16  # elements per vectorized step: flat peak memory, cache-sized steps
+PER_T_BATCH = 32  # escape_counts takes calls of at most this many t one t at a time, on ints
 
 
 def _floor_sqrt(n: np.ndarray) -> np.ndarray:
@@ -185,14 +194,14 @@ def _floor_sqrt(n: np.ndarray) -> np.ndarray:
     return r
 
 
-def _half_widths(bounds, reaches) -> np.ndarray:
-    """isqrt(B - x^2) for x in [-R, R], -1 where x^2 > B, for each bound B
-    and its reach R in turn, concatenated into one flat table."""
-    bounds = np.atleast_1d(np.asarray(bounds, dtype=np.int64))
-    sizes = 2 * np.broadcast_to(np.asarray(reaches, dtype=np.int64), bounds.shape) + 1
-    centres = np.cumsum(sizes) - sizes // 2 - 1  # index of x = 0 in each table
-    x = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(centres, sizes)
-    return _floor_sqrt(np.repeat(bounds, sizes) - x * x)
+def _half_widths(bounds: list, depth: list, reach: list):
+    """isqrt(B - x^2) for x = -D ... R, -1 where x^2 > B, for each bound B
+    with its depth D and reach R in turn, concatenated into one flat int64
+    table, and the index of x = 0 in each segment (a list)."""
+    sizes = [D + R + 1 for D, R in zip(depth, reach)]
+    centre = [end - R - 1 for end, R in zip(accumulate(sizes), reach)]
+    x = np.arange(sum(sizes), dtype=np.int64) - np.repeat(centre, sizes)
+    return _floor_sqrt(np.repeat(np.array(bounds, dtype=np.int64), sizes) - x * x), centre
 
 
 def flat_blocks(counts: np.ndarray, step: int | None = None):
@@ -213,22 +222,77 @@ def flat_blocks(counts: np.ndarray, step: int | None = None):
         yield slice(lo, hi), c, np.arange(e0, e1, dtype=np.int64) - np.repeat(starts[lo:hi], c)
 
 
-def _bound_tables(bounds: np.ndarray):
-    """The set-up both kernels share, for a nonempty int64 array of bounds:
-    the distinct bounds in ascending order; R = isqrt(B) for each; one flat
-    table of half-widths isqrt(B - x^2), x in [-R, R], one segment per
-    distinct bound and no pad; the index of x = 0 in each segment; and the
-    point count of each disc."""
-    uB = np.unique(bounds)
+def _bound_tables(uB: list, depth: int):
+    """The set-up both kernels share, for the distinct bounds uB of a call
+    (a nonempty ascending list) and a depth: R = isqrt(B) for each (a
+    list); one flat table of half-widths isqrt(B - x^2) over the rows
+    x = -min(depth, R) ... R, one segment per bound and no pad; its prefix
+    sum P, P[i] = half[0] + ... + half[i - 1], written in place after a
+    zero; and the index of x = 0 in each segment (a list)."""
     if uB[-1] >= KERNEL_BOUND_LIMIT:
         raise ArithmeticError(
             f"lattice kernel is exact for norm bounds below 2^52; got {uB[-1]}"
         )
-    R = _floor_sqrt(uB)
-    half = _half_widths(uB, R)
-    first = np.cumsum(2 * R + 1) - (2 * R + 1)
-    disc = np.add.reduceat(2 * half + 1, first, dtype=np.int64)
-    return uB, R, half, first + R, disc
+    R = [math.isqrt(B) for B in uB]
+    half, centre = _half_widths(uB, [min(depth, r) for r in R], R)
+    P = np.empty(len(half) + 1, dtype=np.int64)
+    P[0] = 0
+    np.cumsum(half, out=P[1:])
+    return R, half, P, centre
+
+
+def _disc(R, c, half, P):
+    """The points of the disc |w|^2 <= B, 2R + 1 + 2 H(0) + 4 (H(1) + ... +
+    H(R)) by its symmetry, from the rows x >= 0 of B's segment (x = 0 at
+    c) of the table and its prefix sum: ints or int64 arrays alike."""
+    return 2 * R + 1 + 2 * half[c] + 4 * (P[c + R + 1] - P[c + 1])
+
+
+# the elementwise operations _intersection is handed: (min, max, select,
+# truncate, sqrt) on Python ints and floats, and on int64 / float64 arrays
+_ON_INTS = (min, max, lambda ok, x, y: x if ok else y, int, math.sqrt)
+_ON_ARRAYS = (np.minimum, np.maximum, np.where, lambda v: v.astype(np.int64), np.sqrt)
+
+
+def _intersection(a, b, B, R, c, half, P, ops):
+    """I(t, B), the points of the intersection of the four translated
+    discs, for t = a + bi with a >= b >= 0 and 0 < |t|^2 <= B, as
+    escape_counts derives it; R = isqrt(B) and the row x = 0 of B's
+    segment of the table half (and of its prefix sum P) is at c.  The one
+    body of the closed form: a, b, B, R and c are Python ints (half and P
+    memoryviews, ops _ON_INTS) or int64 arrays of one length (half and P
+    arrays, ops _ON_ARRAYS), and every operation is an operator or one of
+    ops."""
+    mn, mx, select, trunc, sqrt = ops
+    n = a * a + b * b
+    top = R - a + 1  # rows x = 1 ... top - 1 follow row 0
+    q = sqrt((2 * B - n) / (4 * n)) - 0.5
+    j1 = trunc((a - b) * q)  # the upper run switches
+    j2 = trunc((a + b) * q)  # the lower run switches, or the rows end
+    k1 = mn(mx(j1, 1), top)
+    k2 = mn(j1 + 2, top)
+    k3 = mx(mn(j2, top), k2)
+    k4 = mn(j2 + 2, top)
+    k5 = select((a - b) * q >= b, top, k4)
+    # the runs: rows [1, k1) of H(x - b) - a and H(x + b) - a, [k2, k3)
+    # of H(x + a) - b and H(x + b) - a, and [k4, k5) of H(x + a) -/+ b
+    cm, cp, ca = c - b, c + b, c + a
+    rows = (
+        P[cm + k1] - P[cm + 1] + P[cp + k1] - P[cp + 1] + (k1 - 1) * (1 - 2 * a)
+        + P[ca + k3] - P[ca + k2] + P[cp + k3] - P[cp + k2] + (k3 - k2) * (1 - a - b)
+        + 2 * (P[ca + k5] - P[ca + k4]) + k5 - k4
+    )
+
+    def exact(x, after):  # row x when after < x < top, evaluated from the table
+        ok = (x > after) & (x < top)
+        X = c + x * ok  # row 0 stands in for a row that is not evaluated
+        Ha = half[X + a]
+        length = mn(half[X - b] - a, Ha - b) + mn(half[X + b] - a, Ha + b) + 1
+        return mx(length, 0) * ok
+
+    # the rows on each side of each float boundary; rows j1 and j1 + 1 count once
+    rows += exact(j1, 0) + exact(j1 + 1, 0) + exact(j2, j1 + 1) + exact(j2 + 1, j1 + 1)
+    return 2 * (half[cp] - a + rows) + 1
 
 
 def escape_counts(t_re, t_im, bounds) -> np.ndarray:
@@ -266,10 +330,29 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     error is far below one row while B < 2^52 (beyond that the kernel
     raises ArithmeticError), so the two rows on each side of each float
     boundary are evaluated exactly from the table, the min of each end
-    clipped at 0; the runs cover every other row, and L is exact.  The per-t
-    work is O(1); the t go through in steps of BLOCK_ELEMENTS / 4, so that
-    the exact rows of a step are BLOCK_ELEMENTS elements.  The row kernel
-    escape_counts_rows is the oracle.
+    clipped at 0; the runs cover every other row, and L is exact.
+
+    A t reads only the rows x = -b ... R of its bound: the runs start at
+    row 1 - b, an exact row that is not evaluated reads its stand-in row 0
+    at x - b = -b, and x + a stays at most R.  So the set-up builds, for
+    each distinct bound, the rows x = -min(b_max, R) ... R, b_max the
+    largest min(|Re t|, |Im t|) of the call, not -R ... R, and takes
+    disc(B) from the half x >= 0 of the prefix sum by the disc's symmetry
+    (_disc).  The closed form is one body, _intersection, evaluated in one
+    of two modes.  A call of at most PER_T_BATCH t runs it once per t on
+    Python ints, reading the table and its prefix sum through memoryviews
+    (Python ints, no copy).  A larger call runs it on int64 arrays, in
+    steps of BLOCK_ELEMENTS / 4 t, so that the exact rows of a step are
+    BLOCK_ELEMENTS elements; there b_max is taken as
+    min(max |Re t|, max |Im t|), which bounds it without a temporary the
+    length of the call.  The array mode pays 170-350 us of numpy calls for
+    a call of up to a hundred t, the per-t mode a set-up of about 40 us
+    and 4-7 us a t: timed (best of 15 x 100 calls, a shared 2-vCPU Xeon,
+    numpy 2.4, CPython 3.11) at S = 512 on calls of k t with the bounds of
+    k squarefree divisors, the modes broke even between k = 48 and 64.
+    PER_T_BATCH = 32 is the largest Moebius batch below that (an s of j
+    prime factors sends 2^j t).  The modes give the same integers; the
+    row kernel escape_counts_rows is the oracle of both.
     """
     t_re = np.asarray(t_re, dtype=np.int64)
     t_im = np.asarray(t_im, dtype=np.int64)
@@ -277,8 +360,14 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     out = np.empty(len(t_re), dtype=np.int64)
     if not len(out):
         return out
-    uB, R, half, centre, disc = _bound_tables(bounds)
-    P = np.concatenate(([0], np.cumsum(half)))  # P[i] = half[0] + ... + half[i - 1]
+    if len(out) <= PER_T_BATCH:
+        out[:] = _escape_counts_per_t(t_re.tolist(), t_im.tolist(), bounds.tolist())
+        return out
+    uB = np.unique(bounds)
+    b_max = min(max(int(v.max()), -int(v.min())) for v in (t_re, t_im))
+    R, half, P, centre = _bound_tables(uB.tolist(), b_max)
+    R, centre = np.array(R, dtype=np.int64), np.array(centre, dtype=np.int64)
+    disc = _disc(R, centre, half, P)
     step = max(BLOCK_ELEMENTS // 4, 1)  # each t evaluates four rows exactly
     for s in range(0, len(out), step):
         re, im = np.abs(t_re[s : s + step]), np.abs(t_im[s : s + step])
@@ -288,32 +377,25 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
         out[s : s + len(a)] = np.where(n > 0, disc[w], 0)
         live = np.flatnonzero((n > 0) & (n <= uB[w]))
         if len(live) < len(a):
-            a, b, n, w = a[live], b[live], n[live], w[live]
-        c, top = centre[w], R[w] - a + 1  # rows x = 1 ... top - 1 follow row 0
-        q = np.sqrt((2 * uB[w] - n) / (4 * n)) - 0.5
-        j1 = ((a - b) * q).astype(np.int64)  # the upper run switches
-        j2 = ((a + b) * q).astype(np.int64)  # the lower run switches, or the rows end
-        k1 = np.minimum(np.maximum(j1, 1), top)
-        k2 = np.minimum(j1 + 2, top)
-        k3 = np.maximum(np.minimum(j2, top), k2)
-        k4 = np.minimum(j2 + 2, top)
-        k5 = np.where((a - b) * q >= b, top, k4)
-        # the runs: rows [1, k1) of H(x - b) - a and H(x + b) - a, [k2, k3)
-        # of H(x + a) - b and H(x + b) - a, and [k4, k5) of H(x + a) -/+ b
-        cm, cp, ca = c - b, c + b, c + a
-        lo = np.concatenate([cm + 1, cp + 1, ca + k2, cp + k2, ca + k4])
-        hi = np.concatenate([cm + k1, cp + k1, ca + k3, cp + k3, ca + k5])
-        H = (P[hi] - P[lo]).reshape(5, -1)
-        rows = H.sum(axis=0) + H[4] + (k1 - 1) * (1 - 2 * a) + (k3 - k2) * (1 - a - b) + k5 - k4
-        # the rows on each side of each float boundary, exactly
-        x = np.array([j1, j1 + 1, j2, j2 + 1])
-        exact = (x > 0) & (x < top)
-        exact[2:] &= x[2:] > j1 + 1  # rows j1 and j1 + 1 count once
-        X = c + x * exact
-        Ha = half[X + a]
-        length = np.minimum(half[X - b] - a, Ha - b) + np.minimum(half[X + b] - a, Ha + b) + 1
-        rows += (np.maximum(length, 0) * exact).sum(axis=0)
-        out[s + live] -= 2 * (half[cp] - a + rows) + 1
+            a, b, w = a[live], b[live], w[live]
+        out[s + live] -= _intersection(a, b, uB[w], R[w], centre[w], half, P, _ON_ARRAYS)
+    return out
+
+
+def _escape_counts_per_t(t_re: list, t_im: list, bounds: list) -> list:
+    """escape_counts of a short call, on Python ints, one t at a time."""
+    ab = [(max(abs(x), abs(y)), min(abs(x), abs(y))) for x, y in zip(t_re, t_im)]
+    uB = sorted(set(bounds))
+    R, half, P, centre = _bound_tables(uB, max(b for _, b in ab))
+    half, P = memoryview(half), memoryview(P)  # items read as Python ints, no copy
+    which = {B: w for w, B in enumerate(uB)}
+    out = []
+    for (a, b), B in zip(ab, bounds):
+        w, n = which[B], a * a + b * b
+        L = _disc(R[w], centre[w], half, P) if n else 0
+        if 0 < n <= B:
+            L -= _intersection(a, b, B, R[w], centre[w], half, P, _ON_INTS)
+        out.append(L)
     return out
 
 
@@ -368,7 +450,10 @@ def escape_counts_rows(t_re, t_im, bounds) -> np.ndarray:
     out = np.empty(len(t_re), dtype=np.int64)
     if not len(t_re):
         return out
-    uB, R, half, centre, disc = _bound_tables(bounds)
+    uB = np.unique(bounds)
+    R, half, _, centre = _bound_tables(uB.tolist(), int(uB[-1]))  # depth B >= R: rows -R ... R
+    R, centre = np.array(R, dtype=np.int64), np.array(centre, dtype=np.int64)
+    disc = np.add.reduceat(2 * half + 1, centre - R, dtype=np.int64)
     half = half.astype(np.int32)  # halves the row loop's memory traffic; values stay below 2^28
     for s in range(0, len(out), BLOCK_ELEMENTS):  # the per-t arrays in steps too
         a, b = t_re[s : s + BLOCK_ELEMENTS], t_im[s : s + BLOCK_ELEMENTS]

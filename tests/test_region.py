@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fordspheres import region
-from fordspheres.gint import DomainError, GInt, ONE, is_coprime
+from fordspheres.gint import DomainError, GInt, ONE, factor, is_coprime
 from fordspheres.region import (
     KERNEL_BOUND_LIMIT,
     OmegaSpec,
@@ -40,6 +40,31 @@ def _escape_count_scan(a, b, B):
         if x * x + y * y <= B
         and any((x + p) ** 2 + (y + q) ** 2 > B for p, q in ((a, b), (-b, a), (-a, -b), (b, -a)))
     )
+
+
+def _kernel_modes(monkeypatch):
+    """Set escape_counts to each of its modes in turn: every call on int64
+    arrays (PER_T_BATCH = 0), then every call one t at a time on Python
+    ints (PER_T_BATCH beyond any call).  Yields the mode's name."""
+    for mode, batch in (("arrays", 0), ("per-t", 1 << 62)):
+        monkeypatch.setattr(region, "PER_T_BATCH", batch)
+        yield mode
+
+
+def _coprime_scan(a, b, S):
+    """The points of the region of s = a + bi at level S coprime to s, full
+    plane, point by point: four times those of the quadrant x >= 1,
+    y >= 0 (one point of each orbit under the units), each in the region
+    by integer norms and coprime when the ideal (z, s) is the whole ring,
+    its index gcd(|s|^2, |z|^2, Re(conj(s) z), Im(conj(s) z)) being 1."""
+    xs, ys = np.meshgrid(np.arange(1, S + 1), np.arange(0, S + 1))
+    x, y = xs.ravel(), ys.ravel()
+    n, S2 = x * x + y * y, S * S
+    escapes = np.zeros(len(x), dtype=bool)
+    for p, q in ((a, b), (-b, a), (-a, -b), (b, -a)):
+        escapes |= (x + p) ** 2 + (y + q) ** 2 > S2
+    index = np.gcd(np.gcd(a * x + b * y, a * y - b * x), np.gcd(n, a * a + b * b))
+    return 4 * int(np.count_nonzero((n <= S2) & escapes & (index == 1)))
 
 
 class TestSpec:
@@ -164,36 +189,48 @@ class TestLatticeCount:
 
     def test_kernel_is_unit_invariant_and_blockwise(self, monkeypatch):
         # one batch over every t in the disc, then the same batch cut into
-        # blocks of one t and 16 rows, then single calls on every associate
+        # blocks of one t and 16 rows, then single calls on every associate,
+        # in each mode, against the row kernel
         B = 1000
         xs, ys = np.meshgrid(np.arange(-31, 32), np.arange(-31, 32))
         keep = (xs * xs + ys * ys <= B) & ((xs != 0) | (ys != 0))
         t_re, t_im = xs[keep], ys[keep]
-        batch = escape_counts(t_re, t_im, B)
-        monkeypatch.setattr(region, "BLOCK_ELEMENTS", 16)
-        assert escape_counts(t_re, t_im, B).tolist() == batch.tolist()
-        for k in range(0, len(t_re), 97):
-            a, b = int(t_re[k]), int(t_im[k])
-            for u_re, u_im in ((a, b), (-b, a), (-a, -b), (b, -a)):
-                assert escape_counts([u_re], [u_im], B)[0] == batch[k]
+        rows = escape_counts_rows(t_re, t_im, B).tolist()
+        for mode in _kernel_modes(monkeypatch):
+            monkeypatch.setattr(region, "BLOCK_ELEMENTS", 1 << 16)
+            batch = escape_counts(t_re, t_im, B)
+            assert batch.tolist() == rows, mode
+            monkeypatch.setattr(region, "BLOCK_ELEMENTS", 16)
+            assert escape_counts(t_re, t_im, B).tolist() == rows, mode
+            for k in range(0, len(t_re), 97):
+                a, b = int(t_re[k]), int(t_im[k])
+                for u_re, u_im in ((a, b), (-b, a), (-a, -b), (b, -a)):
+                    assert escape_counts([u_re], [u_im], B)[0] == batch[k], mode
 
-    def test_mixed_bounds_equal_single_bound_calls(self):
+    def test_mixed_bounds_equal_single_bound_calls(self, monkeypatch):
         rng = Random(7)
         t = [(rng.randint(-25, 25), rng.randint(-25, 25)) for _ in range(300)]
         t = [(a, b) for a, b in t if a or b]
         bounds = [rng.choice((1, 2, 37, 400, 401, 999, 4096)) for _ in t]
-        mixed = escape_counts([a for a, _ in t], [b for _, b in t], bounds)
-        for (a, b), B, got in zip(t, bounds, mixed.tolist()):
-            assert got == escape_counts([a], [b], B)[0], (a, b, B)
+        t_re, t_im = [a for a, _ in t], [b for _, b in t]
+        rows = escape_counts_rows(t_re, t_im, bounds).tolist()
+        for mode in _kernel_modes(monkeypatch):
+            mixed = escape_counts(t_re, t_im, bounds)
+            assert mixed.tolist() == rows, mode
+            for (a, b), B, got in zip(t, bounds, mixed.tolist()):
+                assert got == escape_counts([a], [b], B)[0], (mode, a, b, B)
 
-    def test_conjugate_symmetry(self):
+    def test_conjugate_symmetry(self, monkeypatch):
         # L(a + bi) = L(b + ai): b + ai = i conj(a + bi), and the region is
         # symmetric under conjugation and units
         B = 1000
         xs, ys = np.meshgrid(np.arange(-31, 32), np.arange(-31, 32))
         keep = (xs * xs + ys * ys <= B) & ((xs != 0) | (ys != 0))
         t_re, t_im = xs[keep], ys[keep]
-        assert escape_counts(t_re, t_im, B).tolist() == escape_counts(t_im, t_re, B).tolist()
+        rows = escape_counts_rows(t_re, t_im, B).tolist()
+        for mode in _kernel_modes(monkeypatch):
+            assert escape_counts(t_re, t_im, B).tolist() == rows, mode
+            assert escape_counts(t_im, t_re, B).tolist() == rows, mode
 
     def test_rows_of_one_t_cut_across_steps(self, monkeypatch):
         # t = 1 at B = 1000 has rows x = 0 .. 30, two steps of 16 elements
@@ -230,9 +267,10 @@ class TestLatticeCount:
         assert got.tolist() == [isqrt(v) for v in values]
         assert region._floor_sqrt(np.array([-3, 0, 1])).tolist() == [-1, 0, 1]
 
-    def test_closed_form_equals_rows_on_every_small_bound(self):
+    def test_closed_form_equals_rows_on_every_small_bound(self, monkeypatch):
         # every t in the box |Re t|, |Im t| <= isqrt(B) + 2, which includes
-        # every |t|^2 > B case near the disc, for every B in 1..300
+        # every |t|^2 > B case near the disc, for every B in 1..300; one t
+        # at a time, every t of each B <= 64 and every fourth t beyond
         t_re, t_im, bounds = [], [], []
         for B in range(1, 301):
             m = isqrt(B) + 2
@@ -240,8 +278,12 @@ class TestLatticeCount:
             keep = (xs != 0) | (ys != 0)
             t_re.append(xs[keep]), t_im.append(ys[keep]), bounds.append(np.full(keep.sum(), B))
         t_re, t_im, bounds = map(np.concatenate, (t_re, t_im, bounds))
-        got = escape_counts(t_re, t_im, bounds)
-        assert got.tolist() == escape_counts_rows(t_re, t_im, bounds).tolist()
+        rows = escape_counts_rows(t_re, t_im, bounds)
+        subsample = (bounds <= 64) | (np.arange(len(bounds)) % 4 == 0)
+        for mode in _kernel_modes(monkeypatch):
+            pick = subsample if mode == "per-t" else slice(None)
+            got = escape_counts(t_re[pick], t_im[pick], bounds[pick])
+            assert got.tolist() == rows[pick].tolist(), mode
 
     @pytest.mark.parametrize(
         "t, B",
@@ -260,26 +302,30 @@ class TestLatticeCount:
             ((3, 4), 24),  # |t|^2 = B + 1: the intersection is empty
         ],
     )
-    def test_closed_form_edge_cases(self, t, B):
+    def test_closed_form_edge_cases(self, t, B, monkeypatch):
         (a, b) = t
-        got = escape_counts([a, -b, b], [b, a, -a], B).tolist()
         want = escape_counts_rows([a], [b], B)[0]
-        assert got == [want] * 3
+        for mode in _kernel_modes(monkeypatch):
+            assert escape_counts([a, -b, b], [b, a, -a], B).tolist() == [want] * 3, mode
         if B <= 1000:
             assert want == _escape_count_scan(a, b, B)
 
-    def test_zero_t_escapes_nothing(self):
-        assert escape_counts([0, 1, 0], [0, 0, 0], [5, 5, 1000]).tolist() == [
-            0, _escape_count_scan(1, 0, 5), 0,
-        ]
+    def test_zero_t_escapes_nothing(self, monkeypatch):
+        for mode in _kernel_modes(monkeypatch):
+            assert escape_counts([0, 1, 0], [0, 0, 0], [5, 5, 1000]).tolist() == [
+                0, _escape_count_scan(1, 0, 5), 0,
+            ], mode
+            assert escape_counts([], [], 5).tolist() == [], mode
         assert escape_counts_rows([0], [0], 5).tolist() == [0]
 
-    def test_closed_form_equals_rows_near_two_to_the_forty(self):
+    def test_closed_form_equals_rows_near_two_to_the_forty(self, monkeypatch):
         B = (1 << 40) + 12_345
         R = isqrt(B)
         t = [(1, 0), (1, 1), (R, 0), (R // 2, R // 2), (R - 1, 1), (123_456, 654_321), (R // 3, 5)]
         t_re, t_im = [a for a, _ in t], [b for _, b in t]
-        assert escape_counts(t_re, t_im, B).tolist() == escape_counts_rows(t_re, t_im, B).tolist()
+        rows = escape_counts_rows(t_re, t_im, B).tolist()
+        for mode in _kernel_modes(monkeypatch):
+            assert escape_counts(t_re, t_im, B).tolist() == rows, mode
 
     def test_sweep_unchanged_with_the_row_kernel(self, monkeypatch):
         # every (t, B) the counting route sends for S = 1..128, and the
@@ -304,9 +350,10 @@ class TestLatticeCount:
         for S in range(1, 41):
             moment.consecutive_partner_counts(S)
 
-    def test_kernel_exactness_bound(self):
-        with pytest.raises(ArithmeticError):
-            escape_counts([1], [0], KERNEL_BOUND_LIMIT)
+    def test_kernel_exactness_bound(self, monkeypatch):
+        for _ in _kernel_modes(monkeypatch):
+            with pytest.raises(ArithmeticError):
+                escape_counts([1], [0], KERNEL_BOUND_LIMIT)
         with pytest.raises(ArithmeticError):
             omega_lattice_count(OmegaSpec(ONE, 1 << 26))
         # the half-widths equal math.isqrt up to the bound; the last case,
@@ -315,8 +362,9 @@ class TestLatticeCount:
         k = (1 << 26) - 1
         big = (1 << 27) - 1
         for bound in (k * k - 1, k * k, k * k + 2 * k, KERNEL_BOUND_LIMIT - 1, big * big - 1):
-            got = _half_widths(bound, 64).tolist()
-            assert got == [isqrt(bound - x * x) for x in range(-64, 65)]
+            half, centre = _half_widths([bound], [64], [64])
+            assert centre == [64]
+            assert half.tolist() == [isqrt(bound - x * x) for x in range(-64, 65)]
 
     def test_unit_orbit_structure(self):
         # the full-plane count is four times the count over canonical
@@ -331,6 +379,25 @@ class TestLatticeCount:
         ]
         assert full == 4 * len(canonical_members)
         assert full % 4 == 0
+
+    def test_per_spec_counts_at_large_S(self):
+        # seeded specs at 64 <= S <= 512; 89 + 381i at 512, (1 + i) times a
+        # prime of norm 76 541, the benchmark's fixed spec; and 195 + 195i,
+        # the product of six Gaussian primes: 64 squarefree divisors, a
+        # coprime batch beyond PER_T_BATCH, which runs on arrays while the
+        # others run one t at a time
+        rng = Random(512)
+        specs = [(g(89, 381), 512), (g(195, 195), 300)]
+        while len(specs) < 8:
+            S = rng.randint(64, 512)
+            a, b = rng.randint(1, S), rng.randint(0, S)
+            if a * a + b * b <= S * S:
+                specs.append((g(a, b), S))
+        assert 2 ** len(factor(g(195, 195)).factors) == 64 > region.PER_T_BATCH
+        for s, S in specs:
+            spec = OmegaSpec(s, S)
+            assert omega_lattice_count(spec) == escape_counts_rows([s.re], [s.im], S * S)[0], (s, S)
+            assert omega_lattice_count(spec, True) == _coprime_scan(s.re, s.im, S), (s, S)
 
     def test_count_tracks_area(self):
         for S in (4, 8, 16):
