@@ -295,15 +295,24 @@ def moment_first_counting(
     with w(t) = 2 when a > b > 0 (b + ai is canonical too) and 1 otherwise.
     B depends on d only through |d|, so one kernel call covers the O(S)
     distinct bounds, each with the octant t of norm <= B, and mu(d) comes
-    from the sieve, with no factorization.  Each quotient is correctly
-    rounded, F(B) and W(B) are float sums, and the outer sum over bounds
-    is exactly rounded (math.fsum); the value agrees with the exact
-    rational of the per-denominator oracle consecutive_partner_counts to a
-    few ulps.  N(s) is divisible by 4, so the 'omega_quarter' value is the
-    full one divided by 4, exactly.  threads is accepted and ignored, for
-    callers that still pass it: the route runs in the calling process and
-    starts no workers.  elapsed excludes the main-term constants, which
-    are built (once per process) beforehand.
+    from the sieve, with no factorization.  The route hands the kernel
+    what it already knows.  The sieve's norms ascend, so S^2 // |d|^2
+    does not increase along the squarefree d: the distinct bounds and each
+    d's bound are its runs (region._sorted_runs), with no sort or hash.
+    The t of bound B are the first k(B) octant cells, so they already have
+    a >= b >= 0 and come grouped by ascending bound: the route calls the
+    kernel's array core region._escape_core directly, with each t's bound
+    index w = repeat(arange, k), instead of escape_counts, which would
+    fold the t and find the bounds again.
+    Each quotient is correctly rounded, F(B) and W(B) are float sums, and
+    the outer sum over bounds is exactly rounded (math.fsum); the value
+    agrees with the exact rational of the per-denominator oracle
+    consecutive_partner_counts to a few ulps.  N(s) is divisible by 4, so
+    the 'omega_quarter' value is the full one divided by 4, exactly.
+    threads is accepted and ignored, for callers that still pass it: the
+    route runs in the calling process and starts no workers.  elapsed
+    excludes the main-term constants, which are built (once per process)
+    beforehand.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -315,19 +324,22 @@ def moment_first_counting(
         raise DomainError(f"counting method capped at S = {cap}; raise cap= explicitly")
     mt = main_term(S) / 4 if normalization == "omega_quarter" else main_term(S)
     t0 = time.perf_counter()
-    # the t of bound B are the first k cells of the octant, as norms ascend
     re, im, nrm, _, mu = arith.get_sieve(S)
     squarefree = mu != 0
-    bounds, d_bound = np.unique((S * S) // nrm[squarefree], return_inverse=True)
+    # S^2 // |d|^2 does not increase along the sieve's ascending norms, so
+    # its runs are the distinct bounds, largest first
+    bounds, d_bound = region._sorted_runs((S * S) // nrm[squarefree])
+    bounds = bounds[::-1]
+    W = np.bincount(d_bound, weights=mu[squarefree] / nrm[squarefree])[::-1]
+    # the t of bound B are the first k cells of the octant, as norms ascend
     octant = re >= im
     k = np.searchsorted(nrm[octant], bounds, side="right")
     first = np.cumsum(k) - k
     t = np.arange(k.sum()) - np.repeat(first, k)
     a, b = re[octant][t], im[octant][t]
-    L = region.escape_counts(a, b, np.repeat(bounds, k))
+    L = region._escape_core(a, b, np.repeat(np.arange(len(bounds)), k), bounds)
     weighted = np.where((a > b) & (b > 0), 2 * L, L)
     F = np.add.reduceat(weighted / (a * a + b * b), first)
-    W = np.bincount(d_bound, weights=mu[squarefree] / nrm[squarefree])
     value = 2.0 * math.fsum(W * F)
     if normalization == "omega_quarter":
         value /= 4
@@ -396,11 +408,12 @@ def sum_A(S: int) -> tuple[float, float]:
     """(sum over |s| <= S of phi_i(s)/|s|^4 * area(s, S), prediction).
 
     The area is region.area_closed_form, which depends on s only through
-    |s|, so terms of equal norm share one evaluation.  The prediction is
+    |s|, so terms of equal norm share one evaluation: the norms ascend
+    along the sieve, and their runs group the terms.  The prediction is
     main_term(S) / 2.
     """
     sieve = arith.get_sieve(S)
-    uniq, inverse = np.unique(sieve.norms, return_inverse=True)
+    uniq, inverse = region._sorted_runs(sieve.norms)
     phi_by_norm = np.bincount(inverse, weights=sieve.phi.astype(np.float64))
     fn = uniq.astype(np.float64)
     exact = float(np.sum(phi_by_norm / (fn * fn) * region.area_closed_form(uniq, S)))

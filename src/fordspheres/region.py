@@ -48,9 +48,16 @@ largest Im t of the call's a + bi, and takes the disc's point count from
 the half x >= 0 by symmetry.  The closed form is one body, run once per t
 on Python ints for a call of at most PER_T_BATCH t (the per-spec calls,
 where numpy's per-call cost would dominate) and on int64 arrays, in
-fixed-size steps, for a larger one (the counting route's sweep); the
-constant is the measured crossover of the two, rounded down to a Moebius
-batch.  The table takes a float square root and corrects it by one
+fixed-size steps, for a larger one; the constant is the measured
+crossover of the two, rounded down to a Moebius batch.  escape_counts is
+a thin normaliser: it sends a short call to the per-t mode before any
+numpy conversion, and otherwise folds t to a >= b >= 0, takes the
+distinct bounds from the runs of np.sort of the bounds (_sorted_runs)
+and each t's index among them by np.searchsorted, and calls the array
+core _escape_core.  The core owns the table set-up, the steps and the
+array call of the body.  The counting route of moment, whose octant t
+already have a >= b >= 0 and whose bounds are already runs, calls the
+core directly.  The table takes a float square root and corrects it by one
 either way (_floor_sqrt, exact for B < 2^62); the kernel stops at
 B < 2^52, where its float boundaries are still far within one row, and
 beyond that raises ArithmeticError.  The row-by-row kernel, O(sqrt B)
@@ -197,10 +204,15 @@ def _floor_sqrt(n: np.ndarray) -> np.ndarray:
 def _half_widths(bounds: list, depth: list, reach: list):
     """isqrt(B - x^2) for x = -D ... R, -1 where x^2 > B, for each bound B
     with its depth D and reach R in turn, concatenated into one flat int64
-    table, and the index of x = 0 in each segment (a list)."""
+    table, and the index of x = 0 in each segment (a list).  The work per
+    bound stays on lists and each list becomes an array once: the calls
+    of the per-t mode have one to a few dozen bounds, where a numpy call
+    costs more than a list comprehension."""
     sizes = [D + R + 1 for D, R in zip(depth, reach)]
     centre = [end - R - 1 for end, R in zip(accumulate(sizes), reach)]
-    x = np.arange(sum(sizes), dtype=np.int64) - np.repeat(centre, sizes)
+    sizes = np.array(sizes, dtype=np.int64)
+    x = np.arange(centre[-1] + reach[-1] + 1, dtype=np.int64)
+    x -= np.repeat(np.array(centre, dtype=np.int64), sizes)
     return _floor_sqrt(np.repeat(np.array(bounds, dtype=np.int64), sizes) - x * x), centre
 
 
@@ -229,6 +241,8 @@ def _bound_tables(uB: list, depth: int):
     x = -min(depth, R) ... R, one segment per bound and no pad; its prefix
     sum P, P[i] = half[0] + ... + half[i - 1], written in place after a
     zero; and the index of x = 0 in each segment (a list)."""
+    if uB[0] < 0:
+        raise ValueError(f"norm bounds must be >= 0; got {uB[0]}")
     if uB[-1] >= KERNEL_BOUND_LIMIT:
         raise ArithmeticError(
             f"lattice kernel is exact for norm bounds below 2^52; got {uB[-1]}"
@@ -239,6 +253,17 @@ def _bound_tables(uB: list, depth: int):
     P[0] = 0
     np.cumsum(half, out=P[1:])
     return R, half, P, centre
+
+
+def _sorted_runs(v: np.ndarray):
+    """The distinct values of v, a nonempty sorted array (ascending or
+    descending), in v's order, and the index of each element's run among
+    them: what np.unique(v, return_inverse=True) gives for an ascending v,
+    from one scan of neighbours instead of a sort or a hash."""
+    new = np.empty(len(v), dtype=bool)
+    new[0] = True
+    np.not_equal(v[1:], v[:-1], out=new[1:])
+    return v[new], np.cumsum(new) - 1
 
 
 def _disc(R, c, half, P):
@@ -339,47 +364,94 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     largest min(|Re t|, |Im t|) of the call, not -R ... R, and takes
     disc(B) from the half x >= 0 of the prefix sum by the disc's symmetry
     (_disc).  The closed form is one body, _intersection, evaluated in one
-    of two modes.  A call of at most PER_T_BATCH t runs it once per t on
-    Python ints, reading the table and its prefix sum through memoryviews
-    (Python ints, no copy).  A larger call runs it on int64 arrays, in
-    steps of BLOCK_ELEMENTS / 4 t, so that the exact rows of a step are
-    BLOCK_ELEMENTS elements; there b_max is taken as
-    min(max |Re t|, max |Im t|), which bounds it without a temporary the
-    length of the call.  The array mode pays 170-350 us of numpy calls for
-    a call of up to a hundred t, the per-t mode a set-up of about 40 us
-    and 4-7 us a t: timed (best of 15 x 100 calls, a shared 2-vCPU Xeon,
-    numpy 2.4, CPython 3.11) at S = 512 on calls of k t with the bounds of
-    k squarefree divisors, the modes broke even between k = 48 and 64.
+    of two modes.  escape_counts is the normaliser in front of them.  A
+    call of at most PER_T_BATCH t goes, before any numpy conversion, to
+    the per-t mode, which runs the body once per t on Python ints and
+    reads the table and its prefix sum through memoryviews (Python ints,
+    no copy).  A larger call is folded to a >= b >= 0 on int64 arrays;
+    its distinct bounds are the runs of np.sort of its bounds
+    (_sorted_runs), and each t's index among them comes from
+    np.searchsorted.  Neither a hash np.unique nor a full argsort pays
+    there: on 10^6 bounds S^2 // m, m uniform in [1, S^2), S = 2048 (the
+    few thousand distinct bounds of a Moebius batch), a stable argsort
+    with a scatter of the run indices took 64 ms, np.unique with
+    searchsorted 51 ms, sort, runs and searchsorted 28 ms (best of 7, the
+    host of the timings below).  Only when nearly every bound is distinct
+    does the binary search cost more than the argsort (10^6 uniform
+    bounds below 4 10^6: 392 ms against 158 ms), and no caller sends
+    such bounds.  The folded t go to _escape_core, the array mode, which
+    owns the table set-up, the steps and the array call of the body; the
+    counting route of moment calls it directly, with the octant t and the
+    bounds it already holds.  The array mode pays 170-350 us of numpy
+    calls for a call of up to a hundred t, the per-t mode a set-up of
+    about 40 us and 4-7 us a t: timed (best of 15 x 100 calls, a shared
+    2-vCPU Xeon, numpy 2.4, CPython 3.11) at S = 512 on calls of k t with
+    the bounds of k squarefree divisors, the modes broke even between
+    k = 48 and 64.
     PER_T_BATCH = 32 is the largest Moebius batch below that (an s of j
     prime factors sends 2^j t).  The modes give the same integers; the
     row kernel escape_counts_rows is the oracle of both.
+
+    The bounds are a scalar or a sequence of one bound, which apply to
+    every t, or a sequence with one bound per t; any other length, t_re
+    and t_im of different lengths, or a negative bound raise ValueError.
     """
-    t_re = np.asarray(t_re, dtype=np.int64)
-    t_im = np.asarray(t_im, dtype=np.int64)
-    bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), t_re.shape)
-    out = np.empty(len(t_re), dtype=np.int64)
+    n = len(t_re)
+    if len(t_im) != n:
+        raise ValueError(f"{n} real parts but {len(t_im)} imaginary parts")
+    try:
+        per_t = len(bounds) == n
+    except TypeError:  # a scalar bound
+        bounds, per_t = [bounds], False
+    if not per_t and len(bounds) != 1:
+        raise ValueError(f"{len(bounds)} bounds for {n} t; give one, or one per t")
+    if not n:
+        return np.empty(0, dtype=np.int64)
+    if n <= PER_T_BATCH:
+        t_re, t_im, bounds = map(_int_list, (t_re, t_im, bounds))
+        counts = _escape_counts_per_t(t_re, t_im, bounds if per_t else bounds * n)
+        return np.array(counts, dtype=np.int64)
+    a = np.abs(np.asarray(t_re, dtype=np.int64))
+    b = np.abs(np.asarray(t_im, dtype=np.int64))
+    a, b = np.maximum(a, b), np.minimum(a, b)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    uB = _sorted_runs(np.sort(bounds))[0]
+    w = np.searchsorted(uB, bounds) if per_t else np.zeros(n, dtype=np.int64)
+    return _escape_core(a, b, w, uB)
+
+
+def _escape_core(a: np.ndarray, b: np.ndarray, w: np.ndarray, uB: np.ndarray) -> np.ndarray:
+    """L(a + bi, uB[w]) for each t = a + bi, on int64 arrays: the array
+    mode of escape_counts.  a, b and w have one length, a >= b >= 0, and
+    w indexes uB, the call's distinct bounds (a nonempty ascending int64
+    array).  It builds the tables once, for b_max = max b, and runs
+    _intersection on the t with 0 < |t|^2 <= B in steps of
+    BLOCK_ELEMENTS / 4 t, so that the exact rows of a step are
+    BLOCK_ELEMENTS elements."""
+    out = np.empty(len(a), dtype=np.int64)
     if not len(out):
         return out
-    if len(out) <= PER_T_BATCH:
-        out[:] = _escape_counts_per_t(t_re.tolist(), t_im.tolist(), bounds.tolist())
-        return out
-    uB = np.unique(bounds)
-    b_max = min(max(int(v.max()), -int(v.min())) for v in (t_re, t_im))
-    R, half, P, centre = _bound_tables(uB.tolist(), b_max)
+    R, half, P, centre = _bound_tables(uB.tolist(), int(b.max()))
     R, centre = np.array(R, dtype=np.int64), np.array(centre, dtype=np.int64)
     disc = _disc(R, centre, half, P)
     step = max(BLOCK_ELEMENTS // 4, 1)  # each t evaluates four rows exactly
     for s in range(0, len(out), step):
-        re, im = np.abs(t_re[s : s + step]), np.abs(t_im[s : s + step])
-        a, b = np.maximum(re, im), np.minimum(re, im)
-        w = np.searchsorted(uB, bounds[s : s + step])
-        n = a * a + b * b
-        out[s : s + len(a)] = np.where(n > 0, disc[w], 0)
-        live = np.flatnonzero((n > 0) & (n <= uB[w]))
-        if len(live) < len(a):
-            a, b, w = a[live], b[live], w[live]
-        out[s + live] -= _intersection(a, b, uB[w], R[w], centre[w], half, P, _ON_ARRAYS)
+        at, bt, wt = a[s : s + step], b[s : s + step], w[s : s + step]
+        n, B = at * at + bt * bt, uB[wt]
+        part = out[s : s + len(at)]
+        part[:] = np.where(n > 0, disc[wt], 0)
+        live = np.flatnonzero((n > 0) & (n <= B))
+        if len(live) < len(at):
+            at, bt, wt, B = at[live], bt[live], wt[live], B[live]
+        else:
+            live = slice(None)
+        part[live] -= _intersection(at, bt, B, R[wt], centre[wt], half, P, _ON_ARRAYS)
     return out
+
+
+def _int_list(v) -> list:
+    """The elements of a sequence or an array as Python ints."""
+    return v.tolist() if isinstance(v, np.ndarray) else [int(x) for x in v]
 
 
 def _escape_counts_per_t(t_re: list, t_im: list, bounds: list) -> list:

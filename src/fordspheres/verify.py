@@ -447,18 +447,24 @@ COPRIME_PREDICTION_S = 32
 COPRIME_MEAN_DEVIATION_MAX = 0.10
 
 
+def _coprime_count_and_prediction(S: int):
+    """(coprime count, prediction, norm) arrays over the canonical s with
+    |s| <= S: the counts from one region.coprime_counts call, the
+    prediction phi_i(s)/|s|^2 times the area, with phi_i from the sieve
+    (check_sieve_vs_factorization ties it to the factorization route)."""
+    re, im, nrm, phi, _ = arith.get_sieve(S)
+    return region.coprime_counts(re, im, S), phi / nrm * region.area_closed_form(nrm, S), nrm
+
+
 @_check("region", "coprime count tracks density times area")
 def check_coprime_prediction() -> tuple[bool, str]:
     S = COPRIME_PREDICTION_S
-    devs = []
-    for q in _canonical_upto(S * S):
-        spec = region.OmegaSpec(q, S)
-        pred = region.coprime_count_prediction(spec)
-        devs.append(abs(region.omega_lattice_count(spec, coprime_filter=True) - pred) / pred)
+    count, pred, _ = _coprime_count_and_prediction(S)
+    devs = np.abs(count - pred) / pred
     mean_dev = float(np.mean(devs))
     return mean_dev <= COPRIME_MEAN_DEVIATION_MAX, (
         f"all |s| <= {S}: mean relative deviation {mean_dev:.4f} "
-        f"(allowed {COPRIME_MEAN_DEVIATION_MAX}), max {max(devs):.4f}"
+        f"(allowed {COPRIME_MEAN_DEVIATION_MAX}), max {devs.max():.4f}"
     )
 
 
@@ -469,11 +475,8 @@ RESIDUAL_SHAPE_BOUND = 2.0  # measured max |count - pred| / (S * norm^0.05) ~ 0.
 def check_residual_shape() -> tuple[bool, str]:
     worst = 0.0
     for S in (8, 16, 32):
-        for q in _canonical_upto(S * S):
-            spec = region.OmegaSpec(q, S)
-            count = region.omega_lattice_count(spec, coprime_filter=True)
-            pred = region.coprime_count_prediction(spec)
-            worst = max(worst, abs(count - pred) / (S * norm(q) ** 0.05))
+        count, pred, nrm = _coprime_count_and_prediction(S)
+        worst = max(worst, float(np.max(np.abs(count - pred) / (S * nrm**0.05))))
     return worst <= RESIDUAL_SHAPE_BOUND, (
         f"S in (8, 16, 32): max |count - pred|/(S norm^0.05) = {worst:.3f} "
         f"(bound {RESIDUAL_SHAPE_BOUND})"

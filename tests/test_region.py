@@ -318,6 +318,43 @@ class TestLatticeCount:
             assert escape_counts([], [], 5).tolist() == [], mode
         assert escape_counts_rows([0], [0], 5).tolist() == [0]
 
+    def test_input_contract(self, monkeypatch):
+        t_re, t_im = [3, -1, 0, 7, 2], [1, 5, 0, -7, 2]
+        want = escape_counts_rows(t_re, t_im, 60).tolist()
+        mixed = [400, 17, 400, 3, 17]  # unsorted, repeated
+        for mode in _kernel_modes(monkeypatch):
+            # a scalar bound and a one-element bound sequence apply to every t
+            for bounds in (60, np.int64(60), [60], np.array([60])):
+                got = escape_counts(t_re, t_im, bounds)
+                assert got.dtype == np.int64 and got.tolist() == want, (mode, bounds)
+            assert escape_counts(np.array(t_re), np.array(t_im), 60).tolist() == want, mode
+            rows = escape_counts_rows(t_re, t_im, mixed).tolist()
+            assert escape_counts(t_re, t_im, mixed).tolist() == rows, mode
+            # any other length is refused, not cut to the shorter sequence
+            for bounds in ([60, 61], [60] * 6, []):
+                with pytest.raises(ValueError):
+                    escape_counts(t_re, t_im, bounds)
+            with pytest.raises(ValueError):
+                escape_counts(t_re, t_im[:4], 60)
+            for bounds in (-1, [60, 60, -2, 60, 60]):
+                with pytest.raises(ValueError):
+                    escape_counts(t_re, t_im, bounds)
+            for empty in (escape_counts([], [], 5), escape_counts(np.array([]), np.array([]), [])):
+                assert empty.dtype == np.int64 and empty.tolist() == [], mode
+
+    def test_sorted_runs_equal_unique(self):
+        rng = Random(3)
+        up = np.sort(np.array([rng.randint(0, 20) for _ in range(200)]))
+        for v in (up, np.array([7])):
+            values, runs = region._sorted_runs(v)
+            uniq, inverse = np.unique(v, return_inverse=True)
+            assert values.tolist() == uniq.tolist() and runs.tolist() == inverse.tolist()
+        down = up[::-1]
+        values, runs = region._sorted_runs(down)
+        uniq, inverse = np.unique(down, return_inverse=True)
+        assert values.tolist() == uniq[::-1].tolist()
+        assert runs.tolist() == (len(uniq) - 1 - inverse).tolist()
+
     def test_closed_form_equals_rows_near_two_to_the_forty(self, monkeypatch):
         B = (1 << 40) + 12_345
         R = isqrt(B)
@@ -328,22 +365,24 @@ class TestLatticeCount:
             assert escape_counts(t_re, t_im, B).tolist() == rows, mode
 
     def test_sweep_unchanged_with_the_row_kernel(self, monkeypatch):
-        # every (t, B) the counting route sends for S = 1..128, and the
-        # per-denominator oracle for S <= 40, goes through both kernels and
-        # is compared value by value; fed the row kernel's values, the
-        # route keeps its float bit for bit
+        # every (t, B) the counting route sends to the kernel's array core
+        # for S = 1..128, and the per-denominator oracle for S <= 40, goes
+        # through the closed form and the row kernel and is compared value
+        # by value; fed the row kernel's values, the route keeps its float
+        # bit for bit
         from fordspheres import moment
 
         closed = {S: moment.moment_first_counting(S).value for S in range(1, 129)}
+        core = region._escape_core
         sent = []
 
-        def both(t_re, t_im, bounds):
-            rows = escape_counts_rows(t_re, t_im, bounds)
-            assert escape_counts(t_re, t_im, bounds).tolist() == rows.tolist()
+        def both(a, b, w, uB):
+            rows = escape_counts_rows(a, b, uB[w])
+            assert core(a, b, w, uB).tolist() == rows.tolist()
             sent.append(len(rows))
             return rows
 
-        monkeypatch.setattr(region, "escape_counts", both)
+        monkeypatch.setattr(region, "_escape_core", both)
         for S in range(1, 129):
             assert moment.moment_first_counting(S).value.hex() == closed[S].hex(), S
         assert sum(sent) == 827_509
