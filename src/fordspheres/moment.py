@@ -59,6 +59,7 @@ COUNTING_CAP_DEFAULT = 1024
 
 NORMALIZATIONS = ("omega_full", "omega_quarter")
 METHODS = ("direct", "counting", "main_term")
+PHI_NORM4_LADDER = (64, 128, 256, 512, 1024, 2048)  # fit levels of z2_estimate and verify's slope check
 
 
 @dataclass(frozen=True)
@@ -113,22 +114,14 @@ def constant_C(terms: int = 60) -> float:
 
 
 def constant_C_quad(tol: float = 1e-10) -> float:
-    """Same integral by adaptive Gauss-Kronrod quadrature (scipy), an
-    independent scheme.  The integrand has an integrable logarithmic
-    singularity at 0 that the subdivision absorbs without help."""
-    from scipy.integrate import quad
-
-    val, err = quad(
-        lambda u: -math.log(math.sqrt(2.0) * u) * math.sqrt(1.0 - u * u),
-        0.0,
-        1.0 / math.sqrt(2.0),
-        epsabs=tol,
-        epsrel=tol,
-        limit=200,
+    """Same integral by Gauss-Legendre quadrature (region._gauss_legendre),
+    an independent scheme.  The logarithmic singularity at u = 0 would
+    leave a plain rule about 1e-4 off, so the rule runs in v, u = v^6/sqrt 2,
+    where the integrand -36/sqrt2 v^5 ln v sqrt(1 - v^12/2) on [0, 1] has
+    four continuous derivatives; tol bounds the rule's error estimate."""
+    return region._gauss_legendre(
+        lambda v: -36.0 / math.sqrt(2.0) * v**5 * np.log(v) * np.sqrt(1.0 - v**12 / 2.0), 0.0, 1.0, tol
     )
-    if err > 100 * tol:
-        raise ArithmeticError(f"quadrature error estimate {err} above tolerance")
-    return val
 
 
 def constant_C_tanh_sinh(dps: int = 25) -> float:
@@ -151,8 +144,7 @@ def constants_bundle(with_z2: bool = False) -> ConstantsBundle:
     z1 = math.pi / 8.0 * zeta_i_inv_2
     z2 = None
     if with_z2:
-        ladder = [64, 128, 256, 512, 1024, 2048]
-        _, intercept = fit_phi_over_norm4(ladder)
+        _, intercept = fit_phi_over_norm4(PHI_NORM4_LADDER)
         z2 = intercept - z1
     bundle = ConstantsBundle(
         C=C,
@@ -379,7 +371,10 @@ def evaluate(
     counting_cap: int = COUNTING_CAP_DEFAULT,
 ) -> MomentReport:
     """One moment row by the named route; the normalization applies to
-    the counting route only (direct rows are always 'omega_quarter')."""
+    the counting route only (direct rows are always 'omega_quarter'), but
+    an unknown one is refused for every method."""
+    if normalization not in NORMALIZATIONS:
+        raise DomainError(f"unknown normalization {normalization!r}")
     if method == "direct":
         return moment_first_direct(S, cap=direct_cap)
     if method == "counting":
@@ -517,11 +512,13 @@ def report_sweep(
     counting_cap: int = COUNTING_CAP_DEFAULT,
 ) -> SweepResult:
     """Evaluate every (S, method) cell, collecting per-row failures
-    instead of aborting the sweep; an unknown method or a cap below 1
-    refuses the whole sweep."""
+    instead of aborting the sweep; an unknown method or normalization or
+    a cap below 1 refuses the whole sweep."""
     for m in methods:
         if m not in METHODS:
             raise DomainError(f"unknown method {m!r}")
+    if normalization not in NORMALIZATIONS:
+        raise DomainError(f"unknown normalization {normalization!r}")
     if min(direct_cap, counting_cap) < 1:
         raise DomainError("cap must be >= 1")
     reports: list[MomentReport] = []

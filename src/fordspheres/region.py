@@ -78,6 +78,7 @@ omega_lattice_count and moment.consecutive_partner_counts alike.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -131,24 +132,39 @@ def omega_area(spec: OmegaSpec) -> float:
     return float(area_closed_form(norm(spec.s), spec.S))
 
 
+@functools.cache  # the n-node rule; numpy.polynomial loads on first use, not on import
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _gauss_legendre(f, a: float, b: float, tol: float) -> float:
+    """int_a^b f by the 64-node Gauss-Legendre rule, f vectorized.
+
+    The gap to the 32-node rule is the error estimate: above tol times the
+    value, the rule does not resolve f, and ArithmeticError is raised."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    coarse, fine = (half * float(w @ f(half * x + mid)) for x, w in map(_leggauss, (32, 64)))
+    if abs(fine - coarse) > tol * abs(fine):
+        raise ArithmeticError(f"Gauss-Legendre error estimate {abs(fine - coarse):.2e} above tolerance")
+    return fine
+
+
 def omega_area_quadrature(spec: OmegaSpec) -> float:
-    """Area by numerical quadrature of the polar double integral
+    """Area by Gauss-Legendre quadrature of the polar double integral
 
         8 * int_0^{pi/4} int_{r_t}^{S} r dr dt,
         r_t = -|s| cos t + sqrt(S^2 - |s|^2 sin^2 t),
 
-    kept as an independent check on the closed form."""
-    from scipy.integrate import quad
-
+    kept as an independent check on the closed form.  The inner integral
+    (S^2 - r_t^2)/2 is analytic on [0, pi/4], as |s| <= S."""
     S = float(spec.S)
     s_abs = math.sqrt(float(norm(spec.s)))
 
-    def gap(theta: float) -> float:
-        r_t = -s_abs * math.cos(theta) + math.sqrt(S * S - s_abs**2 * math.sin(theta) ** 2)
+    def gap(theta: np.ndarray) -> np.ndarray:
+        r_t = -s_abs * np.cos(theta) + np.sqrt(S * S - s_abs**2 * np.sin(theta) ** 2)
         return 0.5 * (S * S - r_t * r_t)
 
-    val, _ = quad(gap, 0.0, math.pi / 4.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return 8.0 * val
+    return 8.0 * _gauss_legendre(gap, 0.0, math.pi / 4.0, 1e-13)
 
 
 def omega_contains_float(x: np.ndarray, y: np.ndarray, spec: OmegaSpec) -> np.ndarray:
@@ -184,7 +200,7 @@ def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 
 
 KERNEL_BOUND_LIMIT = 1 << 52  # float square roots of smaller integers are exact to within 1
 BLOCK_ELEMENTS = 1 << 16  # elements per vectorized step: flat peak memory, cache-sized steps
-PER_T_BATCH = 32  # escape_counts takes calls of at most this many t one t at a time, on ints
+PER_T_BATCH = 32  # calls up to this many t run per t, on ints: the last Moebius batch below the 48-64 t crossover
 
 
 def _floor_sqrt(n: np.ndarray) -> np.ndarray:
@@ -371,26 +387,13 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     no copy).  A larger call is folded to a >= b >= 0 on int64 arrays;
     its distinct bounds are the runs of np.sort of its bounds
     (_sorted_runs), and each t's index among them comes from
-    np.searchsorted.  Neither a hash np.unique nor a full argsort pays
-    there: on 10^6 bounds S^2 // m, m uniform in [1, S^2), S = 2048 (the
-    few thousand distinct bounds of a Moebius batch), a stable argsort
-    with a scatter of the run indices took 64 ms, np.unique with
-    searchsorted 51 ms, sort, runs and searchsorted 28 ms (best of 7, the
-    host of the timings below).  Only when nearly every bound is distinct
-    does the binary search cost more than the argsort (10^6 uniform
-    bounds below 4 10^6: 392 ms against 158 ms), and no caller sends
-    such bounds.  The folded t go to _escape_core, the array mode, which
-    owns the table set-up, the steps and the array call of the body; the
-    counting route of moment calls it directly, with the octant t and the
-    bounds it already holds.  The array mode pays 170-350 us of numpy
-    calls for a call of up to a hundred t, the per-t mode a set-up of
-    about 40 us and 4-7 us a t: timed (best of 15 x 100 calls, a shared
-    2-vCPU Xeon, numpy 2.4, CPython 3.11) at S = 512 on calls of k t with
-    the bounds of k squarefree divisors, the modes broke even between
-    k = 48 and 64.
-    PER_T_BATCH = 32 is the largest Moebius batch below that (an s of j
-    prime factors sends 2^j t).  The modes give the same integers; the
-    row kernel escape_counts_rows is the oracle of both.
+    np.searchsorted, which on the few thousand distinct bounds of a
+    Moebius batch is faster than a hash np.unique or a full argsort.  The
+    folded t go to _escape_core, the array mode, which owns the table
+    set-up, the steps and the array call of the body; the counting route
+    of moment calls it directly, with the octant t and the bounds it
+    already holds.  The modes give the same integers; the row kernel
+    escape_counts_rows is the oracle of both.
 
     The bounds are a scalar or a sequence of one bound, which apply to
     every t, or a sequence with one bound per t; any other length, t_re

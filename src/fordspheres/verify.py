@@ -543,7 +543,7 @@ def check_constant_schemes() -> tuple[bool, str]:
     c2 = moment.constant_C_quad()
     c3 = moment.constant_C_tanh_sinh()
     worst = max(abs(c1 - c2), abs(c1 - c3))
-    return worst <= 1e-8, f"series vs gauss-kronrod vs tanh-sinh: max gap {worst:.2e}"
+    return worst <= 1e-8, f"series vs Gauss-Legendre vs tanh-sinh: max gap {worst:.2e}"
 
 
 # M(S) summed over the pairs of the all-pairs oracle
@@ -695,18 +695,17 @@ def check_phi_norm2() -> tuple[bool, str]:
     return gap <= PHI_NORM2_TOLERANCE, f"S = {PHI_NORM2_S}: ratio {exact/pred:.5f} (2% allowed)"
 
 
-PHI_NORM4_LADDER = (64, 128, 256, 512, 1024, 2048)
 PHI_NORM4_TOLERANCE = 0.05  # on the slope and on the two intercepts
 
 
 @_check("moment", "phi/norm^2 sum grows with the predicted log slope")
 def check_phi_norm4_slope() -> tuple[bool, str]:
     bundle = moment.constants_bundle()
-    slope, intercept = moment.fit_phi_over_norm4(PHI_NORM4_LADDER)
+    slope, intercept = moment.fit_phi_over_norm4(moment.PHI_NORM4_LADDER)
     target = 4.0 * bundle.z1
     slope_ok = abs(slope / target - 1.0) <= PHI_NORM4_TOLERANCE
-    _, i1 = moment.fit_phi_over_norm4(PHI_NORM4_LADDER[0::2])
-    _, i2 = moment.fit_phi_over_norm4(PHI_NORM4_LADDER[1::2])
+    _, i1 = moment.fit_phi_over_norm4(moment.PHI_NORM4_LADDER[0::2])
+    _, i2 = moment.fit_phi_over_norm4(moment.PHI_NORM4_LADDER[1::2])
     intercept_ok = abs(i1 / i2 - 1.0) <= PHI_NORM4_TOLERANCE
     return slope_ok and intercept_ok, (
         f"slope {slope:.5f} vs 4 z1 = {target:.5f}; intercepts {i1:.5f} / {i2:.5f} "

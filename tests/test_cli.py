@@ -439,14 +439,24 @@ class TestColdStart:
 
     def test_import_loads_no_scipy(self):
         # the constants build needs no quadrature and no arbitrary
-        # precision; scipy and mpmath stay oracle dependencies, imported
-        # only by the checks that use them
+        # precision: mpmath is imported only by the tanh-sinh oracle, and
+        # scipy by nothing (the package does not depend on it)
         code = (
             "import sys, fordspheres, fordspheres.cli\n"
             "fordspheres.constants_bundle()\n"
             "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
         )
         assert self._fresh(code).stdout.strip() == "False False"
+
+    def test_quadrature_oracles_run_without_scipy(self):
+        # a None entry in sys.modules makes any import of scipy fail
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from fordspheres import verify\n"
+            "print(verify.check_constant_schemes()[0], verify.check_area_vs_quadrature()[0])\n"
+        )
+        assert self._fresh(code).stdout.strip() == "True True"
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are set on glibc only")
     def test_repeat_calls_reuse_freed_arrays(self):

@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from fordspheres import arith, farey, moment, region
+from fordspheres import arith, farey, moment, region, verify
 from fordspheres.gint import DomainError, GInt
 
 
@@ -59,6 +59,12 @@ class TestBundle:
         b = moment.constants_bundle()
         assert b.zeta_i_2 == arith.ZETA_I_2
         assert b.zeta_i_inv_2 == 1.0 / arith.ZETA_I_2
+
+    def test_z2_estimate_is_the_checked_fit(self):
+        # the bundle and verify's slope check fit the one ladder
+        detail = verify.check_phi_norm4_slope()[1]
+        reported = detail.rsplit("z2 estimate ", 1)[1]
+        assert f"{moment.constants_bundle(with_z2=True).z2_estimate:.5f}" == reported
 
     def test_zeta_product_consistency(self):
         b = moment.constants_bundle()
@@ -504,3 +510,12 @@ class TestSweep:
             moment.evaluate(5, "counting", counting_cap=4)
         with pytest.raises(DomainError, match="unknown method"):
             moment.evaluate(5, "nope")
+
+    @pytest.mark.parametrize("method", moment.METHODS)
+    def test_unknown_normalization_refused_for_every_method(self, method):
+        with pytest.raises(DomainError, match="unknown normalization"):
+            moment.evaluate(3, method, normalization="bogus")
+
+    def test_unknown_normalization_refuses_the_sweep(self):
+        with pytest.raises(DomainError, match="unknown normalization"):
+            moment.report_sweep([2, 3], ["direct", "counting"], normalization="bogus")

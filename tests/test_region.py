@@ -113,6 +113,16 @@ class TestArea:
             spec = OmegaSpec(g(a, b), S)
             assert omega_area(spec) == pytest.approx(omega_area_quadrature(spec), rel=1e-9)
 
+    def test_quadrature_error_estimate_fires(self):
+        # C's integrand in u, without the substitution that smooths its
+        # log singularity at 0: the 32- and 64-node rules differ by ~3e-4
+        def f(u):
+            return -np.log(math.sqrt(2.0) * u) * np.sqrt(1.0 - u * u)
+
+        with pytest.raises(ArithmeticError, match="error estimate"):
+            region._gauss_legendre(f, 0.0, 1.0 / math.sqrt(2.0), 1e-10)
+        assert region._gauss_legendre(np.cos, 0.0, math.pi / 2.0, 1e-13) == pytest.approx(1.0, abs=1e-15)
+
     def test_matches_monte_carlo(self):
         spec = OmegaSpec(ONE, 2)
         mc = omega_area_monte_carlo(spec, samples=200_000, seed=1)
