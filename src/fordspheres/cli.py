@@ -144,6 +144,12 @@ def _emit(config: RunConfig, meta: dict, columns: Sequence[str], rows: list[dict
 
 
 def cmd_enumerate(args, config: RunConfig) -> int:
+    # G_S grows like S^4: the table of the direct route, under its cap
+    if args.S > args.direct_cap:
+        raise DomainError(
+            f"enumerate capped at S = {args.direct_cap}; "
+            f"raise --direct-cap or FORDSPHERES_DIRECT_CAP explicitly"
+        )
     fractions = farey.enumerate_gs(args.S)
     for f in fractions:
         print(f)
@@ -377,6 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list the fractions at level S")
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--json", action="store_true", help="also print sphere data as JSON")
+    p.add_argument(
+        "--direct-cap", type=_positive_int, default=direct_cap,
+        help=f"largest S enumerated, shared with the direct method (default {direct_cap})",
+    )
     common(p)
 
     p = sub.add_parser("constants", help="print the constants bundle as JSON")

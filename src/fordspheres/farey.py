@@ -26,18 +26,25 @@ r/s have denominators s' = x + k s in one residue class modulo s.  Each
 pair is found from its end with the larger denominator norm, so r/s
 visits only the partners with |s'| <= |s|, a disc of k whose rows and
 columns are exact integer intervals: about pi candidates per fraction
-(_partner_blocks, in int64 arrays).  A pair with |s'| < |s| is found
+(_neighbour_blocks, in int64 arrays).  A pair with |s'| < |s| is found
 once, a tie |s'| = |s| from both ends.  The partner r'/s' lies in the
 square when both parts of r conj(s) |s'|^2 - conj(s s') lie in
 [0, |s|^2 |s'|^2], a test with no division; r' itself is divided out
-only in consecutive_pairs, which needs the partner's index.  The
+only in consecutive_pairs, which needs the partner's index.  Only the
+escape test depends on S: the scan yields each find with its largest
+mediant norm M, and _partner_blocks keeps those with M > S^2.  The
 eight symmetries of the unit square map G_S onto itself and each
 fraction's partners onto its image's, with the same norms, so
 moment.direct_total scans only one fraction per orbit (_orbit_sizes,
 those in 0 <= y <= x <= 1/2, about an eighth of G_S) and weights its
 finds by the orbit size: about 0.1 S^4 candidates in all, against
-0.8 S^4 for the full scan that consecutive_pairs runs.  The all-pairs
-determinant scan is kept as the oracle consecutive_pairs_scan.
+0.8 S^4 for the full scan that consecutive_pairs runs.  Those finds,
+with their norms, M and weights, are cached next to the table in one
+list (_finds), grown shell by shell as the table is: each
+representative is scanned once, when its shell enters the list, and a
+call at a level already built only slices the list and filters it by
+M > S^2.  The all-pairs determinant scan is kept as the oracle
+consecutive_pairs_scan.
 """
 
 from __future__ import annotations
@@ -132,7 +139,9 @@ class Sphere:
 # array whose rows are norm(s), Re s, Im s, Re r, Im r, Re x, Im x with
 # x = r^-1 mod s, in sort_key order); G_S' for S' <= S is a prefix of it.
 # It is never released: it lives, at the largest S asked for, for the rest
-# of the process (56 bytes per fraction: 74 MiB at S = 48, 233 MiB at 64)
+# of the process (56 bytes per fraction: 74 MiB at S = 48, 233 MiB at 64).
+# moment.direct_total also keeps the finds of the orbit representatives
+# in _finds_cache, about 5 bytes per fraction (3.4 MB at S = 40)
 _gs_cache: list[tuple[int, np.ndarray]] = []
 
 
@@ -436,9 +445,10 @@ def _inverse_columns(n, s_re, s_im, r_re, r_im) -> tuple[np.ndarray, np.ndarray]
     return x_re, x_im
 
 
-def _orbit_sizes(S: int) -> np.ndarray:
-    """For each fraction of gs_arrays(S), the size of its orbit under the
-    eight symmetries of the unit square if it is the orbit's
+def _orbit_sizes(S: int, lo: int = 0) -> np.ndarray:
+    """For each fraction of gs_arrays(S) with |s| > lo (the shell between
+    the levels lo and S, all of G_S by default), the size of its orbit
+    under the eight symmetries of the unit square if it is the orbit's
     representative, and 0 otherwise, as an int8 array.
 
     The symmetries are generated by x -> 1 - x, y -> 1 - y and x <-> y.
@@ -461,28 +471,29 @@ def _orbit_sizes(S: int) -> np.ndarray:
     fraction has an orbit of 8.  The sizes sum to |G_S|.
     """
     table = _table(S)
+    table = table[:, int(np.searchsorted(table[0], lo * lo, side="right")) :]
     sizes = np.zeros(table.shape[1], dtype=np.int8)
     # a block of fractions at a time, so the temporaries stay small beside the table
     step = region.BLOCK_ELEMENTS
-    for lo in range(0, len(sizes), step):
-        n, s_re, s_im, r_re, r_im = table[:5, lo : lo + step]
+    for at in range(0, len(sizes), step):
+        n, s_re, s_im, r_re, r_im = table[:5, at : at + step]
         X = r_re * s_re + r_im * s_im
         Y = r_im * s_re - r_re * s_im
         diag, mid = (X == Y).astype(np.int8), (2 * X == n).astype(np.int8)
-        sizes[lo : lo + step] = np.where((Y <= X) & (2 * X <= n), 8 >> (diag + mid + (diag & mid)), 0)
+        sizes[at : at + step] = np.where((Y <= X) & (2 * X <= n), 8 >> (diag + mid + (diag & mid)), 0)
     return sizes
 
 
-def _partner_blocks(S: int, indices: np.ndarray):
-    """The neighbour solve, one block at a time: yields (i, Re s', Im s')
-    for the consecutive partners r'/s' with |s'| <= |s| of the fractions
-    r/s = i of the block, with r s' - r' s = 1 (s' not yet canonical).
+def _neighbour_blocks(S: int, indices: np.ndarray):
+    """The neighbour solve, one block at a time: yields (i, Re s', Im s', M)
+    for the adjacent partners r'/s' with |s'| <= |s| of the fractions
+    r/s = i of the block, with r s' - r' s = 1 (s' not yet canonical), and
+    M = max over units u of |s + u s'|^2, the largest mediant norm.
     The fractions scanned are the int64 indices into gs_arrays(S): every
-    fraction for consecutive_pairs, one per symmetry orbit for
-    moment.direct_total (_orbit_sizes); their table columns are gathered
-    block by block.  Each pair is found from its end with the larger
-    denominator norm: once when |s'| < |s|, from both ends when
-    |s'| = |s|.
+    fraction for consecutive_pairs, one per symmetry orbit for the finds
+    of moment.direct_total (_finds); their table columns are gathered
+    block by block.  The finds of a fraction come out together, and the
+    fractions in the order of indices.
 
     For f = r/s, scaling a partner r'/s' by a unit makes r s' - r' s = 1,
     and exactly one of the four associates of (r', s') does so.  Then
@@ -495,15 +506,15 @@ def _partner_blocks(S: int, indices: np.ndarray):
     |n j + Im y| <= isqrt(n^2 - (n m + Re y)^2).  The rows of a block of
     fractions, then the points of the rows, go through region.flat_blocks,
     so each step visits exactly the s' with |s'| <= |s|, about pi per
-    fraction.  A candidate is kept when s' != 0, r'/s' lies in the closed
-    unit square and some mediant denominator s + u s' has modulus > S:
-    the tests of in_unit_square and is_consecutive.  The square test
-    needs no r': r'/s' = r/s - 1/(s s'), so with P = r conj(s), r'/s' is
-    in the square exactly when both parts of P norm(s') - conj(s s') lie
-    in [0, n norm(s')].
+    fraction.  A candidate is kept when s' != 0 and r'/s' lies in the
+    closed unit square, the test of in_unit_square.  It needs no r':
+    r'/s' = r/s - 1/(s s'), so with P = r conj(s), r'/s' is in the square
+    exactly when both parts of P norm(s') - conj(s s') lie in
+    [0, n norm(s')].  None of this depends on S beyond |s| <= S: the
+    escape test of is_consecutive, M > S^2, is left to the caller
+    (_partner_blocks, moment.direct_total).
     """
     table = _table(S)
-    S2 = S * S
     step = max(region.BLOCK_ELEMENTS // 4, 1)  # a point holds about a dozen int64 temporaries
     # the per-fraction set-up below (y, P, the row bounds) is taken for
     # step fractions at a time, so that it stays small beside the table
@@ -537,15 +548,73 @@ def _partner_blocks(S: int, indices: np.ndarray):
                 nsp = sp_re * sp_re + sp_im * sp_im
                 # s s' = (a - b) + (c + d) i and conj(s) s' = (a + b) + (c - d) i
                 a, b, c, d = sr * sp_re, si * sp_im, sr * sp_im, si * sp_re
-                # the square test on P norm(s') - conj(s s'); escape: max over
-                # units of |s + u s'|^2 is norm(s) + norm(s') + 2 max(|Re z|,
-                # |Im z|), z = conj(s) s'
+                # the square test on P norm(s') - conj(s s')
                 q_re = p_re[i] * nsp - (a - b)
                 q_im = p_im[i] * nsp + (c + d)
                 top = ns * nsp
-                keep = (q_re >= 0) & (q_re <= top) & (q_im >= 0) & (q_im <= top)
-                keep &= (nsp > 0) & (ns + nsp + 2 * np.maximum(np.abs(a + b), np.abs(c - d)) > S2)
-                yield at[i[keep]], sp_re[keep], sp_im[keep]
+                keep = np.flatnonzero((q_re >= 0) & (q_re <= top) & (q_im >= 0) & (q_im <= top) & (nsp > 0))
+                ns, nsp, a, b, c, d = (v[keep] for v in (ns, nsp, a, b, c, d))
+                # max over units of |s + u s'|^2 is norm(s) + norm(s') +
+                # 2 max(|Re z|, |Im z|), z = conj(s) s'
+                mediant = ns + nsp + 2 * np.maximum(np.abs(a + b), np.abs(c - d))
+                yield at[i[keep]], sp_re[keep], sp_im[keep], mediant
+
+
+def _partner_blocks(S: int, indices: np.ndarray):
+    """The consecutive partners among the finds of _neighbour_blocks: yields
+    (i, Re s', Im s') for the partners r'/s' with |s'| <= |s| of the
+    fractions i whose largest mediant escapes, M > S^2 (is_consecutive).
+    Each pair is found from its end with the larger denominator norm:
+    once when |s'| < |s|, from both ends when |s'| = |s|."""
+    S2 = S * S
+    for i, sp_re, sp_im, mediant in _neighbour_blocks(S, indices):
+        escape = mediant > S2
+        yield i[escape], sp_re[escape], sp_im[escape]
+
+
+# the finds of the orbit representatives behind moment.direct_total: (S,
+# four read-only columns, one entry per find of _neighbour_blocks on the
+# representatives of G_S: int32 norm(s), int32 norm(s'), int32 M, the
+# largest mediant norm, and the int8 orbit size of r/s).  None depends on
+# S, so the finds of G_S' for S' <= S are a prefix of the list; S < 2^14
+# keeps M <= 4 S^2 below 2^31.  Like _gs_cache it grows shell by shell and
+# lives, at the largest S asked for, for the rest of the process (about
+# 13 bytes per find, some 0.4 finds per fraction)
+_finds_cache: list[tuple[int, tuple[np.ndarray, ...]]] = []
+_FIND_TYPES = (np.int32, np.int32, np.int32, np.int8)
+
+
+def _finds(S: int) -> tuple[np.ndarray, ...]:
+    """The finds of the orbit representatives of G_S, as read-only
+    int32 norm(s), norm(s'), M and int8 orbit-size views of the one cached
+    list, in table order (so norm(s) ascends along them).
+
+    Each find is one adjacent partner r'/s' with |s'| <= |s| of a
+    representative r/s (_orbit_sizes), found by _neighbour_blocks; whether
+    the pair is consecutive at S is the caller's test M > S^2.  The list
+    is the prefix up to the last norm(s) <= S^2.  When S is beyond it,
+    only the representatives of the shell between the old and the new
+    level are scanned, once each, and their finds appended; a build that
+    raises leaves the list as it was.
+    """
+    if S < 1:
+        raise DomainError("S must be >= 1")
+    built, finds = _finds_cache[0] if _finds_cache else (0, tuple(np.empty(0, t) for t in _FIND_TYPES))
+    if S > built:
+        table = _table(S)
+        start = int(np.searchsorted(table[0], built * built, side="right"))
+        sizes = _orbit_sizes(S, built)
+        blocks = [finds]
+        for i, sp_re, sp_im, mediant in _neighbour_blocks(S, start + np.flatnonzero(sizes)):
+            cols = (table[0, i], sp_re * sp_re + sp_im * sp_im, mediant, sizes[i - start])
+            blocks.append(tuple(c.astype(t) for c, t in zip(cols, _FIND_TYPES)))
+        finds = tuple(np.concatenate(c) for c in zip(*blocks))
+        for c in finds:
+            c.flags.writeable = False
+        _finds_cache[:] = [(S, finds)]
+    # an int32 key: a Python int would make searchsorted cast the column
+    stop = int(np.searchsorted(finds[0], np.int32(S * S), side="right"))
+    return tuple(c[:stop] for c in finds)
 
 
 def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:

@@ -3,13 +3,16 @@
 Three routes to the same quantity:
 
   direct      enumerate the fractions at level S, solve for the
-              consecutive partners with a denominator no larger than its
-              own (farey._partner_blocks, each pair once, ties from both
-              ends) of one fraction per orbit of the square's eight
+              adjacent partners with a denominator no larger than its
+              own (farey._neighbour_blocks, each pair once, ties from
+              both ends) of one fraction per orbit of the square's eight
               symmetries, weighted by the orbit size (farey._orbit_sizes,
-              about 0.1 S^4 candidates), and add the radius sums
-              1/(2|s|^2) + 1/(2|s'|^2) per norm in exact rational
-              arithmetic, compared with the quarter main term;
+              about 0.1 S^4 candidates), keep those with an escaping
+              mediant, and add the radius sums 1/(2|s|^2) + 1/(2|s'|^2)
+              per norm in exact rational arithmetic, compared with the
+              quarter main term; the finds do not depend on S and are
+              cached (farey._finds), so a call at a level already built
+              only filters them by the escape test and counts them;
 
   counting    2 * sum over canonical |s| <= S of N(s)/|s|^2, where N(s)
               counts consecutive partner denominators for s as lattice
@@ -173,7 +176,7 @@ def direct_total(S: int) -> Fraction:
     Each unordered pair contributes 1/(2|s|^2) + 1/(2|s'|^2), so
     M(S) = sum over norms n of c(n) / (2n), where c(n) counts the pair
     ends with denominator norm n.  The neighbour solve finds each pair
-    from its end with the larger norm (farey._partner_blocks): a find
+    from its end with the larger norm (farey._neighbour_blocks): a find
     counts 1 at norm(s), and 1 at norm(s') when norm(s') < norm(s); a tie
     is found from both ends and counts 1 at its norm each time.  The
     eight symmetries of the unit square map each fraction's finds onto
@@ -181,33 +184,61 @@ def direct_total(S: int) -> Fraction:
     solve runs only on the representatives 0 <= y <= x <= 1/2, about an
     eighth of G_S and 0.1 S^4 candidates, and each of their finds counts
     the size of its orbit (8, 4 on a mirror, 1 at the centre) instead of
-    1.  G_S and the inverses the solve starts from are views of farey's
-    one cached table, which a sweep over S builds once, shell by shell;
-    the inverses are checked as they enter it.  The per-norm terms
-    c(n)/(2n) are summed over one common denominator, the lcm L of the
-    norms (those with a nonzero count), as one integer numerator and one
-    exact rational.
+    1.  Only the escape test depends on S: the finds, their norms, their
+    largest mediant norm M and their weights come from farey's one cached
+    list of finds (farey._finds), which a sweep over S builds once, shell
+    by shell, together with the table of G_S.  A call at a level already
+    built only slices that list by norm(s) <= S^2, keeps the finds with
+    M > S^2 (is_consecutive) and counts them.  The per-norm terms c(n)/(2n)
+    are summed over one common denominator, the lcm L of the norms (those
+    with a nonzero count), as one integer numerator and one exact
+    rational.
     """
-    norms = farey.gs_arrays(S)[0]
-    sizes = farey._orbit_sizes(S)
-    counts = np.zeros(S * S + 1, dtype=np.int64)
-    for i, sp_re, sp_im in farey._partner_blocks(S, np.flatnonzero(sizes)):
-        n, n_p, w = norms[i], sp_re * sp_re + sp_im * sp_im, sizes[i]
-        lower = n_p < n
-        # float weights, but every partial sum is an integer below 8 times
-        # the finds of the block, far under 2^53: the block counts are exact
-        block = np.bincount(np.concatenate([n, n_p[lower]]), np.concatenate([w, w[lower]]), len(counts))
-        counts += block.astype(np.int64)
+    n, n_p, mediant, w = farey._finds(S)
+    escape = np.flatnonzero(mediant > S * S)
+    n, n_p, w = n[escape], n_p[escape], w[escape]
+    lower = n_p < n
+    # float weights, but every partial sum is an integer below 8 times the
+    # finds, far under 2^53: the counts are exact
+    counts = np.bincount(np.concatenate([n, n_p[lower]]), np.concatenate([w, w[lower]]), S * S + 1)
     distinct = np.flatnonzero(counts)
-    per_norm = counts[distinct].tolist()
+    per_norm = counts[distinct].astype(np.int64).tolist()
     distinct = distinct.tolist()
     L = math.lcm(*distinct)
     return Fraction(sum(c * (L // n) for c, n in zip(per_norm, distinct)), 2 * L)
 
 
+def real_axis_correction(S: int) -> Fraction:
+    """extra(S) = 2 * sum of (1/q^2 + 1/q'^2) over the coprime denominator
+    pairs 1 <= q < q' <= S with q + q' > S, exactly.
+
+    These are the consecutive denominators of the classical Farey sequence
+    of order S: pairs on the real axis, which realize eight consecutive
+    fraction pairs instead of the four the quarter counting route assumes,
+    so direct_total(S) == quarter count + extra(S) (verify's
+    reconciliation check).  The sum is taken per q, as an integer count
+    c(q) of the partners p != q with gcd(p, q) = 1 and S - q < p <= S.
+    That interval holds q consecutive integers, one of each residue class
+    mod q, so c(q) = phi(q), Euler's totient, for every q <= S; only at
+    S = 1 is the one candidate p = q = 1 no pair.  So
+    extra(S) = 2 * sum over q <= S of phi(q)/q^2 for S >= 2, summed over
+    the common denominator lcm(1..S)^2 as one integer numerator.
+    """
+    if S < 1:
+        raise DomainError("S must be >= 1")
+    if S == 1:
+        return Fraction(0)
+    phi = np.arange(S + 1)
+    for p in range(2, S + 1):
+        if phi[p] == p:  # p is prime: no smaller prime has touched it
+            phi[p::p] -= phi[p::p] // p
+    L = math.lcm(*range(1, S + 1)) ** 2
+    return Fraction(2 * sum(c * (L // (q * q)) for q, c in enumerate(phi.tolist()) if q), L)
+
+
 def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     """Exact direct evaluation: every consecutive fraction pair, found by
-    the neighbour solve of farey._partner_blocks from its end with the
+    the neighbour solve of farey._neighbour_blocks from its end with the
     larger denominator norm, for one fraction per orbit of the square's
     symmetries and weighted by the orbit size.
 
@@ -215,9 +246,12 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     happens once at the end.  The work grows like S^4 (about 0.1 S^4
     candidate denominators, about pi per scanned fraction, one fraction
     in eight scanned), hence the cap; use the counting route beyond it.
-    G_S and the inverses come from farey's one cached table, so in a
-    sweep over S only the first call at each new level builds the shell
-    of new denominators, solving and checking their inverses once.
+    G_S, the inverses and the finds of the scan come from farey's cached
+    table and list of finds, so in a sweep over S only the first call at
+    each new level builds the shell of new denominators, solving and
+    checking their inverses and scanning their representatives once; a
+    call at a level already built only filters the cached finds by the
+    escape test and sums them.
     The row is compared with the quarter main term main_term(S) / 4, the
     one-per-unit-orbit normalization the direct sum follows (real-axis
     denominator pairs, which realize eight fraction pairs instead of four,

@@ -607,8 +607,9 @@ RECONCILIATION_RANGE = range(2, 41)
 def check_direct_quarter_reconciliation() -> tuple[bool, str]:
     # quarter counting assumes four fraction pairs per denominator pair;
     # real-axis pairs (classical consecutive Farey denominators) realize
-    # eight, so adding four radius sums per such pair must reconcile the
-    # two pipelines exactly, in rational arithmetic
+    # eight, so adding four radius sums per such pair
+    # (moment.real_axis_correction) must reconcile the two pipelines
+    # exactly, in rational arithmetic
     for S in RECONCILIATION_RANGE:
         direct = moment.direct_total(S)
         quarter = Fraction(0)
@@ -618,11 +619,7 @@ def check_direct_quarter_reconciliation() -> tuple[bool, str]:
                 return False, f"full count {c} of {q} at S = {S} is not divisible by 4"
             quarter += Fraction(c // 4, norm(q))
         quarter *= 2
-        extra = Fraction(0)
-        for q in range(1, S + 1):
-            for qp in range(q + 1, S + 1):
-                if math.gcd(q, qp) == 1 and q + qp > S:
-                    extra += 4 * (Fraction(1, 2 * q * q) + Fraction(1, 2 * qp * qp))
+        extra = moment.real_axis_correction(S)
         if direct != quarter + extra:
             return False, f"mismatch at S = {S}: {direct} vs {quarter + extra}"
     lo, hi = RECONCILIATION_RANGE[0], RECONCILIATION_RANGE[-1]

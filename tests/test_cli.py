@@ -33,6 +33,25 @@ class TestEnumerate:
         assert len(rows) == 4
         assert {r["radius"] for r in rows} == {"1/2"}
 
+    def test_level_beyond_the_direct_cap_is_refused_before_any_build(self, capsys, monkeypatch):
+        from fordspheres import farey
+
+        table = []
+        monkeypatch.setattr(farey, "_gs_cache", table)
+        for argv in (("--S", "4", "--direct-cap", "3"), ("--S", "2000")):
+            code, out, err = run(capsys, "enumerate", *argv)
+            assert (code, out) == (cli.EXIT_NUMERIC, "")
+            assert "capped" in err
+        assert table == []
+        code, out, _ = run(capsys, "enumerate", "--S", "3", "--direct-cap", "3")
+        assert code == 0
+        assert len(out.splitlines()) == len(farey.gs_arrays(3)[0])
+
+    def test_cap_override_via_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("FORDSPHERES_DIRECT_CAP", "3")
+        assert run(capsys, "enumerate", "--S", "4")[0] == cli.EXIT_NUMERIC
+        assert run(capsys, "enumerate", "--S", "3")[0] == 0
+
 
 class TestOutFormat:
     @pytest.mark.parametrize(

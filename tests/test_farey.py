@@ -176,11 +176,76 @@ class TestTable:
             farey._table(5)[6, 0] = 0
 
     def test_import_and_constants_leave_the_table_empty(self):
-        code = "from fordspheres import farey, moment\nmoment.constants_bundle()\nprint(len(farey._gs_cache))\n"
+        code = (
+            "from fordspheres import farey, moment\nmoment.constants_bundle()\n"
+            "print(len(farey._gs_cache), len(farey._finds_cache))\n"
+        )
         src = os.path.dirname(os.path.dirname(farey.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert run.stdout.split() == ["0"]
+        assert run.stdout.split() == ["0", "0"]
+
+
+def finds_bytes(S):
+    """The finds of the representatives of G_S (farey._finds) as bytes,
+    with their column types."""
+    return [(c.dtype.str, c.tobytes()) for c in farey._finds(S)]
+
+
+class TestFinds:
+    LEVELS = range(1, 17)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "jumping"])
+    def test_prefix_views_equal_a_fresh_build(self, monkeypatch, order):
+        # the finds do not depend on S, so a list grown in any order and
+        # sliced by norm(s) <= S^2 equals one built for S alone
+        fresh = {}
+        for S in self.LEVELS:
+            monkeypatch.setattr(farey, "_gs_cache", [])
+            monkeypatch.setattr(farey, "_finds_cache", [])
+            fresh[S] = finds_bytes(S)
+        levels = list(self.LEVELS)
+        if order == "descending":
+            levels.reverse()
+        elif order == "jumping":
+            levels = [3, 1, 9, 2, 16, 5, 12, 4, 8, 15, 6, 7, 14, 10, 13, 11]
+        monkeypatch.setattr(farey, "_finds_cache", [])
+        for S in levels + list(self.LEVELS):
+            assert finds_bytes(S) == fresh[S], S
+
+    def test_finds_at_level_twelve(self):
+        # the finds of the 668 representatives, consecutive at S = 12 or
+        # not; those whose largest mediant escapes are the 1,694 partner
+        # finds of TestSymmetry, and the weights count the full scan's
+        n, n_p, mediant, w = farey._finds(12)
+        reps = np.count_nonzero(farey._orbit_sizes(12))
+        assert (len(n), reps, int(w.sum(dtype=np.int64))) == (2102, 668, 16184)
+        assert np.count_nonzero(mediant > 144) == 1694
+        assert np.all(np.diff(n) >= 0) and np.all(n_p <= n) and np.all(n <= 144)
+        assert [c.dtype for c in (n, n_p, mediant, w)] == [np.int32, np.int32, np.int32, np.int8]
+
+    def test_views_are_read_only(self):
+        for column in farey._finds(5):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_a_raising_build_leaves_the_list_as_it_was(self, monkeypatch):
+        # the inverse of test_neighbour_solve_checks_the_inverse, caught
+        # while the table grows under the list
+        def off_by_one(r_re, r_im, s_re, s_im):
+            x_re, x_im = inverse(r_re, r_im, s_re, s_im)
+            return x_re + (s_re * s_re + s_im * s_im > 1), x_im
+
+        monkeypatch.setattr(farey, "_gs_cache", [])
+        fresh_finds = []
+        monkeypatch.setattr(farey, "_finds_cache", fresh_finds)
+        before = finds_bytes(1)
+        inverse = farey._inverse_mod
+        monkeypatch.setattr(farey, "_inverse_mod", off_by_one)
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            farey._finds(4)
+        assert [built for built, _ in fresh_finds] == [1]
+        assert finds_bytes(1) == before
 
 
 def square_images(f):

@@ -17,6 +17,13 @@ def g(re, im=0):
     return GInt(re, im)
 
 
+def cold(monkeypatch):
+    """Empty the table of G_S and the list of finds for this test, so that
+    the next direct_total builds both from nothing."""
+    monkeypatch.setattr(farey, "_gs_cache", [])
+    monkeypatch.setattr(farey, "_finds_cache", [])
+
+
 class TestConstant:
     def test_value(self):
         assert moment.constant_C() == pytest.approx(0.686440070037642, abs=1e-10)
@@ -179,24 +186,25 @@ class TestDirect:
 
     @pytest.mark.parametrize("block", [1, 7, 40])
     def test_total_is_independent_of_block_size(self, monkeypatch, block):
-        # the table is built at the default size; the scan runs in blocks
-        # of a few fractions and points, which split the ties and the
+        # the table and the finds are built anew in blocks of a few
+        # fractions and points, which split the shells, the ties and the
         # partners of one fraction across blocks
         default = {S: moment.direct_total(S) for S in (6, 9)}
         monkeypatch.setattr(region, "BLOCK_ELEMENTS", block)
+        cold(monkeypatch)
         assert {S: moment.direct_total(S) for S in (6, 9)} == default
 
     def test_total_is_independent_of_the_call_order(self, monkeypatch):
-        # each level cold, from an empty table, against sweeps that grow
-        # the table shell by shell, cut it down, and jump about
+        # each level cold, from an empty table and list of finds, against
+        # sweeps that grow both shell by shell, cut them down, and jump about
         levels = list(range(1, 25))
-        cold = {}
+        cold_totals = {}
         for S in levels:
-            monkeypatch.setattr(farey, "_gs_cache", [])
-            cold[S] = moment.direct_total(S)
+            cold(monkeypatch)
+            cold_totals[S] = moment.direct_total(S)
         for order in (levels, levels[::-1], Random(7).sample(levels, len(levels))):
-            monkeypatch.setattr(farey, "_gs_cache", [])
-            assert {S: moment.direct_total(S) for S in order} == cold, order
+            cold(monkeypatch)
+            assert {S: moment.direct_total(S) for S in order} == cold_totals, order
 
     def test_residual_against_quarter_main_term(self):
         for S in (1, 5, 12, 24):
@@ -380,6 +388,19 @@ class TestCalibration:
         assert verify.RECONCILIATION_RANGE == range(2, 41)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
+
+    def test_real_axis_correction_is_the_pair_sum(self):
+        # the double loop over the coprime pairs q < q' with q + q' > S,
+        # four radius sums per pair, is the oracle of the per-q counts
+        for S in range(1, 41):
+            extra = Fraction(0)
+            for q in range(1, S + 1):
+                for qp in range(q + 1, S + 1):
+                    if math.gcd(q, qp) == 1 and q + qp > S:
+                        extra += 4 * (Fraction(1, 2 * q * q) + Fraction(1, 2 * qp * qp))
+            assert moment.real_axis_correction(S) == extra, S
+        with pytest.raises(DomainError):
+            moment.real_axis_correction(0)
 
 
 class TestSums:
