@@ -144,7 +144,7 @@ def _emit(config: RunConfig, meta: dict, columns: Sequence[str], rows: list[dict
 
 
 def cmd_enumerate(args, config: RunConfig) -> int:
-    # G_S grows like S^4: the table of the direct route, under its cap
+    # G_S grows like S^4: it is built under the direct route's cap
     if args.S > args.direct_cap:
         raise DomainError(
             f"enumerate capped at S = {args.direct_cap}; "
@@ -369,8 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", choices=("csv", "json"), default="csv", help="artifact format")
         p.add_argument("--out-path", default=None, help="artifact file path")
 
+    def direct_cap_arg(p):
+        p.add_argument(
+            "--direct-cap", type=_positive_int, default=direct_cap,
+            help=f"largest S the direct method and enumerate run (default {direct_cap})",
+        )
+
     def caps(p):
-        p.add_argument("--direct-cap", type=_positive_int, default=direct_cap)
+        direct_cap_arg(p)
         p.add_argument(
             "--counting-cap", type=_positive_int, default=counting_cap,
             help=f"largest S the counting method runs (default {counting_cap})",
@@ -383,10 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list the fractions at level S")
     p.add_argument("--S", type=int, required=True)
     p.add_argument("--json", action="store_true", help="also print sphere data as JSON")
-    p.add_argument(
-        "--direct-cap", type=_positive_int, default=direct_cap,
-        help=f"largest S enumerated, shared with the direct method (default {direct_cap})",
-    )
+    direct_cap_arg(p)
     common(p)
 
     p = sub.add_parser("constants", help="print the constants bundle as JSON")

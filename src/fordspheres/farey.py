@@ -13,20 +13,18 @@ sphere smaller than 1/(2 S^2) is tangent to both, which happens exactly
 when one of the four complex mediants (r + u r')/(s + u s') has
 denominator of modulus > S.
 
-G_S has one door, gs_arrays(S), which hands out read-only views of one
-cached table in sort_key order.  Since that order starts with norm(s),
-G_S is a prefix of the table for every S up to the level built; a larger
-S appends only the shell of denominators between the two levels.  The
-table also holds each fraction's inverse x = r^-1 mod s, which does not
-depend on S: it is solved and checked once per fraction, as the fraction
-enters the table.
+G_S is built in sort_key order, shell by shell: _shell(lo, S) yields
+the fractions with lo < |s| <= S in blocks of columns, and gs_arrays(S)
+concatenates the blocks of _shell(0, S) anew on each call.  Since the
+order starts with norm(s), G_S is a prefix of G_S' for S <= S'.
 
 The consecutive pairs of G_S come from a neighbour solve: the partners of
 r/s have denominators s' = x + k s in one residue class modulo s.  Each
 pair is found from its end with the larger denominator norm, so r/s
 visits only the partners with |s'| <= |s|, a disc of k whose rows and
 columns are exact integer intervals: about pi candidates per fraction
-(_neighbour_blocks, in int64 arrays).  A pair with |s'| < |s| is found
+(_neighbour_blocks, in int64 arrays), where x = r^-1 mod s is solved
+and checked for each fraction as it is scanned.  A pair with |s'| < |s| is found
 once, a tie |s'| = |s| from both ends.  The partner r'/s' lies in the
 square when both parts of r conj(s) |s'|^2 - conj(s s') lie in
 [0, |s|^2 |s'|^2], a test with no division; r' itself is divided out
@@ -39,11 +37,11 @@ moment.direct_total scans only one fraction per orbit (_orbit_sizes,
 those in 0 <= y <= x <= 1/2, about an eighth of G_S) and weights its
 finds by the orbit size: about 0.1 S^4 candidates in all, against
 0.8 S^4 for the full scan that consecutive_pairs runs.  Those finds,
-with their norms, M and weights, are cached next to the table in one
-list (_finds), grown shell by shell as the table is: each
-representative is scanned once, when its shell enters the list, and a
-call at a level already built only slices the list and filters it by
-M > S^2.  The all-pairs determinant scan is kept as the oracle
+with their norms, M and weights, are farey's one cache (_finds): a list
+grown shell by shell, in which each representative is scanned once,
+when its shell enters the list, and a call at a level already built
+only slices the list and filters it by M > S^2.  G_S itself is not
+kept.  The all-pairs determinant scan is kept as the oracle
 consecutive_pairs_scan.
 """
 
@@ -135,41 +133,9 @@ class Sphere:
     radius: Fraction
 
 
-# the one cached table behind gs_arrays: (S, a read-only (7, |G_S|) int64
-# array whose rows are norm(s), Re s, Im s, Re r, Im r, Re x, Im x with
-# x = r^-1 mod s, in sort_key order); G_S' for S' <= S is a prefix of it.
-# It is never released: it lives, at the largest S asked for, for the rest
-# of the process (56 bytes per fraction: 74 MiB at S = 48, 233 MiB at 64).
-# moment.direct_total also keeps the finds of the orbit representatives
-# in _finds_cache, about 5 bytes per fraction (3.4 MB at S = 40)
-_gs_cache: list[tuple[int, np.ndarray]] = []
-
-
-def _table(S: int) -> np.ndarray:
-    """G_S as a read-only (7, |G_S|) view of the one cached table: the
-    five columns of gs_arrays, then Re x and Im x, x = r^-1 mod s.
-
-    sort_key order starts with norm(s), so G_S is the prefix of the table
-    up to the last norm <= S^2, found by searchsorted.  When S is beyond
-    the table, only the shell of denominators between the old and the new
-    level is built (_shell) and appended; a build that raises leaves the
-    table as it was.
-    """
-    if S < 1:
-        raise DomainError("S must be >= 1")
-    if S >= INT64_S_LIMIT:
-        raise ArithmeticError(f"G_S arrays are exact in int64 for S < {INT64_S_LIMIT}; got {S}")
-    built, table = _gs_cache[0] if _gs_cache else (0, np.empty((7, 0), dtype=np.int64))
-    if S > built:
-        table = np.concatenate([table, *_shell(built, S)], axis=1)
-        table.flags.writeable = False
-        _gs_cache[:] = [(S, table)]
-    return table[:, : int(np.searchsorted(table[0], S * S, side="right"))]
-
-
 def _shell(lo: int, S: int):
-    """The fractions r/s of G_S with |s| > lo, as (7, k) blocks of table
-    columns in sort_key order.
+    """The fractions r/s of G_S with |s| > lo, as (5, k) int64 blocks of
+    the columns of gs_arrays, in sort_key order.
 
     For the denominator s = a+bi the candidate numerators x+iy satisfy
     0 <= ax+by <= norm(s) and 0 <= ay-bx <= norm(s), a tilted square with
@@ -181,9 +147,12 @@ def _shell(lo: int, S: int):
     order and each box is expanded in (x, y) order, so the output is in
     sort_key order as built.  The boxes of consecutive denominators are
     expanded together, at most region.BLOCK_ELEMENTS candidates at a time
-    (region.flat_blocks), and the inverses are solved and checked per
-    block (_inverse_columns).
+    (region.flat_blocks).
     """
+    if S < 1:
+        raise DomainError("S must be >= 1")
+    if S >= INT64_S_LIMIT:
+        raise ArithmeticError(f"G_S arrays are exact in int64 for S < {INT64_S_LIMIT}; got {S}")
     a, b, norms = arith.canonical_cells(S * S)
     first = int(np.searchsorted(norms, lo * lo, side="right"))
     a, b, norms = a[first:], b[first:], norms[first:]
@@ -198,27 +167,27 @@ def _shell(lo: int, S: int):
         inside = np.flatnonzero((px >= 0) & (px <= n) & (qy >= 0) & (qy <= n))
         n, sa, sb, x, y, px, qy = (v[inside] for v in (n, sa, sb, x, y, px, qy))
         keep = np.gcd(np.gcd(n, x * x + y * y), np.gcd(px, qy)) == 1
-        cols = (n[keep], sa[keep], sb[keep], x[keep], y[keep])
-        yield np.stack(cols + _inverse_columns(*cols))
+        yield np.stack((n[keep], sa[keep], sb[keep], x[keep], y[keep]))
 
 
 def gs_arrays(S: int) -> tuple[np.ndarray, ...]:
     """G_S as int64 arrays (norm(s), Re s, Im s, Re r, Im r), one entry per
-    fraction r/s, in sort_key order: read-only views of the one cached
-    table (_table), built shell by shell as S grows.  The table, with the
-    inverses of its fractions, stays cached at the largest S asked for
-    for the whole life of the process."""
-    return tuple(_table(S)[:5])
+    fraction r/s, in sort_key order, built anew from the blocks of _shell
+    on each call."""
+    return tuple(np.concatenate(list(_shell(0, S)), axis=1))
+
+
+def _fractions(cols) -> list[GFraction]:
+    """The GFractions of the columns of gs_arrays, in their order."""
+    _, s_re, s_im, r_re, r_im = (c.tolist() for c in cols)
+    return [GFraction(GInt(x, y), GInt(a, b)) for a, b, x, y in zip(s_re, s_im, r_re, r_im)]
 
 
 def enumerate_gs(S: int) -> list[GFraction]:
     """All reduced fractions in the closed unit square with canonical
-    denominator of modulus <= S, sorted by (norm(s), s, r).  They are read
-    from gs_arrays(S), so a first call at a new S also solves and checks
-    the inverses of the new fractions and leaves them in the table for the
-    life of the process."""
-    _, s_re, s_im, r_re, r_im = (c.tolist() for c in gs_arrays(S))
-    return [GFraction(GInt(x, y), GInt(a, b)) for a, b, x, y in zip(s_re, s_im, r_re, r_im)]
+    denominator of modulus <= S, sorted by (norm(s), s, r): the fractions
+    of gs_arrays(S)."""
+    return _fractions(gs_arrays(S))
 
 
 def is_adjacent(f1: GFraction, f2: GFraction) -> bool:
@@ -445,11 +414,10 @@ def _inverse_columns(n, s_re, s_im, r_re, r_im) -> tuple[np.ndarray, np.ndarray]
     return x_re, x_im
 
 
-def _orbit_sizes(S: int, lo: int = 0) -> np.ndarray:
-    """For each fraction of gs_arrays(S) with |s| > lo (the shell between
-    the levels lo and S, all of G_S by default), the size of its orbit
-    under the eight symmetries of the unit square if it is the orbit's
-    representative, and 0 otherwise, as an int8 array.
+def _orbit_sizes(n, s_re, s_im, r_re, r_im) -> np.ndarray:
+    """For each fraction r/s of the given columns of gs_arrays, the size of
+    its orbit under the eight symmetries of the unit square if it is the
+    orbit's representative, and 0 otherwise, as an int8 array.
 
     The symmetries are generated by x -> 1 - x, y -> 1 - y and x <-> y.
     On r/s they are (r, s) -> (conj s - conj r, conj s),
@@ -468,38 +436,30 @@ def _orbit_sizes(S: int, lo: int = 0) -> np.ndarray:
     Two of its sides lie on mirrors: a fraction on the diagonal X = Y or
     on the midline 2X = n is fixed by one reflection and has an orbit of
     4, the centre, on both, is fixed by all eight maps, and every other
-    fraction has an orbit of 8.  The sizes sum to |G_S|.
+    fraction has an orbit of 8.  Over G_S the sizes sum to |G_S|.
     """
-    table = _table(S)
-    table = table[:, int(np.searchsorted(table[0], lo * lo, side="right")) :]
-    sizes = np.zeros(table.shape[1], dtype=np.int8)
-    # a block of fractions at a time, so the temporaries stay small beside the table
-    step = region.BLOCK_ELEMENTS
-    for at in range(0, len(sizes), step):
-        n, s_re, s_im, r_re, r_im = table[:5, at : at + step]
-        X = r_re * s_re + r_im * s_im
-        Y = r_im * s_re - r_re * s_im
-        diag, mid = (X == Y).astype(np.int8), (2 * X == n).astype(np.int8)
-        sizes[at : at + step] = np.where((Y <= X) & (2 * X <= n), 8 >> (diag + mid + (diag & mid)), 0)
-    return sizes
+    X = r_re * s_re + r_im * s_im
+    Y = r_im * s_re - r_re * s_im
+    diag, mid = (X == Y).astype(np.int8), (2 * X == n).astype(np.int8)
+    return np.where((Y <= X) & (2 * X <= n), 8 >> (diag + mid + (diag & mid)), 0).astype(np.int8)
 
 
-def _neighbour_blocks(S: int, indices: np.ndarray):
+def _neighbour_blocks(cols):
     """The neighbour solve, one block at a time: yields (i, Re s', Im s', M)
     for the adjacent partners r'/s' with |s'| <= |s| of the fractions
-    r/s = i of the block, with r s' - r' s = 1 (s' not yet canonical), and
-    M = max over units u of |s + u s'|^2, the largest mediant norm.
-    The fractions scanned are the int64 indices into gs_arrays(S): every
-    fraction for consecutive_pairs, one per symmetry orbit for the finds
-    of moment.direct_total (_finds); their table columns are gathered
-    block by block.  The finds of a fraction come out together, and the
-    fractions in the order of indices.
+    r/s = cols[:, i] of the block, with r s' - r' s = 1 (s' not yet
+    canonical), and M = max over units u of |s + u s'|^2, the largest
+    mediant norm.  cols holds the columns of gs_arrays of the fractions
+    to scan: all of G_S for consecutive_pairs, one fraction per symmetry
+    orbit for the finds of moment.direct_total (_finds).  The finds of a
+    fraction come out together, and the fractions in their order in cols.
 
     For f = r/s, scaling a partner r'/s' by a unit makes r s' - r' s = 1,
     and exactly one of the four associates of (r', s') does so.  Then
     s' = x + k s with x = r^-1 mod s and k a Gaussian integer, and
-    r' = (r s' - 1)/s exactly; x is read from the table of _table, which
-    solved and checked it once per fraction (_inverse_columns).  With
+    r' = (r s' - 1)/s exactly; x is solved and checked for the fractions
+    of each block as the block is scanned (_inverse_columns), so once per
+    scanned fraction.  With
     n = norm(s) and y = x conj(s), |s'| <= |s| is |n k + y|^2 <= n^2, a
     disc of k whose rows and columns are exact integer intervals:
     Re k = m for |n m + Re y| <= n, and in row m, Im k = j for
@@ -514,13 +474,12 @@ def _neighbour_blocks(S: int, indices: np.ndarray):
     escape test of is_consecutive, M > S^2, is left to the caller
     (_partner_blocks, moment.direct_total).
     """
-    table = _table(S)
     step = max(region.BLOCK_ELEMENTS // 4, 1)  # a point holds about a dozen int64 temporaries
-    # the per-fraction set-up below (y, P, the row bounds) is taken for
-    # step fractions at a time, so that it stays small beside the table
-    for lo in range(0, len(indices), step):
-        at = indices[lo : lo + step]
-        n, s_re, s_im, r_re, r_im, x_re, x_im = table[:, at]
+    # the per-fraction set-up below (x, y, P, the row bounds) is taken for
+    # step fractions at a time, so that it stays small
+    for lo in range(0, len(cols[0]), step):
+        n, s_re, s_im, r_re, r_im = (c[lo : lo + step] for c in cols)
+        x_re, x_im = _inverse_columns(n, s_re, s_im, r_re, r_im)
         y_re = x_re * s_re + x_im * s_im  # y = x conj(s)
         y_im = x_im * s_re - x_re * s_im
         p_re = r_re * s_re + r_im * s_im  # P = r conj(s)
@@ -557,29 +516,30 @@ def _neighbour_blocks(S: int, indices: np.ndarray):
                 # max over units of |s + u s'|^2 is norm(s) + norm(s') +
                 # 2 max(|Re z|, |Im z|), z = conj(s) s'
                 mediant = ns + nsp + 2 * np.maximum(np.abs(a + b), np.abs(c - d))
-                yield at[i[keep]], sp_re[keep], sp_im[keep], mediant
+                yield lo + i[keep], sp_re[keep], sp_im[keep], mediant
 
 
-def _partner_blocks(S: int, indices: np.ndarray):
-    """The consecutive partners among the finds of _neighbour_blocks: yields
-    (i, Re s', Im s') for the partners r'/s' with |s'| <= |s| of the
-    fractions i whose largest mediant escapes, M > S^2 (is_consecutive).
-    Each pair is found from its end with the larger denominator norm:
-    once when |s'| < |s|, from both ends when |s'| = |s|."""
+def _partner_blocks(S: int, cols):
+    """The consecutive partners among the finds of _neighbour_blocks(cols):
+    yields (i, Re s', Im s') for the partners r'/s' with |s'| <= |s| of
+    the fractions i of cols whose largest mediant escapes, M > S^2
+    (is_consecutive).  Each pair is found from its end with the larger
+    denominator norm: once when |s'| < |s|, from both ends when
+    |s'| = |s|."""
     S2 = S * S
-    for i, sp_re, sp_im, mediant in _neighbour_blocks(S, indices):
+    for i, sp_re, sp_im, mediant in _neighbour_blocks(cols):
         escape = mediant > S2
         yield i[escape], sp_re[escape], sp_im[escape]
 
 
-# the finds of the orbit representatives behind moment.direct_total: (S,
-# four read-only columns, one entry per find of _neighbour_blocks on the
-# representatives of G_S: int32 norm(s), int32 norm(s'), int32 M, the
-# largest mediant norm, and the int8 orbit size of r/s).  None depends on
-# S, so the finds of G_S' for S' <= S are a prefix of the list; S < 2^14
-# keeps M <= 4 S^2 below 2^31.  Like _gs_cache it grows shell by shell and
-# lives, at the largest S asked for, for the rest of the process (about
-# 13 bytes per find, some 0.4 finds per fraction)
+# farey's one cache, the finds of the orbit representatives behind
+# moment.direct_total: (S, four read-only columns, one entry per find of
+# _neighbour_blocks on the representatives of G_S: int32 norm(s), int32
+# norm(s'), int32 M, the largest mediant norm, and the int8 orbit size of
+# r/s).  None depends on S, so the finds of G_S' for S' <= S are a prefix
+# of the list; S < 2^14 keeps M <= 4 S^2 below 2^31.  It grows shell by
+# shell and lives, at the largest S asked for, for the rest of the process
+# (about 13 bytes per find, some 0.4 finds per fraction)
 _finds_cache: list[tuple[int, tuple[np.ndarray, ...]]] = []
 _FIND_TYPES = (np.int32, np.int32, np.int32, np.int8)
 
@@ -587,27 +547,29 @@ _FIND_TYPES = (np.int32, np.int32, np.int32, np.int8)
 def _finds(S: int) -> tuple[np.ndarray, ...]:
     """The finds of the orbit representatives of G_S, as read-only
     int32 norm(s), norm(s'), M and int8 orbit-size views of the one cached
-    list, in table order (so norm(s) ascends along them).
+    list, in sort_key order of r/s (so norm(s) ascends along them).
 
     Each find is one adjacent partner r'/s' with |s'| <= |s| of a
     representative r/s (_orbit_sizes), found by _neighbour_blocks; whether
     the pair is consecutive at S is the caller's test M > S^2.  The list
     is the prefix up to the last norm(s) <= S^2.  When S is beyond it,
-    only the representatives of the shell between the old and the new
-    level are scanned, once each, and their finds appended; a build that
-    raises leaves the list as it was.
+    the shell of G_S between the old and the new level is built block by
+    block (_shell), the representatives of each block are scanned, once
+    each, and their finds appended; a build that raises leaves the list
+    as it was.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
     built, finds = _finds_cache[0] if _finds_cache else (0, tuple(np.empty(0, t) for t in _FIND_TYPES))
     if S > built:
-        table = _table(S)
-        start = int(np.searchsorted(table[0], built * built, side="right"))
-        sizes = _orbit_sizes(S, built)
         blocks = [finds]
-        for i, sp_re, sp_im, mediant in _neighbour_blocks(S, start + np.flatnonzero(sizes)):
-            cols = (table[0, i], sp_re * sp_re + sp_im * sp_im, mediant, sizes[i - start])
-            blocks.append(tuple(c.astype(t) for c, t in zip(cols, _FIND_TYPES)))
+        for shell in _shell(built, S):
+            sizes = _orbit_sizes(*shell)
+            reps = np.flatnonzero(sizes)
+            shell, sizes = shell[:, reps], sizes[reps]
+            for i, sp_re, sp_im, mediant in _neighbour_blocks(shell):
+                cols = (shell[0, i], sp_re * sp_re + sp_im * sp_im, mediant, sizes[i])
+                blocks.append(tuple(c.astype(t) for c, t in zip(cols, _FIND_TYPES)))
         finds = tuple(np.concatenate(c) for c in zip(*blocks))
         for c in finds:
             c.flags.writeable = False
@@ -622,14 +584,16 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     (f, f') with f first in sort_key order, sorted by (f, f'): the same
     list as consecutive_pairs_scan.
 
-    The finds of the neighbour solve (_partner_blocks) are turned into
-    indices (i, j) into gs_arrays(S): the partner r'/s' is found in G_S
-    by its numerator r' = (r s' - 1)/s, an exact division, after rotating
-    s' to its canonical associate.  Each pair is taken once, as the find
+    G_S is built once (gs_arrays), and the finds of the neighbour solve on
+    all of it (_partner_blocks) are turned into indices (i, j) into its
+    columns: the partner r'/s' is found in G_S by its numerator
+    r' = (r s' - 1)/s, an exact division, after rotating s' to its
+    canonical associate.  Each pair is taken once, as the find
     whose partner j comes before i: sort_key order starts with the norm,
     so that is every find with norm(s_j) < norm(s_i) and one of the two
     finds of each tie."""
-    n, s_re, s_im, r_re, r_im = gs_arrays(S)
+    cols = gs_arrays(S)
+    n, s_re, s_im, r_re, r_im = cols
     # every fraction has a key that increases along the sort_key order:
     # the rank of its denominator, then its numerator offset in the box
     # -S <= Re r <= S, 0 <= Im r <= 2S
@@ -639,7 +603,7 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
     keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
     first, second = [], []
-    for i, sp_re, sp_im in _partner_blocks(S, np.arange(len(n))):
+    for i, sp_re, sp_im in _partner_blocks(S, cols):
         # r' = (r s' - 1) conj(s) / norm(s)
         sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
         w_re = rr * sp_re - ri * sp_im - 1
@@ -662,7 +626,7 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
         second.append(i[earlier])
     first, second = np.concatenate(first), np.concatenate(second)
     order = np.lexsort((second, first))
-    fractions = enumerate_gs(S)
+    fractions = _fractions(cols)
     return [(fractions[a], fractions[b]) for a, b in zip(first[order].tolist(), second[order].tolist())]
 
 
@@ -670,8 +634,9 @@ def consecutive_pairs_scan(S: int) -> list[tuple[GFraction, GFraction]]:
     """Oracle for consecutive_pairs: the determinant test on all |G_S|^2
     fraction pairs (vectorized per row), keeping those with an escaping
     mediant.  Its cost grows like S^8."""
-    _, sx, sy, rx, ry = gs_arrays(S)
-    fractions = enumerate_gs(S)
+    cols = gs_arrays(S)
+    _, sx, sy, rx, ry = cols
+    fractions = _fractions(cols)
     n = len(fractions)
     out: list[tuple[GFraction, GFraction]] = []
     for i in range(n - 1):

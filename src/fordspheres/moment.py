@@ -11,8 +11,9 @@ Three routes to the same quantity:
               mediant, and add the radius sums 1/(2|s|^2) + 1/(2|s'|^2)
               per norm in exact rational arithmetic, compared with the
               quarter main term; the finds do not depend on S and are
-              cached (farey._finds), so a call at a level already built
-              only filters them by the escape test and counts them;
+              farey's one cache (farey._finds), grown shell by shell, so
+              a call at a level already built only filters them by the
+              escape test and counts them;
 
   counting    2 * sum over canonical |s| <= S of N(s)/|s|^2, where N(s)
               counts consecutive partner denominators for s as lattice
@@ -185,10 +186,11 @@ def direct_total(S: int) -> Fraction:
     eighth of G_S and 0.1 S^4 candidates, and each of their finds counts
     the size of its orbit (8, 4 on a mirror, 1 at the centre) instead of
     1.  Only the escape test depends on S: the finds, their norms, their
-    largest mediant norm M and their weights come from farey's one cached
-    list of finds (farey._finds), which a sweep over S builds once, shell
-    by shell, together with the table of G_S.  A call at a level already
-    built only slices that list by norm(s) <= S^2, keeps the finds with
+    largest mediant norm M and their weights come from farey's one cache,
+    the list of finds (farey._finds), which a sweep over S builds once,
+    shell by shell; G_S itself is built block by block as the list grows
+    and is not kept.  A call at a level already built only slices that
+    list by norm(s) <= S^2, keeps the finds with
     M > S^2 (is_consecutive) and counts them.  The per-norm terms c(n)/(2n)
     are summed over one common denominator, the lcm L of the norms (those
     with a nonzero count), as one integer numerator and one exact
@@ -246,12 +248,11 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     happens once at the end.  The work grows like S^4 (about 0.1 S^4
     candidate denominators, about pi per scanned fraction, one fraction
     in eight scanned), hence the cap; use the counting route beyond it.
-    G_S, the inverses and the finds of the scan come from farey's cached
-    table and list of finds, so in a sweep over S only the first call at
-    each new level builds the shell of new denominators, solving and
-    checking their inverses and scanning their representatives once; a
-    call at a level already built only filters the cached finds by the
-    escape test and sums them.
+    The finds of the scan come from farey's cached list of finds, so in a
+    sweep over S only the first call at each new level builds the shell
+    of new denominators and scans its representatives once, solving and
+    checking their inverses as it goes; a call at a level already built
+    only filters the cached finds by the escape test and sums them.
     The row is compared with the quarter main term main_term(S) / 4, the
     one-per-unit-orbit normalization the direct sum follows (real-axis
     denominator pairs, which realize eight fraction pairs instead of four,

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from fordspheres import arith, cli, verify
+from fordspheres import arith, cli, moment, verify
 
 
 def run(capsys, *argv):
@@ -36,13 +36,16 @@ class TestEnumerate:
     def test_level_beyond_the_direct_cap_is_refused_before_any_build(self, capsys, monkeypatch):
         from fordspheres import farey
 
-        table = []
-        monkeypatch.setattr(farey, "_gs_cache", table)
+        def no_cells(max_norm):
+            raise AssertionError("G_S was built")
+
+        cells = arith.canonical_cells
+        monkeypatch.setattr(arith, "canonical_cells", no_cells)
         for argv in (("--S", "4", "--direct-cap", "3"), ("--S", "2000")):
             code, out, err = run(capsys, "enumerate", *argv)
             assert (code, out) == (cli.EXIT_NUMERIC, "")
             assert "capped" in err
-        assert table == []
+        monkeypatch.setattr(arith, "canonical_cells", cells)
         code, out, _ = run(capsys, "enumerate", "--S", "3", "--direct-cap", "3")
         assert code == 0
         assert len(out.splitlines()) == len(farey.gs_arrays(3)[0])
@@ -51,6 +54,16 @@ class TestEnumerate:
         monkeypatch.setenv("FORDSPHERES_DIRECT_CAP", "3")
         assert run(capsys, "enumerate", "--S", "4")[0] == cli.EXIT_NUMERIC
         assert run(capsys, "enumerate", "--S", "3")[0] == 0
+
+    @pytest.mark.parametrize("command", ["enumerate", "moment", "report"])
+    def test_direct_cap_help_shows_its_default(self, capsys, monkeypatch, command):
+        # one declaration of --direct-cap, with its help, for all three
+        monkeypatch.delenv("FORDSPHERES_DIRECT_CAP", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"--direct-cap DIRECT_CAP largest S the direct method and enumerate run (default {moment.DIRECT_CAP_DEFAULT})" in out
 
 
 class TestOutFormat:

@@ -24,7 +24,7 @@ from fordspheres.farey import (
     mediant_children,
     spheres_tangent,
 )
-from fordspheres import farey, region
+from fordspheres import arith, farey, region
 from fordspheres.gint import DomainError, GInt, ONE, norm
 
 
@@ -38,7 +38,7 @@ def frac(nre, nim, dre, dim=0):
 
 def partner_finds(S):
     """The finds of the neighbour solve as sorted (i, Re s', Im s') triples."""
-    blocks = list(farey._partner_blocks(S, np.arange(len(gs_arrays(S)[0]))))
+    blocks = list(farey._partner_blocks(S, gs_arrays(S)))
     return sorted(zip(*(np.concatenate(c).tolist() for c in zip(*blocks))))
 
 
@@ -146,44 +146,39 @@ class TestEnumerate:
             assert np.array_equal(order, np.arange(cols.shape[1])), S
 
 
+def run_fresh(code):
+    """Run code in a fresh interpreter with this package importable, and
+    return its stdout."""
+    src = os.path.dirname(os.path.dirname(farey.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+
+
 class TestTable:
-    LEVELS = range(1, 17)
-
-    def fresh_builds(self, monkeypatch):
-        out = {}
-        for S in self.LEVELS:
-            monkeypatch.setattr(farey, "_gs_cache", [])
-            out[S] = farey._table(S).tobytes()
-        return out
-
-    @pytest.mark.parametrize("order", ["ascending", "descending", "jumping"])
-    def test_prefix_views_equal_a_fresh_build(self, monkeypatch, order):
-        fresh = self.fresh_builds(monkeypatch)
-        levels = list(self.LEVELS)
-        if order == "descending":
-            levels.reverse()
-        elif order == "jumping":
-            levels = [3, 1, 9, 2, 16, 5, 12, 4, 8, 15, 6, 7, 14, 10, 13, 11]
-        monkeypatch.setattr(farey, "_gs_cache", [])
-        for S in levels + list(self.LEVELS):
-            assert farey._table(S).tobytes() == fresh[S], S
-            assert b"".join(c.tobytes() for c in gs_arrays(S)) == farey._table(S)[:5].tobytes(), S
-
-    def test_views_are_read_only(self):
-        with pytest.raises(ValueError):
-            gs_arrays(5)[3][0] = 1
-        with pytest.raises(ValueError):
-            farey._table(5)[6, 0] = 0
+    def test_shells_continue_a_lower_level(self):
+        # _finds appends the shell between the level built and S to what
+        # it holds, so G_lo followed by _shell(lo, S) must be G_S
+        for S in range(1, 17):
+            full = np.stack(gs_arrays(S))
+            for lo in range(1, S):
+                grown = np.concatenate([np.stack(gs_arrays(lo)), *farey._shell(lo, S)], axis=1)
+                assert np.array_equal(grown, full), (lo, S)
 
     def test_import_and_constants_leave_the_table_empty(self):
+        # _finds_cache is farey's only cache
+        code = "from fordspheres import farey, moment\nmoment.constants_bundle()\nprint(len(farey._finds_cache))\n"
+        assert run_fresh(code).split() == ["0"]
+
+    def test_a_cold_direct_total_keeps_only_the_finds(self):
+        # after the first direct_total at S = 40, what stays allocated is
+        # the list of finds and no table of G_S
         code = (
-            "from fordspheres import farey, moment\nmoment.constants_bundle()\n"
-            "print(len(farey._gs_cache), len(farey._finds_cache))\n"
+            "import tracemalloc\nfrom fordspheres import farey, moment\nmoment.constants_bundle()\n"
+            "tracemalloc.start()\nmoment.direct_total(40)\n"
+            "print(tracemalloc.get_traced_memory()[0], sum(c.nbytes for c in farey._finds_cache[0][1]))\n"
         )
-        src = os.path.dirname(os.path.dirname(farey.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert run.stdout.split() == ["0", "0"]
+        held, finds = map(int, run_fresh(code).split())
+        assert held <= finds + (1 << 20), (held, finds)
 
 
 def finds_bytes(S):
@@ -201,7 +196,6 @@ class TestFinds:
         # sliced by norm(s) <= S^2 equals one built for S alone
         fresh = {}
         for S in self.LEVELS:
-            monkeypatch.setattr(farey, "_gs_cache", [])
             monkeypatch.setattr(farey, "_finds_cache", [])
             fresh[S] = finds_bytes(S)
         levels = list(self.LEVELS)
@@ -218,7 +212,7 @@ class TestFinds:
         # not; those whose largest mediant escapes are the 1,694 partner
         # finds of TestSymmetry, and the weights count the full scan's
         n, n_p, mediant, w = farey._finds(12)
-        reps = np.count_nonzero(farey._orbit_sizes(12))
+        reps = np.count_nonzero(farey._orbit_sizes(*gs_arrays(12)))
         assert (len(n), reps, int(w.sum(dtype=np.int64))) == (2102, 668, 16184)
         assert np.count_nonzero(mediant > 144) == 1694
         assert np.all(np.diff(n) >= 0) and np.all(n_p <= n) and np.all(n <= 144)
@@ -231,12 +225,11 @@ class TestFinds:
 
     def test_a_raising_build_leaves_the_list_as_it_was(self, monkeypatch):
         # the inverse of test_neighbour_solve_checks_the_inverse, caught
-        # while the table grows under the list
+        # while a shell's representatives are scanned
         def off_by_one(r_re, r_im, s_re, s_im):
             x_re, x_im = inverse(r_re, r_im, s_re, s_im)
             return x_re + (s_re * s_re + s_im * s_im > 1), x_im
 
-        monkeypatch.setattr(farey, "_gs_cache", [])
         fresh_finds = []
         monkeypatch.setattr(farey, "_finds_cache", fresh_finds)
         before = finds_bytes(1)
@@ -259,7 +252,7 @@ class TestSymmetry:
     @pytest.mark.parametrize("S", range(1, 11))
     def test_orbits_of_the_representatives_partition_gs(self, S):
         fractions = enumerate_gs(S)
-        sizes = farey._orbit_sizes(S)
+        sizes = farey._orbit_sizes(*gs_arrays(S))
         seen = set()
         for i in np.flatnonzero(sizes).tolist():
             orbit, todo = {fractions[i]}, [fractions[i]]
@@ -276,15 +269,16 @@ class TestSymmetry:
 
     @pytest.mark.parametrize("S", range(1, 25))
     def test_sizes_sum_to_the_level(self, S):
-        sizes = farey._orbit_sizes(S)
-        assert sizes.sum() == len(gs_arrays(S)[0])
+        sizes = farey._orbit_sizes(*gs_arrays(S))
+        assert sizes.sum() == len(sizes)
         assert set(sizes.tolist()) <= {0, 1, 4, 8}
 
     def test_representatives_at_level_twelve(self):
         # one fraction in eight is scanned, with an eighth of the finds
-        sizes = farey._orbit_sizes(12)
+        gs = np.stack(gs_arrays(12))
+        sizes = farey._orbit_sizes(*gs)
         reps = np.flatnonzero(sizes)
-        finds = sum(len(i) for i, _, _ in farey._partner_blocks(12, reps))
+        finds = sum(len(i) for i, _, _ in farey._partner_blocks(12, gs[:, reps]))
         assert (len(sizes), len(reps), finds, len(partner_finds(12))) == (5157, 668, 1694, 13172)
 
 
@@ -419,10 +413,9 @@ class TestConsecutive:
         assert all(p < q for p, q in zip(keys, keys[1:]))
         finds = partner_finds(S)
         # blocks of a few fractions each, and one fraction per block where
-        # its disc alone exceeds the block size; the table is built anew in
-        # these blocks
+        # its disc alone exceeds the block size; G_S is built in these
+        # blocks too
         monkeypatch.setattr(region, "BLOCK_ELEMENTS", 40)
-        monkeypatch.setattr(farey, "_gs_cache", [])
         for a, b in zip(gs_arrays(S), gs):
             assert a.tolist() == b.tolist()
         assert partner_finds(S) == finds
@@ -434,7 +427,7 @@ class TestConsecutive:
         # found from both ends
         degrees, on_edge = box_scan_degrees(S, gs_arrays(S))
         assert on_edge == {5: 24, 10: 88, 13: 152, 25: 584}[S]
-        finds = np.concatenate([i for i, _, _ in farey._partner_blocks(S, np.arange(len(degrees)))])
+        finds = np.concatenate([i for i, _, _ in farey._partner_blocks(S, gs_arrays(S))])
         assert np.bincount(finds, minlength=len(degrees)).tolist() == degrees.tolist()
 
     @pytest.mark.parametrize("block", [1, 7, 40])
@@ -444,27 +437,23 @@ class TestConsecutive:
         pairs = consecutive_pairs(S)
         finds = partner_finds(S)
         monkeypatch.setattr(region, "BLOCK_ELEMENTS", block)
-        monkeypatch.setattr(farey, "_gs_cache", [])
         for a, b in zip(gs_arrays(S), gs):
             assert a.tolist() == b.tolist()
         assert partner_finds(S) == finds
         assert consecutive_pairs(S) == pairs
 
     def test_neighbour_solve_checks_the_inverse(self, monkeypatch):
-        # a wrong x = r^-1 mod s is caught once per fraction, as the shell
-        # that holds it is built, and the table stays as it was
+        # a wrong x = r^-1 mod s is caught once per fraction, as the block
+        # that holds it is scanned
         def off_by_one(r_re, r_im, s_re, s_im):
             x_re, x_im = inverse(r_re, r_im, s_re, s_im)
             return x_re + (s_re * s_re + s_im * s_im > 1), x_im
 
-        fresh_table = []
-        monkeypatch.setattr(farey, "_gs_cache", fresh_table)
-        gs_arrays(1)
+        assert len(consecutive_pairs(4)) == 176
         inverse = farey._inverse_mod
         monkeypatch.setattr(farey, "_inverse_mod", off_by_one)
         with pytest.raises(ArithmeticError, match="not divisible"):
-            gs_arrays(4)
-        assert [built for built, _ in fresh_table] == [1]
+            consecutive_pairs(4)
 
     def test_neighbour_solve_refuses_a_missing_partner(self, monkeypatch):
         # 0/1 is a partner of 1/S, found from the end 1/S; G_S here holds
@@ -477,11 +466,13 @@ class TestConsecutive:
             consecutive_pairs(S)
 
     def test_neighbour_solve_refuses_inexact_input(self, monkeypatch):
-        fresh_table = []
-        monkeypatch.setattr(farey, "_gs_cache", fresh_table)
-        with pytest.raises(ArithmeticError):
+        # refused before any cell of G_S is allocated
+        def no_cells(max_norm):
+            raise AssertionError("canonical_cells was called")
+
+        monkeypatch.setattr(arith, "canonical_cells", no_cells)
+        with pytest.raises(ArithmeticError, match="exact in int64"):
             gs_arrays(INT64_S_LIMIT)
-        assert fresh_table == []
         # 2/2 is not reduced: no inverse of 2 modulo 2
         bad = tuple(np.array([v], dtype=np.int64) for v in (4, 2, 0, 2, 0))
         with pytest.raises(ArithmeticError):

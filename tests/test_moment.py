@@ -18,9 +18,8 @@ def g(re, im=0):
 
 
 def cold(monkeypatch):
-    """Empty the table of G_S and the list of finds for this test, so that
-    the next direct_total builds both from nothing."""
-    monkeypatch.setattr(farey, "_gs_cache", [])
+    """Empty the list of finds for this test, so that the next
+    direct_total builds it from nothing."""
     monkeypatch.setattr(farey, "_finds_cache", [])
 
 
@@ -154,9 +153,10 @@ class TestDirect:
         # symmetries and weights its finds by the orbit size; the full scan
         # counts every find of every fraction once
         for S in range(1, 25):
-            norms = farey.gs_arrays(S)[0]
+            gs = farey.gs_arrays(S)
+            norms = gs[0]
             counts = np.zeros(S * S + 1, dtype=np.int64)
-            for i, sp_re, sp_im in farey._partner_blocks(S, np.arange(len(norms))):
+            for i, sp_re, sp_im in farey._partner_blocks(S, gs):
                 n, n_p = norms[i], sp_re * sp_re + sp_im * sp_im
                 counts += np.bincount(np.concatenate([n, n_p[n_p < n]]), minlength=len(counts))
             total = sum(Fraction(int(counts[n]), 2 * n) for n in np.flatnonzero(counts).tolist())
@@ -173,9 +173,10 @@ class TestDirect:
         from fordspheres.gint import norm
 
         for S, ties in zip(range(1, 13), self.TIE_FINDS):
-            norms = farey.gs_arrays(S)[0]
+            gs = farey.gs_arrays(S)
+            norms = gs[0]
             finds = tie_finds = 0
-            for i, sp_re, sp_im in farey._partner_blocks(S, np.arange(len(norms))):
+            for i, sp_re, sp_im in farey._partner_blocks(S, gs):
                 finds += len(i)
                 tie_finds += int(np.count_nonzero(sp_re * sp_re + sp_im * sp_im == norms[i]))
             assert tie_finds == ties, S
@@ -186,7 +187,7 @@ class TestDirect:
 
     @pytest.mark.parametrize("block", [1, 7, 40])
     def test_total_is_independent_of_block_size(self, monkeypatch, block):
-        # the table and the finds are built anew in blocks of a few
+        # G_S and the finds are built anew in blocks of a few
         # fractions and points, which split the shells, the ties and the
         # partners of one fraction across blocks
         default = {S: moment.direct_total(S) for S in (6, 9)}
@@ -195,8 +196,8 @@ class TestDirect:
         assert {S: moment.direct_total(S) for S in (6, 9)} == default
 
     def test_total_is_independent_of_the_call_order(self, monkeypatch):
-        # each level cold, from an empty table and list of finds, against
-        # sweeps that grow both shell by shell, cut them down, and jump about
+        # each level cold, from an empty list of finds, against sweeps that
+        # grow it shell by shell, cut it down, and jump about
         levels = list(range(1, 25))
         cold_totals = {}
         for S in levels:
@@ -385,7 +386,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 41)
+        assert verify.RECONCILIATION_RANGE == range(2, 49)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 
