@@ -34,15 +34,17 @@ mediant norm M, and _partner_blocks keeps those with M > S^2.  The
 eight symmetries of the unit square map G_S onto itself and each
 fraction's partners onto its image's, with the same norms, so
 moment.direct_total scans only one fraction per orbit (_orbit_sizes,
-those in 0 <= y <= x <= 1/2, about an eighth of G_S) and weights its
-finds by the orbit size: about 0.1 S^4 candidates in all, against
-0.8 S^4 for the full scan that consecutive_pairs runs.  Those finds,
-with their norms, M and weights, are farey's one cache (_finds): a list
-grown shell by shell, in which each representative is scanned once,
-when its shell enters the list, and a call at a level already built
-only slices the list and filters it by M > S^2.  G_S itself is not
-kept.  The all-pairs determinant scan is kept as the oracle
-consecutive_pairs_scan.
+those in 0 <= y <= x <= 1/2, about an eighth of G_S, which
+_shell(lo, S, triangle=True) builds alone) and weights its finds by the
+orbit size: about 0.1 S^4 candidates in all, against 0.8 S^4 for the
+full scan that consecutive_pairs runs.  Those finds are farey's one
+cache (_finds), stored as the pair ends that M(S) sums over, each with
+its norm, its pair's M and its weight: a list grown shell by shell, in
+which each representative is scanned once, when its shell enters the
+list, with a stop per level S that ends the prefix of G_S.  A call at
+a level already built runs one masked bincount over that prefix
+(_end_counts).  G_S itself is not kept.  The all-pairs determinant scan
+is kept as the oracle consecutive_pairs_scan.
 """
 
 from __future__ import annotations
@@ -133,21 +135,25 @@ class Sphere:
     radius: Fraction
 
 
-def _shell(lo: int, S: int):
+def _shell(lo: int, S: int, triangle: bool = False):
     """The fractions r/s of G_S with |s| > lo, as (5, k) int64 blocks of
-    the columns of gs_arrays, in sort_key order.
+    the columns of gs_arrays, in sort_key order; with triangle=True only
+    the orbit representatives among them (_orbit_sizes).
 
     For the denominator s = a+bi the candidate numerators x+iy satisfy
     0 <= ax+by <= norm(s) and 0 <= ay-bx <= norm(s), a tilted square with
-    corners at x in [-b, a], y in [0, a+b].  r/s is reduced exactly when
-    the ideal (r, s) is the whole ring, i.e. when its index
-    gcd(norm(s), norm(r), Re(r conj(s)), Im(r conj(s))) is 1, taken only
-    on the candidates inside the square; for r = 0 that leaves only 0/1.
+    corners at x in [-b, a], y in [0, a+b].  With X + iY = r conj(s), the
+    representatives are those with 0 <= Y <= X and 2X <= norm(s), a
+    triangle inside that square (so X and Y lie in [0, norm(s)] there
+    too).  r/s is reduced exactly when the ideal (r, s) is the whole
+    ring, i.e. when its index gcd(norm(s), norm(r), Re(r conj(s)),
+    Im(r conj(s))) is 1, taken only on the candidates kept; for r = 0
+    that leaves only 0/1.
     The denominators come from arith.canonical_cells in (norm, re, im)
     order and each box is expanded in (x, y) order, so the output is in
     sort_key order as built.  The boxes of consecutive denominators are
-    expanded together, at most region.BLOCK_ELEMENTS candidates at a time
-    (region.flat_blocks).
+    expanded together, whole, at most region.BLOCK_ELEMENTS candidates at
+    a time (region.flat_blocks).
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -164,7 +170,8 @@ def _shell(lo: int, S: int):
         y = local % w
         px = sa * x + sb * y
         qy = sa * y - sb * x
-        inside = np.flatnonzero((px >= 0) & (px <= n) & (qy >= 0) & (qy <= n))
+        edges = (qy <= px) & (2 * px <= n) if triangle else (px >= 0) & (px <= n) & (qy <= n)
+        inside = np.flatnonzero(edges & (qy >= 0))
         n, sa, sb, x, y, px, qy = (v[inside] for v in (n, sa, sb, x, y, px, qy))
         keep = np.gcd(np.gcd(n, x * x + y * y), np.gcd(px, qy)) == 1
         yield np.stack((n[keep], sa[keep], sb[keep], x[keep], y[keep]))
@@ -417,7 +424,9 @@ def _inverse_columns(n, s_re, s_im, r_re, r_im) -> tuple[np.ndarray, np.ndarray]
 def _orbit_sizes(n, s_re, s_im, r_re, r_im) -> np.ndarray:
     """For each fraction r/s of the given columns of gs_arrays, the size of
     its orbit under the eight symmetries of the unit square if it is the
-    orbit's representative, and 0 otherwise, as an int8 array.
+    orbit's representative, and 0 otherwise, as an int8 array: the
+    weights of the finds of _finds, whose shells (_shell with
+    triangle=True) hold only representatives.
 
     The symmetries are generated by x -> 1 - x, y -> 1 - y and x <-> y.
     On r/s they are (r, s) -> (conj s - conj r, conj s),
@@ -532,51 +541,64 @@ def _partner_blocks(S: int, cols):
         yield i[escape], sp_re[escape], sp_im[escape]
 
 
-# farey's one cache, the finds of the orbit representatives behind
-# moment.direct_total: (S, four read-only columns, one entry per find of
-# _neighbour_blocks on the representatives of G_S: int32 norm(s), int32
-# norm(s'), int32 M, the largest mediant norm, and the int8 orbit size of
-# r/s).  None depends on S, so the finds of G_S' for S' <= S are a prefix
-# of the list; S < 2^14 keeps M <= 4 S^2 below 2^31.  It grows shell by
-# shell and lives, at the largest S asked for, for the rest of the process
-# (about 13 bytes per find, some 0.4 finds per fraction)
-_finds_cache: list[tuple[int, tuple[np.ndarray, ...]]] = []
-_FIND_TYPES = (np.int32, np.int32, np.int32, np.int8)
+# farey's one cache, behind moment.direct_total: (S, the three read-only
+# columns of the pair ends of the representatives' finds of G_S, stops), as
+# _finds describes them.  S < 2^14 keeps M <= 4 S^2 below 2^31.  It grows
+# shell by shell and lives, at the largest S asked for, for the rest of the
+# process (9 bytes per end, about 0.8 ends per fraction)
+_finds_cache: list[tuple[int, tuple[np.ndarray, ...], list[int]]] = []
+_END_TYPES = (np.int32, np.int32, np.int8)
 
 
 def _finds(S: int) -> tuple[np.ndarray, ...]:
-    """The finds of the orbit representatives of G_S, as read-only
-    int32 norm(s), norm(s'), M and int8 orbit-size views of the one cached
-    list, in sort_key order of r/s (so norm(s) ascends along them).
+    """The pair ends of the finds of the orbit representatives of G_S, as
+    read-only int32 norm, int32 M and int8 orbit-size views of the one
+    cached list, in sort_key order of r/s.
 
     Each find is one adjacent partner r'/s' with |s'| <= |s| of a
-    representative r/s (_orbit_sizes), found by _neighbour_blocks; whether
-    the pair is consecutive at S is the caller's test M > S^2.  The list
-    is the prefix up to the last norm(s) <= S^2.  When S is beyond it,
-    the shell of G_S between the old and the new level is built block by
-    block (_shell), the representatives of each block are scanned, once
-    each, and their finds appended; a build that raises leaves the list
-    as it was.
+    representative r/s (_shell with triangle=True), found by
+    _neighbour_blocks; it has an end at norm(s), and one at norm(s') when
+    |s'| < |s| (a tie is found from both ends, so each of its ends is
+    stored once).  Whether the pair is consecutive at S is the caller's
+    test M > S^2.  The ends come in G_S order, and stops[L], for L = 0 up
+    to the level built, counts those of the finds with norm(s) <= L^2;
+    the views are the first stops[S] ends.  When S is beyond the level
+    built, the representatives of the shell between the old and the new
+    level are built block by block, each block is scanned, once, and its
+    ends appended, with one searchsorted per block for the stops it
+    crosses; a build that raises leaves the list as it was.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
-    built, finds = _finds_cache[0] if _finds_cache else (0, tuple(np.empty(0, t) for t in _FIND_TYPES))
+    built, ends, stops = _finds_cache[0] if _finds_cache else (0, tuple(np.empty(0, t) for t in _END_TYPES), [0])
     if S > built:
-        blocks = [finds]
-        for shell in _shell(built, S):
+        blocks, crossed = [ends], np.zeros(S - built, np.int64)
+        for shell in _shell(built, S, triangle=True):
             sizes = _orbit_sizes(*shell)
-            reps = np.flatnonzero(sizes)
-            shell, sizes = shell[:, reps], sizes[reps]
             for i, sp_re, sp_im, mediant in _neighbour_blocks(shell):
-                cols = (shell[0, i], sp_re * sp_re + sp_im * sp_im, mediant, sizes[i])
-                blocks.append(tuple(c.astype(t) for c, t in zip(cols, _FIND_TYPES)))
-        finds = tuple(np.concatenate(c) for c in zip(*blocks))
-        for c in finds:
+                # the ends find by find: norm(s), then norm(s') if below it
+                pair = np.stack((shell[0, i], sp_re * sp_re + sp_im * sp_im), axis=1)
+                kept = np.flatnonzero(pair <= pair[:, :1] - [0, 1])
+                find = kept // 2
+                crossed += np.searchsorted(pair[find, 0], np.arange(built + 1, S + 1) ** 2, side="right")
+                cols = (pair.ravel()[kept], mediant[find], sizes[i[find]])
+                blocks.append(tuple(c.astype(t) for c, t in zip(cols, _END_TYPES)))
+        ends = tuple(np.concatenate(c) for c in zip(*blocks))
+        for c in ends:
             c.flags.writeable = False
-        _finds_cache[:] = [(S, finds)]
-    # an int32 key: a Python int would make searchsorted cast the column
-    stop = int(np.searchsorted(finds[0], np.int32(S * S), side="right"))
-    return tuple(c[:stop] for c in finds)
+        stops = stops + (stops[-1] + crossed).tolist()
+        _finds_cache[:] = [(S, ends, stops)]
+    return tuple(c[: stops[S]] for c in ends)
+
+
+def _end_counts(S: int) -> np.ndarray:
+    """c(n) for n = 0 .. S^2: the pair ends of norm n of the consecutive
+    pairs at level S, each end weighted by the orbit size of its find, as
+    a float64 array whose entries are exact integers (every partial sum
+    stays below 8 times the ends, far under 2^53).  One bincount over the
+    prefix of _finds(S), the ends with M > S^2 (is_consecutive)."""
+    end, mediant, w = _finds(S)
+    return np.bincount(end, w * (mediant > S * S), S * S + 1)
 
 
 def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:

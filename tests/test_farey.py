@@ -164,6 +164,15 @@ class TestTable:
                 grown = np.concatenate([np.stack(gs_arrays(lo)), *farey._shell(lo, S)], axis=1)
                 assert np.array_equal(grown, full), (lo, S)
 
+    def test_triangle_blocks_are_the_representatives(self):
+        # _finds expands only the triangle of each tilted square: the
+        # fractions of the shell that _orbit_sizes takes as representatives
+        for S in range(1, 17):
+            for lo in range(S):
+                full = np.concatenate(list(farey._shell(lo, S)), axis=1)
+                triangle = np.concatenate(list(farey._shell(lo, S, triangle=True)), axis=1)
+                assert np.array_equal(triangle, full[:, farey._orbit_sizes(*full) > 0]), (lo, S)
+
     def test_import_and_constants_leave_the_table_empty(self):
         # _finds_cache is farey's only cache
         code = "from fordspheres import farey, moment\nmoment.constants_bundle()\nprint(len(farey._finds_cache))\n"
@@ -207,16 +216,26 @@ class TestFinds:
         for S in levels + list(self.LEVELS):
             assert finds_bytes(S) == fresh[S], S
 
-    def test_finds_at_level_twelve(self):
-        # the finds of the 668 representatives, consecutive at S = 12 or
-        # not; those whose largest mediant escapes are the 1,694 partner
-        # finds of TestSymmetry, and the weights count the full scan's
-        n, n_p, mediant, w = farey._finds(12)
-        reps = np.count_nonzero(farey._orbit_sizes(*gs_arrays(12)))
-        assert (len(n), reps, int(w.sum(dtype=np.int64))) == (2102, 668, 16184)
-        assert np.count_nonzero(mediant > 144) == 1694
-        assert np.all(np.diff(n) >= 0) and np.all(n_p <= n) and np.all(n <= 144)
-        assert [c.dtype for c in (n, n_p, mediant, w)] == [np.int32, np.int32, np.int32, np.int8]
+    def test_finds_at_level_twelve(self, monkeypatch):
+        # the 2,102 finds of the 668 representatives, consecutive at S = 12
+        # or not, as pair ends: each has its s end, and 2,079 of them an
+        # s' end (|s'| < |s|), the other 23 being ties; the ends with an
+        # escaping largest mediant are those of the 1,694 partner finds of
+        # TestSymmetry, and the weights count the full scan's
+        monkeypatch.setattr(farey, "_finds_cache", [])
+        end, mediant, w = farey._finds(12)
+        gs = np.stack(gs_arrays(12))
+        reps = np.flatnonzero(farey._orbit_sizes(*gs))
+        finds = lower = 0
+        for i, sp_re, sp_im, _ in farey._neighbour_blocks(gs[:, reps]):
+            finds += len(i)
+            lower += int(np.count_nonzero(sp_re * sp_re + sp_im * sp_im < gs[0, reps[i]]))
+        assert (len(reps), finds, lower, len(end)) == (668, 2102, 2079, 4181)
+        assert int(w.sum(dtype=np.int64)) == 32192
+        assert np.count_nonzero(mediant > 144) == 3373
+        assert farey._finds_cache[0][2] == [0, 2, 14, 39, 76, 180, 307, 555, 905, 1432, 2188, 3209, 4181]
+        assert np.all(end >= 1) and np.all(end <= 144)
+        assert [c.dtype for c in (end, mediant, w)] == [np.int32, np.int32, np.int8]
 
     def test_views_are_read_only(self):
         for column in farey._finds(5):
@@ -237,7 +256,7 @@ class TestFinds:
         monkeypatch.setattr(farey, "_inverse_mod", off_by_one)
         with pytest.raises(ArithmeticError, match="not divisible"):
             farey._finds(4)
-        assert [built for built, _ in fresh_finds] == [1]
+        assert [(built, stops) for built, _, stops in fresh_finds] == [(1, [0, 2])]
         assert finds_bytes(1) == before
 
 

@@ -207,6 +207,20 @@ class TestDirect:
             cold(monkeypatch)
             assert {S: moment.direct_total(S) for S in order} == cold_totals, order
 
+    def test_a_warm_call_runs_no_scan(self, monkeypatch):
+        # once the list of finds reaches S = 12, a call at any level up to
+        # it only counts the pair ends the list holds
+        cold(monkeypatch)
+        moment.direct_total(12)
+
+        def scan(*args):
+            raise AssertionError("a warm call scanned")
+
+        for name in ("_shell", "_neighbour_blocks", "_inverse_columns"):
+            monkeypatch.setattr(farey, name, scan)
+        for S, (value, _) in self.PINNED.items():
+            assert float(moment.direct_total(S)).hex() == value, S
+
     def test_residual_against_quarter_main_term(self):
         for S in (1, 5, 12, 24):
             rep = moment.moment_first_direct(S)
