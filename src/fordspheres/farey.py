@@ -37,14 +37,16 @@ moment.direct_total scans only one fraction per orbit (_orbit_sizes,
 those in 0 <= y <= x <= 1/2, about an eighth of G_S, which
 _shell(lo, S, triangle=True) builds alone) and weights its finds by the
 orbit size: about 0.1 S^4 candidates in all, against 0.8 S^4 for the
-full scan that consecutive_pairs runs.  Those finds are farey's one
-cache (_finds), stored as the pair ends that M(S) sums over, each with
-its norm, its pair's M and its weight: a list grown shell by shell, in
-which each representative is scanned once, when its shell enters the
-list, with a stop per level S that ends the prefix of G_S.  A call at
-a level already built runs one masked bincount over that prefix
-(_end_counts).  G_S itself is not kept.  The all-pairs determinant scan
-is kept as the oracle consecutive_pairs_scan.
+full scan that consecutive_pairs runs.  Those finds are not kept:
+farey's one cache (_finds) is a table of the weighted counts c_L(n) of
+the pair ends of norm n that M(L) sums over, for every level L up to
+the level built.  A find of a representative of norm N counts at the
+levels L with N <= L^2 < M, an interval that ends below 2 ceil(sqrt N),
+so the table grows shell by shell, in O(S^3) entries, and each
+representative is scanned once, when its shell enters it.  A call at a
+level already built reads one row (_end_counts).  G_S itself is not
+kept.  The all-pairs determinant scan is kept as the oracle
+consecutive_pairs_scan.
 """
 
 from __future__ import annotations
@@ -143,9 +145,12 @@ def _shell(lo: int, S: int, triangle: bool = False):
     For the denominator s = a+bi the candidate numerators x+iy satisfy
     0 <= ax+by <= norm(s) and 0 <= ay-bx <= norm(s), a tilted square with
     corners at x in [-b, a], y in [0, a+b].  With X + iY = r conj(s), the
-    representatives are those with 0 <= Y <= X and 2X <= norm(s), a
-    triangle inside that square (so X and Y lie in [0, norm(s)] there
-    too).  r/s is reduced exactly when the ideal (r, s) is the whole
+    representatives are those with 0 <= Y <= X and 2X <= norm(s), the
+    triangle 0, s/2, (1 + i) s/2 inside that square (so X and Y lie in
+    [0, norm(s)] there too), whose bounding box is
+    min(0, floor((a-b)/2)) <= x <= ceil(a/2), 0 <= y <= ceil((a+b)/2):
+    with triangle=True only that box is expanded, an eighth to a quarter
+    of the square but for the smallest s.  r/s is reduced exactly when the ideal (r, s) is the whole
     ring, i.e. when its index gcd(norm(s), norm(r), Re(r conj(s)),
     Im(r conj(s))) is 1, taken only on the candidates kept; for r = 0
     that leaves only 0/1.
@@ -162,11 +167,15 @@ def _shell(lo: int, S: int, triangle: bool = False):
     a, b, norms = arith.canonical_cells(S * S)
     first = int(np.searchsorted(norms, lo * lo, side="right"))
     a, b, norms = a[first:], b[first:], norms[first:]
-    side = a + b + 1
-    for items, c, local in region.flat_blocks(side * side):
+    if triangle:  # the bounding box of the triangle 0, s/2, (1 + i) s/2
+        x_lo, x_hi, y_hi = np.minimum(0, (a - b) // 2), (a + 1) // 2, (a + b + 1) // 2
+    else:
+        x_lo, x_hi, y_hi = -b, a, a + b
+    side = y_hi + 1
+    for items, c, local in region.flat_blocks((x_hi - x_lo + 1) * side):
         owner = np.repeat(np.arange(items.start, items.stop), c)
         sa, sb, n, w = a[owner], b[owner], norms[owner], side[owner]
-        x = local // w - sb
+        x = local // w + x_lo[owner]
         y = local % w
         px = sa * x + sb * y
         qy = sa * y - sb * x
@@ -481,7 +490,7 @@ def _neighbour_blocks(cols):
     exactly when both parts of P norm(s') - conj(s s') lie in
     [0, n norm(s')].  None of this depends on S beyond |s| <= S: the
     escape test of is_consecutive, M > S^2, is left to the caller
-    (_partner_blocks, moment.direct_total).
+    (_partner_blocks, _finds).
     """
     step = max(region.BLOCK_ELEMENTS // 4, 1)  # a point holds about a dozen int64 temporaries
     # the per-fraction set-up below (x, y, P, the row bounds) is taken for
@@ -541,64 +550,70 @@ def _partner_blocks(S: int, cols):
         yield i[escape], sp_re[escape], sp_im[escape]
 
 
-# farey's one cache, behind moment.direct_total: (S, the three read-only
-# columns of the pair ends of the representatives' finds of G_S, stops), as
-# _finds describes them.  S < 2^14 keeps M <= 4 S^2 below 2^31.  It grows
-# shell by shell and lives, at the largest S asked for, for the rest of the
-# process (9 bytes per end, about 0.8 ends per fraction)
-_finds_cache: list[tuple[int, tuple[np.ndarray, ...], list[int]]] = []
-_END_TYPES = (np.int32, np.int32, np.int8)
+# farey's one cache, behind moment.direct_total: (B, the read-only int64
+# table of _finds, 2B + 1 rows and B^2 + 1 columns).  It grows shell by
+# shell and lives, at the largest B asked for, for the rest of the process
+# ((2B + 1)(B^2 + 1) entries: 4.2 MB at B = 64, 34 MB at B = 128)
+_finds_cache: list[tuple[int, np.ndarray]] = []
 
 
-def _finds(S: int) -> tuple[np.ndarray, ...]:
-    """The pair ends of the finds of the orbit representatives of G_S, as
-    read-only int32 norm, int32 M and int8 orbit-size views of the one
-    cached list, in sort_key order of r/s.
+def _finds(S: int) -> np.ndarray:
+    """The table c_L(n) for the levels L = 0 .. S and the norms n = 0 .. S^2,
+    a read-only int64 view of the one cached table: the pair ends of norm n
+    of the consecutive pairs at level L, each weighted by the orbit size of
+    its find.
 
-    Each find is one adjacent partner r'/s' with |s'| <= |s| of a
+    A find is one adjacent partner r'/s' with |s'| <= |s| of an orbit
     representative r/s (_shell with triangle=True), found by
     _neighbour_blocks; it has an end at norm(s), and one at norm(s') when
     |s'| < |s| (a tie is found from both ends, so each of its ends is
-    stored once).  Whether the pair is consecutive at S is the caller's
-    test M > S^2.  The ends come in G_S order, and stops[L], for L = 0 up
-    to the level built, counts those of the finds with norm(s) <= L^2;
-    the views are the first stops[S] ends.  When S is beyond the level
-    built, the representatives of the shell between the old and the new
-    level are built block by block, each block is scanned, once, and its
-    ends appended, with one searchsorted per block for the stops it
-    crosses; a build that raises leaves the list as it was.
+    counted once).  With N = norm(s) and M the largest mediant norm of its
+    pair, a find is in the scan of G_L when N <= L^2 and consecutive there
+    when M > L^2 (is_consecutive), so its ends count at the levels
+    ceil(sqrt N) <= L <= floor(sqrt(M - 1)).  Since |s'| <= |s|, M <= 4N,
+    and those levels end below 2 ceil(sqrt N).  So the finds of the
+    representatives with |s| <= B give the final rows L <= B of the table,
+    and partial rows up to 2B - 1 that later shells complete.
+
+    When S is beyond the level B built, the representatives of the shell
+    between B and S are built block by block, each block is scanned, once,
+    and its ends are added as difference rows (the weight at the first
+    level, minus it one past the last) into an array held aside; one
+    cumulative sum over L turns that into counts, and the old table is
+    added in last, so a build that raises leaves the cache as it was.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
-    built, ends, stops = _finds_cache[0] if _finds_cache else (0, tuple(np.empty(0, t) for t in _END_TYPES), [0])
+    built, table = _finds_cache[0] if _finds_cache else (0, np.zeros((1, 1), np.int64))
     if S > built:
-        blocks, crossed = [ends], np.zeros(S - built, np.int64)
+        width = S * S + 1
+        grown = np.zeros((2 * S + 1, width), np.int64)
+        flat = grown.reshape(-1)
         for shell in _shell(built, S, triangle=True):
             sizes = _orbit_sizes(*shell)
             for i, sp_re, sp_im, mediant in _neighbour_blocks(shell):
-                # the ends find by find: norm(s), then norm(s') if below it
-                pair = np.stack((shell[0, i], sp_re * sp_re + sp_im * sp_im), axis=1)
-                kept = np.flatnonzero(pair <= pair[:, :1] - [0, 1])
-                find = kept // 2
-                crossed += np.searchsorted(pair[find, 0], np.arange(built + 1, S + 1) ** 2, side="right")
-                cols = (pair.ravel()[kept], mediant[find], sizes[i[find]])
-                blocks.append(tuple(c.astype(t) for c, t in zip(cols, _END_TYPES)))
-        ends = tuple(np.concatenate(c) for c in zip(*blocks))
-        for c in ends:
-            c.flags.writeable = False
-        stops = stops + (stops[-1] + crossed).tolist()
-        _finds_cache[:] = [(S, ends, stops)]
-    return tuple(c[: stops[S]] for c in ends)
+                norms = shell[0, i]
+                first = region._floor_sqrt(norms - 1) + 1  # ceil(sqrt N)
+                stop = region._floor_sqrt(mediant - 1) + 1  # one past floor(sqrt(M - 1))
+                live = first < stop
+                w = sizes[i].astype(np.int64)
+                partner = sp_re * sp_re + sp_im * sp_im
+                for end, k in ((norms, live), (partner, live & (partner < norms))):
+                    np.add.at(flat, first[k] * width + end[k], w[k])
+                    np.add.at(flat, stop[k] * width + end[k], -w[k])
+        np.cumsum(grown, axis=0, out=grown)
+        grown[: table.shape[0], : table.shape[1]] += table
+        grown.flags.writeable = False
+        _finds_cache[:] = [(S, grown)]
+        table = grown
+    return table[: S + 1, : S * S + 1]
 
 
 def _end_counts(S: int) -> np.ndarray:
-    """c(n) for n = 0 .. S^2: the pair ends of norm n of the consecutive
-    pairs at level S, each end weighted by the orbit size of its find, as
-    a float64 array whose entries are exact integers (every partial sum
-    stays below 8 times the ends, far under 2^53).  One bincount over the
-    prefix of _finds(S), the ends with M > S^2 (is_consecutive)."""
-    end, mediant, w = _finds(S)
-    return np.bincount(end, w * (mediant > S * S), S * S + 1)
+    """c_S(n) for n = 0 .. S^2, row S of the table of _finds: the pair ends
+    of norm n of the consecutive pairs at level S, each weighted by the
+    orbit size of its find, as a read-only int64 view."""
+    return _finds(S)[S]
 
 
 def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:

@@ -10,11 +10,11 @@ Three routes to the same quantity:
               about 0.1 S^4 candidates), keep those with an escaping
               mediant, and add the radius sums 1/(2|s|^2) + 1/(2|s'|^2)
               per norm in exact rational arithmetic, compared with the
-              quarter main term; the finds do not depend on S and are
-              farey's one cache (farey._finds), kept as their pair ends
-              and grown shell by shell, so a call at a level already
-              built is one masked bincount of those ends
-              (farey._end_counts) and one exact sum;
+              quarter main term; the finds do not depend on S, and
+              farey's one cache (farey._finds) is the table of their
+              weighted pair ends per level and norm, grown shell by
+              shell, so a call at a level already built reads one row
+              of it (farey._end_counts) and takes one exact sum;
 
   counting    2 * sum over canonical |s| <= S of N(s)/|s|^2, where N(s)
               counts consecutive partner denominators for s as lattice
@@ -186,21 +186,21 @@ def direct_total(S: int) -> Fraction:
     solve runs only on the representatives 0 <= y <= x <= 1/2, about an
     eighth of G_S and 0.1 S^4 candidates, and each of their finds counts
     the size of its orbit (8, 4 on a mirror, 1 at the centre) instead of
-    1.  Only the escape test depends on S: the pair ends of the finds,
-    with their largest mediant norm M and their weights, come from farey's
-    one cache (farey._finds), which a sweep over S builds once, shell by
-    shell; G_S itself is built block by block as the list grows and is
-    not kept.  farey._end_counts gives c(n) at level S, the weighted
-    ends with M > S^2 (is_consecutive) among those of norm(s) <= S^2, so
-    a call at a level already built runs no scan.  The per-norm terms
+    1.  Only the escape test depends on S, M > S^2 for the largest
+    mediant norm M (is_consecutive), so each find counts at an interval
+    of levels; farey's one cache (farey._finds) is the table of the
+    weighted counts per level and norm, which a sweep over S builds once,
+    shell by shell, while G_S is built block by block and not kept.
+    farey._end_counts(S) reads c(n) at level S as one int64 row, so a
+    call at a level already built runs no scan.  The per-norm terms
     c(n)/(2n) are summed over one common denominator, the lcm L of the
     norms (those with a nonzero count), as one integer numerator and one
     exact rational.
     """
-    counts = farey._end_counts(S).astype(np.int64).tolist()
-    distinct = [n for n, c in enumerate(counts) if c]
-    L = math.lcm(*distinct)
-    return Fraction(sum(counts[n] * (L // n) for n in distinct), 2 * L)
+    counts = farey._end_counts(S)
+    distinct = np.flatnonzero(counts)
+    L = math.lcm(*distinct.tolist())
+    return Fraction(sum(c * (L // n) for n, c in zip(distinct.tolist(), counts[distinct].tolist())), 2 * L)
 
 
 def real_axis_correction(S: int) -> Fraction:
@@ -241,12 +241,12 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     happens once at the end.  The work grows like S^4 (about 0.1 S^4
     candidate denominators, about pi per scanned fraction, one fraction
     in eight scanned), hence the cap; use the counting route beyond it.
-    The finds of the scan come from farey's cached list of pair ends, so
-    in a sweep over S only the first call at each new level builds the
-    representatives of the shell of new denominators and scans them once,
-    solving and checking their inverses as it goes; a call at a level
-    already built only counts the cached ends with an escaping mediant
-    and sums them.
+    The counts of the scan's pair ends per level and norm are farey's
+    cached table, so in a sweep over S only the first call at each new
+    level builds the representatives of the shell of new denominators and
+    scans them once, solving and checking their inverses as it goes; a
+    call at a level already built reads one row of the table and sums
+    it.
     The row is compared with the quarter main term main_term(S) / 4, the
     one-per-unit-orbit normalization the direct sum follows (real-axis
     denominator pairs, which realize eight fraction pairs instead of four,

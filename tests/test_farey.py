@@ -173,27 +173,39 @@ class TestTable:
                 triangle = np.concatenate(list(farey._shell(lo, S, triangle=True)), axis=1)
                 assert np.array_equal(triangle, full[:, farey._orbit_sizes(*full) > 0]), (lo, S)
 
+    @pytest.mark.parametrize("S", [1, 2, 3, 5, 8, 13, 20, 33])
+    def test_triangle_boxes_keep_every_representative(self, S):
+        # the triangle's bounding box, not the whole tilted square, is
+        # expanded; at larger S, from the origin and from half way
+        for lo in (0, S // 2):
+            full = np.concatenate(list(farey._shell(lo, S)), axis=1)
+            triangle = np.concatenate(list(farey._shell(lo, S, triangle=True)), axis=1)
+            assert np.array_equal(triangle, full[:, farey._orbit_sizes(*full) > 0]), (lo, S)
+
     def test_import_and_constants_leave_the_table_empty(self):
         # _finds_cache is farey's only cache
         code = "from fordspheres import farey, moment\nmoment.constants_bundle()\nprint(len(farey._finds_cache))\n"
         assert run_fresh(code).split() == ["0"]
 
-    def test_a_cold_direct_total_keeps_only_the_finds(self):
+    def test_a_cold_direct_total_keeps_only_the_table(self):
         # after the first direct_total at S = 40, what stays allocated is
-        # the list of finds and no table of G_S
+        # the table of counts per level and norm, and no list of finds or
+        # table of G_S
         code = (
             "import tracemalloc\nfrom fordspheres import farey, moment\nmoment.constants_bundle()\n"
             "tracemalloc.start()\nmoment.direct_total(40)\n"
-            "print(tracemalloc.get_traced_memory()[0], sum(c.nbytes for c in farey._finds_cache[0][1]))\n"
+            "print(tracemalloc.get_traced_memory()[0], farey._finds_cache[0][1].nbytes)\n"
         )
-        held, finds = map(int, run_fresh(code).split())
-        assert held <= finds + (1 << 20), (held, finds)
+        held, table = map(int, run_fresh(code).split())
+        assert table == 81 * 1601 * 8
+        assert held <= table + (1 << 20), (held, table)
 
 
-def finds_bytes(S):
-    """The finds of the representatives of G_S (farey._finds) as bytes,
-    with their column types."""
-    return [(c.dtype.str, c.tobytes()) for c in farey._finds(S)]
+def table_bytes(S):
+    """The table of farey._finds for the levels up to S, as bytes."""
+    rows = farey._finds(S)
+    assert rows.dtype == np.int64 and rows.shape == (S + 1, S * S + 1)
+    return rows.tobytes()
 
 
 class TestFinds:
@@ -201,12 +213,12 @@ class TestFinds:
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "jumping"])
     def test_prefix_views_equal_a_fresh_build(self, monkeypatch, order):
-        # the finds do not depend on S, so a list grown in any order and
-        # sliced by norm(s) <= S^2 equals one built for S alone
+        # the finds do not depend on S, so the rows up to S of a table grown
+        # in any order equal those of one built for S alone
         fresh = {}
         for S in self.LEVELS:
             monkeypatch.setattr(farey, "_finds_cache", [])
-            fresh[S] = finds_bytes(S)
+            fresh[S] = table_bytes(S)
         levels = list(self.LEVELS)
         if order == "descending":
             levels.reverse()
@@ -214,50 +226,75 @@ class TestFinds:
             levels = [3, 1, 9, 2, 16, 5, 12, 4, 8, 15, 6, 7, 14, 10, 13, 11]
         monkeypatch.setattr(farey, "_finds_cache", [])
         for S in levels + list(self.LEVELS):
-            assert finds_bytes(S) == fresh[S], S
+            assert table_bytes(S) == fresh[S], S
 
     def test_finds_at_level_twelve(self, monkeypatch):
         # the 2,102 finds of the 668 representatives, consecutive at S = 12
-        # or not, as pair ends: each has its s end, and 2,079 of them an
-        # s' end (|s'| < |s|), the other 23 being ties; the ends with an
-        # escaping largest mediant are those of the 1,694 partner finds of
-        # TestSymmetry, and the weights count the full scan's
+        # or not: each has its s end, and 2,079 of them an s' end
+        # (|s'| < |s|), the other 23 being ties; their ends weigh 32,192 in
+        # all.  The 1,694 partner finds of TestSymmetry, those with an
+        # escaping largest mediant, give row 12 of the table
         monkeypatch.setattr(farey, "_finds_cache", [])
-        end, mediant, w = farey._finds(12)
+        rows = farey._finds(12)
         gs = np.stack(gs_arrays(12))
-        reps = np.flatnonzero(farey._orbit_sizes(*gs))
-        finds = lower = 0
-        for i, sp_re, sp_im, _ in farey._neighbour_blocks(gs[:, reps]):
+        sizes = farey._orbit_sizes(*gs)
+        reps = np.flatnonzero(sizes)
+        finds = lower = weight = partners = 0
+        row = np.zeros(145, np.int64)
+        for i, sp_re, sp_im, mediant in farey._neighbour_blocks(gs[:, reps]):
+            n, n_p, w = gs[0, reps[i]], sp_re * sp_re + sp_im * sp_im, sizes[reps[i]].astype(np.int64)
+            low, escape = n_p < n, mediant > 144
             finds += len(i)
-            lower += int(np.count_nonzero(sp_re * sp_re + sp_im * sp_im < gs[0, reps[i]]))
-        assert (len(reps), finds, lower, len(end)) == (668, 2102, 2079, 4181)
-        assert int(w.sum(dtype=np.int64)) == 32192
-        assert np.count_nonzero(mediant > 144) == 3373
-        assert farey._finds_cache[0][2] == [0, 2, 14, 39, 76, 180, 307, 555, 905, 1432, 2188, 3209, 4181]
-        assert np.all(end >= 1) and np.all(end <= 144)
-        assert [c.dtype for c in (end, mediant, w)] == [np.int32, np.int32, np.int8]
+            lower += int(np.count_nonzero(low))
+            weight += int(w.sum() + w[low].sum())
+            partners += int(np.count_nonzero(escape))
+            row += np.bincount(n[escape], w[escape], 145).astype(np.int64)
+            row += np.bincount(n_p[escape & low], w[escape & low], 145).astype(np.int64)
+        assert (len(reps), finds, lower, weight, partners) == (668, 2102, 2079, 32192, 1694)
+        assert np.array_equal(rows[12], row)
+        # each consecutive pair has two ends: the row sums are twice the
+        # pair counts of the direct pins, 4, 12, 72, ... 13,112
+        assert rows.sum(axis=1).tolist() == [0, 8, 24, 144, 352, 936, 1680, 3216, 5400, 8720, 13472, 20024, 26224]
+        assert np.all(rows[:, 0] == 0) and np.all(rows >= 0)
 
     def test_views_are_read_only(self):
-        for column in farey._finds(5):
+        for rows in (farey._finds(5), farey._end_counts(5)):
             with pytest.raises(ValueError):
-                column[0] = 0
+                rows[0] = 0
 
-    def test_a_raising_build_leaves_the_list_as_it_was(self, monkeypatch):
+    def test_a_raising_build_leaves_the_table_as_it_was(self, monkeypatch):
         # the inverse of test_neighbour_solve_checks_the_inverse, caught
         # while a shell's representatives are scanned
         def off_by_one(r_re, r_im, s_re, s_im):
             x_re, x_im = inverse(r_re, r_im, s_re, s_im)
             return x_re + (s_re * s_re + s_im * s_im > 1), x_im
 
-        fresh_finds = []
-        monkeypatch.setattr(farey, "_finds_cache", fresh_finds)
-        before = finds_bytes(1)
+        fresh_table = []
+        monkeypatch.setattr(farey, "_finds_cache", fresh_table)
+        before = table_bytes(1)
         inverse = farey._inverse_mod
         monkeypatch.setattr(farey, "_inverse_mod", off_by_one)
         with pytest.raises(ArithmeticError, match="not divisible"):
             farey._finds(4)
-        assert [(built, stops) for built, _, stops in fresh_finds] == [(1, [0, 2])]
-        assert finds_bytes(1) == before
+        assert [(built, table.shape) for built, table in fresh_table] == [(1, (3, 2))]
+        assert table_bytes(1) == before
+
+    def test_rows_recount_the_full_scan(self, monkeypatch):
+        # the level bounds ceil(sqrt N) and floor(sqrt(M - 1)) against a
+        # recount at each level L <= 12 from the consecutive partners of
+        # all of G_L, unweighted: 1 at norm(s), and 1 at norm(s') when it
+        # is smaller; the rows are read from one table built at 12
+        monkeypatch.setattr(farey, "_finds_cache", [])
+        farey._finds(12)
+        for L in range(1, 13):
+            gs = gs_arrays(L)
+            counts = np.zeros(L * L + 1, np.int64)
+            for i, sp_re, sp_im in farey._partner_blocks(L, gs):
+                n, n_p = gs[0][i], sp_re * sp_re + sp_im * sp_im
+                np.add.at(counts, n, 1)
+                np.add.at(counts, n_p[n_p < n], 1)
+            assert np.array_equal(farey._end_counts(L), counts), L
+        assert farey._finds_cache[0][0] == 12
 
 
 def square_images(f):

@@ -18,7 +18,7 @@ def g(re, im=0):
 
 
 def cold(monkeypatch):
-    """Empty the list of finds for this test, so that the next
+    """Empty the table of farey._finds for this test, so that the next
     direct_total builds it from nothing."""
     monkeypatch.setattr(farey, "_finds_cache", [])
 
@@ -196,7 +196,7 @@ class TestDirect:
         assert {S: moment.direct_total(S) for S in (6, 9)} == default
 
     def test_total_is_independent_of_the_call_order(self, monkeypatch):
-        # each level cold, from an empty list of finds, against sweeps that
+        # each level cold, from an empty table, against sweeps that
         # grow it shell by shell, cut it down, and jump about
         levels = list(range(1, 25))
         cold_totals = {}
@@ -208,8 +208,8 @@ class TestDirect:
             assert {S: moment.direct_total(S) for S in order} == cold_totals, order
 
     def test_a_warm_call_runs_no_scan(self, monkeypatch):
-        # once the list of finds reaches S = 12, a call at any level up to
-        # it only counts the pair ends the list holds
+        # once the table reaches S = 12, a call at any level up to it only
+        # reads a row of the table
         cold(monkeypatch)
         moment.direct_total(12)
 
@@ -400,7 +400,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 49)
+        assert verify.RECONCILIATION_RANGE == range(2, 57)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 
