@@ -347,20 +347,22 @@ def moment_first_counting(
     t0 = time.perf_counter()
     re, im, nrm, _, mu = arith.get_sieve(S)
     squarefree = mu != 0
+    dnrm = nrm[squarefree]
     # S^2 // |d|^2 does not increase along the sieve's ascending norms, so
     # its runs are the distinct bounds, largest first
-    bounds, d_bound = region._sorted_runs((S * S) // nrm[squarefree])
+    bounds, d_bound = region._sorted_runs((S * S) // dnrm)
     bounds = bounds[::-1]
-    W = np.bincount(d_bound, weights=mu[squarefree] / nrm[squarefree])[::-1]
+    W = np.bincount(d_bound, weights=mu[squarefree] / dnrm)[::-1]
     # the t of bound B are the first k cells of the octant, as norms ascend
     octant = re >= im
-    k = np.searchsorted(nrm[octant], bounds, side="right")
+    onrm = nrm[octant]
+    k = np.searchsorted(onrm, bounds, side="right")
     first = np.cumsum(k) - k
     t = np.arange(k.sum()) - np.repeat(first, k)
     a, b = re[octant][t], im[octant][t]
     L = region._escape_core(a, b, np.repeat(np.arange(len(bounds)), k), bounds)
-    weighted = np.where((a > b) & (b > 0), 2 * L, L)
-    F = np.add.reduceat(weighted / (a * a + b * b), first)
+    L[(a > b) & (b > 0)] *= 2
+    F = np.add.reduceat(L / onrm[t], first)
     value = 2.0 * math.fsum(W * F)
     if normalization == "omega_quarter":
         value /= 4

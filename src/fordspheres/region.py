@@ -39,17 +39,20 @@ the vertex ((a + b) q, (b - a) q) of the circles about -t and i t,
 q = sqrt((2B - |t|^2) / (4 |t|^2)) - 1/2, or the rows end there when that
 vertex is the intersection's tip.  Every run is a difference of two
 entries of one prefix sum of the H table, so each t costs O(1), not
-O(sqrt B) rows; the two rows on each side of each float boundary are
-evaluated exactly, so the count is exact.  Each t carries its own bound;
-one flat table of exact integer square roots, one segment per distinct
-bound and no pad, serves them all.  A t reads only the rows -b ... R of
-its bound, so each call builds the rows -min(b_max, R) ... R, b_max the
-largest Im t of the call's a + bi, and takes the disc's point count from
-the half x >= 0 by symmetry.  The closed form is one body, run once per t
+O(sqrt B) rows.  Each float boundary is rounded to its nearest row, and
+one comparison of two table entries decides that row: an end is the
+floor of the smaller of two real arcs, so it switches exactly at their
+crossing, which the float locates to far within half a row; so the
+count is exact.  Each t carries its own bound; one flat table of exact
+integer square roots, one segment per distinct bound and no pad, serves
+them all.  A t reads only the rows -b ... R of its bound, so each call
+builds the rows -min(b_max, R) ... R, b_max the largest Im t of the
+call's a + bi, and takes the disc's point count from the half x >= 0 by
+symmetry.  The closed form is one body, run once per t
 on Python ints for a call of at most PER_T_BATCH t (the per-spec calls,
 where numpy's per-call cost would dominate) and on int64 arrays, in
-fixed-size steps, for a larger one; the constant is the measured
-crossover of the two, rounded down to a Moebius batch.  escape_counts is
+fixed-size steps, for a larger one; at the constant, a Moebius batch,
+the per-spec calls run as fast either way.  escape_counts is
 a thin normaliser: it sends a short call to the per-t mode before any
 numpy conversion, and otherwise folds t to a >= b >= 0, takes the
 distinct bounds from the runs of np.sort of the bounds (_sorted_runs)
@@ -59,7 +62,7 @@ array call of the body.  The counting route of moment, whose octant t
 already have a >= b >= 0 and whose bounds are already runs, calls the
 core directly.  The table takes a float square root and corrects it by one
 either way (_floor_sqrt, exact for B < 2^62); the kernel stops at
-B < 2^52, where its float boundaries are still far within one row, and
+B < 2^52, where its float boundaries are still far within half a row, and
 beyond that raises ArithmeticError.  The row-by-row kernel, O(sqrt B)
 rows per t, is kept as the oracle escape_counts_rows, beside the
 point-by-point scan omega_lattice_count_bruteforce.
@@ -200,7 +203,7 @@ def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 
 
 KERNEL_BOUND_LIMIT = 1 << 52  # float square roots of smaller integers are exact to within 1
 BLOCK_ELEMENTS = 1 << 16  # elements per vectorized step: flat peak memory, cache-sized steps
-PER_T_BATCH = 32  # calls up to this many t run per t, on ints: the last Moebius batch below the 48-64 t crossover
+PER_T_BATCH = 32  # calls up to this many t run per t, on ints; per-spec rounds are flat from 8 to 64 (README)
 
 
 def _floor_sqrt(n: np.ndarray) -> np.ndarray:
@@ -308,32 +311,29 @@ def _intersection(a, b, B, R, c, half, P, ops):
     n = a * a + b * b
     top = R - a + 1  # rows x = 1 ... top - 1 follow row 0
     q = sqrt((2 * B - n) / (4 * n)) - 0.5
-    j1 = trunc((a - b) * q)  # the upper run switches
-    j2 = trunc((a + b) * q)  # the lower run switches, or the rows end
-    k1 = mn(mx(j1, 1), top)
-    k2 = mn(j1 + 2, top)
-    k3 = mx(mn(j2, top), k2)
-    k4 = mn(j2 + 2, top)
-    k5 = select((a - b) * q >= b, top, k4)
-    # the runs: rows [1, k1) of H(x - b) - a and H(x + b) - a, [k2, k3)
-    # of H(x + a) - b and H(x + b) - a, and [k4, k5) of H(x + a) -/+ b
+    upper = (a - b) * q
+    j1 = trunc(upper + 0.5)  # the row nearest the upper end's switch
+    j2 = trunc((a + b) * q + 0.5)  # the row nearest the vertex
+    x1, x2 = c + mn(j1, top - 1), c + mn(j2, top - 1)
+    Ha, Lb = half[x2 + a], half[x2 + b] - a
+    # rows j1 and j2 stay in the run before their switch when its end is
+    # the smaller (a tie counts either way); at a tip the rows end after
+    # j2 unless row j2 is past the vertex (length < 0)
+    u = j1 + (half[x1 - b] - a <= half[x1 + a] - b)
+    l = j2 + (Lb <= Ha + b)
+    length = mn(half[x2 - b] - a, Ha - b) + mn(Lb, Ha + b) + 1
+    tip = upper < b
+    end = mx(mn(select(tip, j2 + (length >= 0), top), top), 1)
+    u = mx(mn(u, end), 1)
+    l = mx(mn(select(tip, top, l), end), 1)
+    # rows [1, u) of H(x - b) - a, [u, end) of H(x + a) - b, [1, l) of
+    # H(x + b) - a and [l, end) of H(x + a) + b, plus row 0's H(b) - a
     cm, cp, ca = c - b, c + b, c + a
     rows = (
-        P[cm + k1] - P[cm + 1] + P[cp + k1] - P[cp + 1] + (k1 - 1) * (1 - 2 * a)
-        + P[ca + k3] - P[ca + k2] + P[cp + k3] - P[cp + k2] + (k3 - k2) * (1 - a - b)
-        + 2 * (P[ca + k5] - P[ca + k4]) + k5 - k4
+        P[cm + u] - P[cm + 1] + 2 * P[ca + end] - P[ca + u] - P[ca + l] + P[cp + l] - P[cp]
+        + b * (u - l) - a * (u + l - 1) + end - 1
     )
-
-    def exact(x, after):  # row x when after < x < top, evaluated from the table
-        ok = (x > after) & (x < top)
-        X = c + x * ok  # row 0 stands in for a row that is not evaluated
-        Ha = half[X + a]
-        length = mn(half[X - b] - a, Ha - b) + mn(half[X + b] - a, Ha + b) + 1
-        return mx(length, 0) * ok
-
-    # the rows on each side of each float boundary; rows j1 and j1 + 1 count once
-    rows += exact(j1, 0) + exact(j1 + 1, 0) + exact(j2, j1 + 1) + exact(j2 + 1, j1 + 1)
-    return 2 * (half[cp] - a + rows) + 1
+    return 2 * rows + 1
 
 
 def escape_counts(t_re, t_im, bounds) -> np.ndarray:
@@ -366,16 +366,25 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     vertex.  Otherwise Lo = H(x + b) - a on every row and the vertex is
     the intersection's tip, past which the rows are empty.  So row 0 holds
     2 (H(b) - a) + 1 points, and the rows x > 0 (counted twice, for x and
-    -x) are three runs, each summed as a difference of two entries of one
-    int64 prefix sum of the flat half-width table.  q is a float whose
-    error is far below one row while B < 2^52 (beyond that the kernel
-    raises ArithmeticError), so the two rows on each side of each float
-    boundary are evaluated exactly from the table, the min of each end
-    clipped at 0; the runs cover every other row, and L is exact.
+    -x) are four runs, two per end, each summed as a difference of two
+    entries of one int64 prefix sum of the flat half-width table.
+
+    One table row decides each float boundary.  min(floor f, floor g) =
+    floor(min(f, g)), so each end takes the run of the smaller real arc
+    and switches exactly at the real crossing.  q is a float whose error
+    is far below half a row while B < 2^52 (beyond that the kernel raises
+    ArithmeticError), so with each crossing rounded to its nearest row j
+    (j1 for the upper end, j2 for the lower end or the tip), the rows
+    below j take one run and the rows above j the other; at row j the two
+    table entries are compared and the smaller gives its run.  At a tip,
+    a row before the vertex has real U + Lo >= 0, so its length
+    floor(U) + floor(Lo) + 1 > U + Lo - 1 >= -1 is >= 0; a row past it
+    has U + Lo < 0 and length <= 0.  So the rows end after j2 exactly when
+    row j2's length is >= 0, no run needs clipping, and L is exact.
 
     A t reads only the rows x = -b ... R of its bound: the runs start at
-    row 1 - b, an exact row that is not evaluated reads its stand-in row 0
-    at x - b = -b, and x + a stays at most R.  So the set-up builds, for
+    row 1 - b, the decision rows min(j, R - a) are at least 0, so x - b
+    stays at least -b, and x + a stays at most R.  So the set-up builds, for
     each distinct bound, the rows x = -min(b_max, R) ... R, b_max the
     largest min(|Re t|, |Im t|) of the call, not -R ... R, and takes
     disc(B) from the half x >= 0 of the prefix sum by the disc's symmetry
@@ -429,15 +438,15 @@ def _escape_core(a: np.ndarray, b: np.ndarray, w: np.ndarray, uB: np.ndarray) ->
     w indexes uB, the call's distinct bounds (a nonempty ascending int64
     array).  It builds the tables once, for b_max = max b, and runs
     _intersection on the t with 0 < |t|^2 <= B in steps of
-    BLOCK_ELEMENTS / 4 t, so that the exact rows of a step are
-    BLOCK_ELEMENTS elements."""
+    BLOCK_ELEMENTS / 4 t, so that the five table reads of a step stay
+    near BLOCK_ELEMENTS elements."""
     out = np.empty(len(a), dtype=np.int64)
     if not len(out):
         return out
     R, half, P, centre = _bound_tables(uB.tolist(), int(b.max()))
     R, centre = np.array(R, dtype=np.int64), np.array(centre, dtype=np.int64)
     disc = _disc(R, centre, half, P)
-    step = max(BLOCK_ELEMENTS // 4, 1)  # each t evaluates four rows exactly
+    step = max(BLOCK_ELEMENTS // 4, 1)  # each t reads five table rows
     for s in range(0, len(out), step):
         at, bt, wt = a[s : s + step], b[s : s + step], w[s : s + step]
         n, B = at * at + bt * bt, uB[wt]

@@ -333,6 +333,11 @@ class TestCounting:
             assert moment.moment_first_counting(S, "omega_full").value.hex() == full
             assert moment.moment_first_counting(S, "omega_quarter").value.hex() == quarter
 
+    def test_value_pinned_bitwise_at_512(self):
+        # the kernel held at a size where its float boundaries lie hundreds
+        # of rows out
+        assert moment.moment_first_counting(512).value.hex() == "0x1.2b5b986eef255p+21"
+
     def test_elapsed_excludes_constants_build(self, monkeypatch):
         real_constant_C = moment.constant_C
 

@@ -320,6 +320,31 @@ class TestLatticeCount:
         if B <= 1000:
             assert want == _escape_count_scan(a, b, B)
 
+    def test_closed_form_equals_rows_at_rational_crossings(self, monkeypatch):
+        # q = (r - n) / (2n), r = sqrt((2B - n) n), is rational when
+        # (2B - n) n is a square.  Keep each a >= b >= 0, B <= 2000 where a
+        # crossing (a -/+ b) q is an integer or a half-integer: on a row or
+        # midway between two, where a float just below it truncates and
+        # rounds to different rows.  No half-integer occurs: r = n mod 2, so
+        # 2 (a -/+ b) q = (a -/+ b)(r - n) / n is even when it is an integer
+        # (n is odd, or n = 2 mod 4 and a -/+ b is even)
+        t_re, t_im, bounds = [], [], []
+        for a in range(1, isqrt(2000) + 1):
+            for b in range(min(a, isqrt(2000 - a * a)) + 1):
+                n = a * a + b * b
+                B = np.arange(n, 2001, dtype=np.int64)
+                m = (2 * B - n) * n
+                r = np.rint(np.sqrt(m)).astype(np.int64)
+                keep = (r * r == m) & (((a - b) * (r - n) % n == 0) | ((a + b) * (r - n) % n == 0))
+                k = int(keep.sum())
+                t_re += [a] * k
+                t_im += [b] * k
+                bounds += B[keep].tolist()
+        assert len(bounds) == 3198
+        rows = escape_counts_rows(t_re, t_im, bounds).tolist()
+        for mode in _kernel_modes(monkeypatch):
+            assert escape_counts(t_re, t_im, bounds).tolist() == rows, mode
+
     def test_zero_t_escapes_nothing(self, monkeypatch):
         for mode in _kernel_modes(monkeypatch):
             assert escape_counts([0, 1, 0], [0, 0, 0], [5, 5, 1000]).tolist() == [
