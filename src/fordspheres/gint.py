@@ -88,9 +88,8 @@ def canonicalize(q: GInt) -> tuple[GInt, GInt]:
     while not (x > 0 and y >= 0):
         x, y = y, -x  # multiply by -i
         k += 1
-    # canonical == q * (-i)^k, so q == canonical * i^k
-    unit = (ONE, I, GInt(-1, 0), GInt(0, -1))[k % 4]
-    return unit, GInt(x, y)
+    # canonical == q * (-i)^k, so q == canonical * i^k, k <= 3
+    return UNITS[k], GInt(x, y)
 
 
 def canonical(q: GInt) -> GInt:
@@ -221,28 +220,31 @@ def two_squares_prime(p: int) -> tuple[int, int]:
 def factor(q: GInt) -> Factorization:
     """Factor nonzero q into a unit times canonical Gaussian prime powers.
 
-    Strategy: factor norm(q) over the rational integers, lift each
-    rational prime to its Gaussian prime(s) (1+i above 2, a+bi and its
-    conjugate for p == 1 mod 4, p itself inert for p == 3 mod 4), and
-    read off exponents by exact division in plain integers.
+    Strategy: rotate q to its canonical associate x + yi, factor its norm
+    over the rational integers, and lift each rational prime p to the
+    canonical Gaussian primes above it, as int triples (c, d, norm):
+    (1, 1, 2) above 2, (p, 0, p^2) for p == 3 mod 4 (inert), and (a, b, p)
+    and (b, a, p), the canonical associates of a + bi and a - bi, for
+    p == 1 mod 4 with a^2 + b^2 == p.  Exponents are read off by exact
+    division in plain integers; GInt objects are made only for the sorted
+    result, primes ordered by (norm, re, im).
     """
     if not q:
         raise DomainError("cannot factor 0")
     unit0, rem = canonicalize(q)
     x, y = rem.re, rem.im
-    primes: list[tuple[GInt, int]] = []
-    for p in sorted(_factor_int(norm(q))):
+    found = []  # (norm, c, d, exponent) of each prime c + di dividing q
+    for p in _factor_int(x * x + y * y):
         if p == 2:
-            candidates = [GInt(1, 1)]
+            lifts = ((1, 1, 2),)
         elif p % 4 == 3:
-            candidates = [GInt(p, 0)]
+            lifts = ((p, 0, p * p),)
         else:
             a, b = two_squares_prime(p)
-            candidates = [canonical(GInt(a, b)), canonical(GInt(a, -b))]
-        for gp in candidates:
-            # gp = c + di divides x + yi when both parts of (x + yi)(c - di)
-            # are multiples of norm(gp); the quotient is that product / norm(gp)
-            c, d, n = gp.re, gp.im, norm(gp)
+            lifts = ((a, b, p), (b, a, p))
+        for c, d, n in lifts:
+            # c + di divides x + yi when both parts of (x + yi)(c - di)
+            # are multiples of n; the quotient is that product / n
             k = 0
             while True:
                 u, v = x * c + y * d, y * c - x * d
@@ -251,12 +253,11 @@ def factor(q: GInt) -> Factorization:
                 x, y = u // n, v // n
                 k += 1
             if k:
-                primes.append((gp, k))
-    rem = GInt(x, y)
-    if not is_unit(rem):
+                found.append((n, c, d, k))
+    if x * x + y * y != 1:
         raise ArithmeticError(f"incomplete factorization of {q}")
-    primes.sort(key=lambda t: (norm(t[0]), t[0].re, t[0].im))
-    return Factorization(unit0 * rem, tuple(primes))
+    found.sort()  # (norm, re, im) of distinct primes: the exponent never decides
+    return Factorization(unit0 * GInt(x, y), tuple((GInt(c, d), k) for _, c, d, k in found))
 
 
 # --- text grammar: 'a+bi' / 'a-bi', bare integers, 'i', '-i', '3i', ... ---

@@ -60,10 +60,11 @@ and each t's index among them by np.searchsorted, and calls the array
 core _escape_core.  The core owns the table set-up, the steps and the
 array call of the body.  The counting route of moment, whose octant t
 already have a >= b >= 0 and whose bounds are already runs, calls the
-core directly.  The table takes a float square root and corrects it by one
-either way (_floor_sqrt, exact for B < 2^62); the kernel stops at
-B < 2^52, where its float boundaries are still far within half a row, and
-beyond that raises ArithmeticError.  The row-by-row kernel, O(sqrt B)
+core directly.  The table takes one truncated float square root per row,
+with no correction: it is exact for every argument below 2^52
+(_half_widths).  The kernel stops at B < 2^52, where its table is exact
+and its float boundaries are still far within half a row, and beyond that
+raises ArithmeticError.  The row-by-row kernel, O(sqrt B)
 rows per t, is kept as the oracle escape_counts_rows, beside the
 point-by-point scan omega_lattice_count_bruteforce.
 
@@ -76,7 +77,9 @@ inclusion-exclusion over the squarefree divisors of s then gives
 
 and the unfiltered count is L(s, S^2).  coprime_counts, the one home of
 this sum, sends the pairs of every s and divisor in one kernel call, for
-omega_lattice_count and moment.consecutive_partner_counts alike.
+omega_lattice_count and moment.consecutive_partner_counts alike, as list
+columns, so that the short call of one s reaches the per-t mode with no
+array built on the way.
 """
 
 from __future__ import annotations
@@ -201,9 +204,11 @@ def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 
     return hits / samples * (2.0 * S) ** 2
 
 
-KERNEL_BOUND_LIMIT = 1 << 52  # float square roots of smaller integers are exact to within 1
+KERNEL_BOUND_LIMIT = 1 << 52  # truncated float roots of smaller integers are exact (_half_widths)
 BLOCK_ELEMENTS = 1 << 16  # elements per vectorized step: flat peak memory, cache-sized steps
-PER_T_BATCH = 32  # calls up to this many t run per t, on ints; per-spec rounds are flat from 8 to 64 (README)
+# calls up to this many t run per t, on ints: the modes break even near 16 t
+# at S = 512, and the per-spec rounds are flat from 8 to 64 (README)
+PER_T_BATCH = 32
 
 
 def _floor_sqrt(n: np.ndarray) -> np.ndarray:
@@ -213,7 +218,9 @@ def _floor_sqrt(n: np.ndarray) -> np.ndarray:
     (one rounding to float, one in the square root), so its truncation is
     off by at most one, and the two corrections square integers of at
     most 2^31 + 1, below 2^63.  farey's neighbour solve takes roots of
-    S^4 < 2^56, the lattice kernel of bounds below 2^52."""
+    S^4 < 2^56.  The lattice kernel does not call it: below its bound
+    limit 2^52 the truncated float root needs no correction
+    (_half_widths)."""
     r = np.sqrt(np.maximum(n, 0).astype(np.float64)).astype(np.int64)
     r -= r * r > n
     r += (r + 1) * (r + 1) <= n
@@ -221,18 +228,26 @@ def _floor_sqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _half_widths(bounds: list, depth: list, reach: list):
-    """isqrt(B - x^2) for x = -D ... R, -1 where x^2 > B, for each bound B
-    with its depth D and reach R in turn, concatenated into one flat int64
-    table, and the index of x = 0 in each segment (a list).  The work per
-    bound stays on lists and each list becomes an array once: the calls
-    of the per-t mode have one to a few dozen bounds, where a numpy call
-    costs more than a list comprehension."""
+    """isqrt(B - x^2) for x = -D ... R, for each bound 0 <= B < 2^52 with
+    its depth D and reach R (both at most isqrt(B)) in turn, concatenated
+    into one flat int64 table, and the index of x = 0 in each segment (a
+    list).  The work per bound stays on lists and each list becomes an
+    array once: the calls of the per-t mode have one to a few dozen
+    bounds, where a numpy call costs more than a list comprehension.
+
+    Each entry is the truncated float root of n = B - x^2, with no
+    correction: exact for every 0 <= n < 2^52.  x, x^2, B and n are
+    integers below 2^52, so float64 holds each exactly, and
+    sqrt(n) >= k = isqrt(n), so the rounded root is at least k.  And
+    (k + 1) - sqrt(n) = ((k + 1)^2 - n) / (k + 1 + sqrt(n)) > 1/(2k + 2)
+    >= 2^-27, at least the spacing of the floats just below k + 1 <= 2^26,
+    so the rounded root stays below k + 1."""
     sizes = [D + R + 1 for D, R in zip(depth, reach)]
     centre = [end - R - 1 for end, R in zip(accumulate(sizes), reach)]
-    sizes = np.array(sizes, dtype=np.int64)
-    x = np.arange(centre[-1] + reach[-1] + 1, dtype=np.int64)
-    x -= np.repeat(np.array(centre, dtype=np.int64), sizes)
-    return _floor_sqrt(np.repeat(np.array(bounds, dtype=np.int64), sizes) - x * x), centre
+    x = np.arange(centre[-1] + reach[-1] + 1, dtype=np.float64)
+    x -= np.array(centre, dtype=np.float64).repeat(sizes)
+    x *= x  # x^2, exact
+    return np.sqrt(np.array(bounds, dtype=np.float64).repeat(sizes) - x).astype(np.int64), centre
 
 
 def flat_blocks(counts: np.ndarray, step: int | None = None):
@@ -256,10 +271,12 @@ def flat_blocks(counts: np.ndarray, step: int | None = None):
 def _bound_tables(uB: list, depth: int):
     """The set-up both kernels share, for the distinct bounds uB of a call
     (a nonempty ascending list) and a depth: R = isqrt(B) for each (a
-    list); one flat table of half-widths isqrt(B - x^2) over the rows
-    x = -min(depth, R) ... R, one segment per bound and no pad; its prefix
-    sum P, P[i] = half[0] + ... + half[i - 1], written in place after a
-    zero; and the index of x = 0 in each segment (a list)."""
+    list); one flat table of half-widths isqrt(B - x^2) (_half_widths)
+    over the rows x = -min(depth, R) ... R, one segment per bound and no
+    pad; its prefix sum P, P[i] = half[0] + ... + half[i - 1],
+    written in place after a zero; and the index of x = 0 in each segment
+    (a list).  A bound of 2^52 or more raises ArithmeticError before
+    anything is built: the table's float roots are exact below it."""
     if uB[0] < 0:
         raise ValueError(f"norm bounds must be >= 0; got {uB[0]}")
     if uB[-1] >= KERNEL_BOUND_LIMIT:
@@ -499,20 +516,26 @@ def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
     """The region's lattice points coprime to s, for each s = s_re + s_im i
     (at least one, each nonzero with |s| <= S) at level S, as an int64
     array: the sum over the squarefree divisors d of s (from gint.factor)
-    of mu(d) L(s/d, S^2 // |d|^2), every (s, d) pair in one kernel call."""
+    of mu(d) L(s/d, S^2 // |d|^2), every (s, d) pair in one kernel call.
+    The call's t, bound and mu columns are lists: a call of at most
+    PER_T_BATCH pairs (one s of at most five prime factors) runs in the
+    per-t mode with no array between the factorization and the kernel,
+    and a larger one becomes arrays once, in escape_counts."""
     from .gint import factor
 
-    pairs, starts = [], []  # (Re s/d, Im s/d, S^2 // |d|^2, mu(d)) of each s and d
+    t_re, t_im, bounds, mu, starts = [], [], [], [], []  # Re s/d, Im s/d, S^2 // |d|^2, mu(d)
     for a, b in zip(np.asarray(s_re).tolist(), np.asarray(s_im).tolist()):
         square_free = [(1, 0, 1)]  # (Re d, Im d, mu(d))
         for p, _a in factor(GInt(a, b)).factors:
             square_free += [(x * p.re - y * p.im, x * p.im + y * p.re, -m) for x, y, m in square_free]
-        starts.append(len(pairs))
+        starts.append(len(mu))
         for x, y, m in square_free:
             k = x * x + y * y  # s / d = s conj(d) / |d|^2, an exact division
-            pairs.append(((a * x + b * y) // k, (b * x - a * y) // k, S * S // k, m))
-    t_re, t_im, bounds, mu = np.array(pairs, dtype=np.int64).T
-    return np.add.reduceat(mu * escape_counts(t_re, t_im, bounds), starts)
+            t_re.append((a * x + b * y) // k)
+            t_im.append((b * x - a * y) // k)
+            bounds.append(S * S // k)
+            mu.append(m)
+    return np.add.reduceat(np.array(mu) * escape_counts(t_re, t_im, bounds), starts)
 
 
 def escape_counts_rows(t_re, t_im, bounds) -> np.ndarray:

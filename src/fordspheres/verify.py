@@ -600,7 +600,7 @@ def check_calibration() -> tuple[bool, str]:
     )
 
 
-RECONCILIATION_RANGE = range(2, 57)
+RECONCILIATION_RANGE = range(2, 65)
 
 
 @_check("moment", "direct moment reconciles exactly with quarter counting")

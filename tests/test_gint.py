@@ -5,6 +5,7 @@ import pytest
 
 from fordspheres.gint import (
     DomainError,
+    Factorization,
     GInt,
     I,
     ONE,
@@ -15,6 +16,7 @@ from fordspheres.gint import (
     canonicalize,
     div_rem,
     divides,
+    exact_div,
     factor,
     format_gint,
     gcd,
@@ -152,6 +154,54 @@ class TestGcd:
                 assert canonical(gg) == gcd(a, b)
 
 
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _assert_contract(f):
+    """Factorization's promises beyond value(): positive exponents and
+    canonical primes, pairwise distinct, sorted by (norm, re, im), each of
+    norm 2, a prime p = 1 mod 4, or p^2 for a prime p = 3 mod 4."""
+    primes = [p for p, _ in f.factors]
+    assert all(a >= 1 for _, a in f.factors)
+    assert all(is_canonical(p) for p in primes)
+    assert len(set(primes)) == len(primes)
+    keys = [(norm(p), p.re, p.im) for p in primes]
+    assert keys == sorted(keys)
+    for p in primes:
+        n, r = norm(p), math.isqrt(norm(p))
+        assert n == 2 or (n % 4 == 1 and _is_prime(n)) or (r * r == n and r % 4 == 3 and _is_prime(r)), p
+
+
+def _trial_divisors(m):
+    """(norm, re, im) of the canonical Gaussian integers of norm 2 ... m, sorted."""
+    r = math.isqrt(m)
+    return sorted((x * x + y * y, x, y) for x in range(1, r + 1) for y in range(r + 1) if 2 <= x * x + y * y <= m)
+
+
+def _factor_by_trial_division(q, trial):
+    """factor(q) by trial division of q by the canonical Gaussian integers
+    of trial (_trial_divisors of at least isqrt(norm(q))) in (norm, re, im)
+    order, with Euclidean division: each divisor found first is prime, as
+    its own divisors of smaller norm are already divided out, and once
+    norm(d)^2 exceeds what is left, that is a unit or a prime."""
+    rest, factors = q, []
+    for n, x, y in trial:
+        if n * n > norm(rest):
+            break
+        d, k = GInt(x, y), 0
+        while divides(d, rest):
+            rest, k = exact_div(rest, d), k + 1
+        if k:
+            factors.append((d, k))
+    if norm(rest) > 1:
+        unit, p = canonicalize(rest)
+        factors.append((p, 1))
+    else:
+        unit = rest
+    return Factorization(unit, tuple(factors))
+
+
 class TestFactor:
     def test_factor_two(self):
         f = factor(g(2))
@@ -184,11 +234,23 @@ class TestFactor:
             q = g(int(x), int(y))
             f = factor(q)
             assert f.value() == q
-            assert all(a >= 1 for _, a in f.factors)
-            assert all(is_canonical(p) for p, _ in f.factors)
+            _assert_contract(f)
             if rng.random() < 0.02:
                 u = UNITS[rng.randrange(4)]
-                assert factor(u * q).value() == u * q
+                fu = factor(u * q)
+                assert fu.value() == u * q
+                assert fu.factors == f.factors
+                _assert_contract(fu)
+
+    def test_equals_trial_division(self):
+        # every q of norm <= 500, all four quadrants, and 300 seeded q
+        qs = [g(x, y) for x in range(-22, 23) for y in range(-22, 23) if 0 < x * x + y * y <= 500]
+        rng = Random(28)
+        qs += [g(rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(300)]
+        trial = _trial_divisors(math.isqrt(2 * 1000**2))
+        for q in qs:
+            if q:
+                assert factor(q) == _factor_by_trial_division(q, trial), q
 
     def test_two_squares_large_prime(self):
         # every prime p = 1 (mod 4) below 10^5, and one above 10^6

@@ -405,7 +405,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 57)
+        assert verify.RECONCILIATION_RANGE == range(2, 65)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 

@@ -265,9 +265,10 @@ class TestLatticeCount:
             (slice(2, 3), [8], list(range(17, 25))),
         ]
 
-    def test_floor_sqrt_is_exact_to_2_62(self):
-        # the neighbour solve takes roots of S^4 < 2^56 and the lattice
-        # kernel of bounds below 2^52; the float root is exact to 2^62
+    def test_floor_sqrt_is_exact_to_2_62(self, monkeypatch):
+        # the neighbour solve takes roots of S^4 < 2^56; the corrected
+        # float root is exact to 2^62 (the lattice kernel's table takes the
+        # plain float root, exact below its limit 2^52)
         roots = [2**26, 2**28 - 1, 2**28, (2**14 - 1) ** 2, 2**31 - 1]
         values = [k * k + d for k in roots for d in (-1, 0, 1)]
         values += [(2**14 - 1) ** 4, 2**56 - 1, 2**56, 2**62 - 1]
@@ -276,6 +277,20 @@ class TestLatticeCount:
         got = region._floor_sqrt(np.array(values, dtype=np.int64))
         assert got.tolist() == [isqrt(v) for v in values]
         assert region._floor_sqrt(np.array([-3, 0, 1])).tolist() == [-1, 0, 1]
+        # beyond the kernel's limit the truncated float root of
+        # (2^27 - 1)^2 - 1 is off by one; _floor_sqrt corrects it, and the
+        # kernel's table, which takes the plain float root, refuses the
+        # bound before it builds anything
+        big = (2**27 - 1) ** 2 - 1
+        assert int(math.sqrt(big)) == isqrt(big) + 1
+        assert region._floor_sqrt(np.array([big], dtype=np.int64)).tolist() == [isqrt(big)]
+
+        def built(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(region, "_half_widths", built)
+        with pytest.raises(ArithmeticError):
+            region._bound_tables([big], 64)
 
     def test_closed_form_equals_rows_on_every_small_bound(self, monkeypatch):
         # every t in the box |Re t|, |Im t| <= isqrt(B) + 2, which includes
@@ -430,15 +445,17 @@ class TestLatticeCount:
                 escape_counts([1], [0], KERNEL_BOUND_LIMIT)
         with pytest.raises(ArithmeticError):
             omega_lattice_count(OmegaSpec(ONE, 1 << 26))
-        # the half-widths equal math.isqrt up to the bound; the last case,
-        # beyond it, is one where the plain float floor is off by one and
-        # the correction alone makes the table exact
-        k = (1 << 26) - 1
-        big = (1 << 27) - 1
-        for bound in (k * k - 1, k * k, k * k + 2 * k, KERNEL_BOUND_LIMIT - 1, big * big - 1):
-            half, centre = _half_widths([bound], [64], [64])
-            assert centre == [64]
-            assert half.tolist() == [isqrt(bound - x * x) for x in range(-64, 65)]
+        # the table's plain float roots equal math.isqrt over the kernel's
+        # whole domain: around the squares of the largest roots (2^26 - 1
+        # squared plus 2k is 2^52 - 1) and at seeded bounds near the limit,
+        # in one call of many bounds, rows -64 ... 64 of each
+        bounds = [k * k + d for k in (2**26 - 1, 2**25, 2**25 + 1) for d in (-1, 0, 2 * k)]
+        rng = Random(52)
+        bounds += [rng.randrange(2**50, KERNEL_BOUND_LIMIT) for _ in range(200)]
+        assert max(bounds) == KERNEL_BOUND_LIMIT - 1
+        half, centre = _half_widths(bounds, [64] * len(bounds), [64] * len(bounds))
+        assert centre == [64 + 129 * i for i in range(len(bounds))]
+        assert half.tolist() == [isqrt(B - x * x) for B in bounds for x in range(-64, 65)]
 
     def test_unit_orbit_structure(self):
         # the full-plane count is four times the count over canonical
