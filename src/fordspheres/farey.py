@@ -30,7 +30,7 @@ square when both parts of r conj(s) |s'|^2 - conj(s s') lie in
 [0, |s|^2 |s'|^2], a test with no division; r' itself is divided out
 only in consecutive_pairs, which needs the partner's index.  Only the
 escape test depends on S: the scan yields each find with its largest
-mediant norm M, and _partner_blocks keeps those with M > S^2.  The
+mediant norm M, and the consecutive ones are those with M > S^2.  The
 eight symmetries of the unit square map G_S onto itself and each
 fraction's partners onto its image's, with the same norms, so
 moment.direct_total scans only one fraction per orbit (_orbit_sizes,
@@ -44,9 +44,8 @@ the level built.  A find of a representative of norm N counts at the
 levels L with N <= L^2 < M, an interval that ends below 2 ceil(sqrt N),
 so the table grows shell by shell, in O(S^3) entries, and each
 representative is scanned once, when its shell enters it.  A call at a
-level already built reads one row (_end_counts).  G_S itself is not
-kept.  The all-pairs determinant scan is kept as the oracle
-consecutive_pairs_scan.
+level already built reads one row of it.  G_S itself is not kept.  The
+all-pairs determinant scan is kept as the oracle consecutive_pairs_scan.
 """
 
 from __future__ import annotations
@@ -73,11 +72,12 @@ from .gint import (
 )
 
 # below this S every quantity of gs_arrays and the neighbour solve stays
-# inside int64: the largest are at most S^4 < 2^56 (the disc bound |s|^4
+# inside int64: the largest are at most S^4 < 2^52 (the disc bound |s|^4
 # and (n m + Re y)^2 of the row intervals, and the products r conj(s) |s'|^2
 # and |s|^2 |s'|^2 of the square test) and the partner keys, below
-# 4 (S + 1)^4; region._floor_sqrt is exact on them
-INT64_S_LIMIT = 1 << 14
+# 4 (S + 1)^4; every root taken is of an integer below S^4, where
+# region._floor_sqrt is exact
+INT64_S_LIMIT = 1 << 13
 
 _UNIT_INV = {u: v for u, v in zip(UNITS, (UNITS[0], UNITS[3], UNITS[2], UNITS[1]))}
 
@@ -445,7 +445,7 @@ def _orbit_sizes(n, s_re, s_im, r_re, r_im) -> np.ndarray:
     adjacency; and each turns the mediant denominators s + u s' into
     associates of conj(s + conj(u) s'), so it keeps the norms over the four
     units and with them the escape test.  So each maps G_S onto itself and
-    the finds of f in _partner_blocks (its partners with |s'| <= |s|) onto
+    the finds of f in _neighbour_blocks (its partners with |s'| <= |s|) onto
     the finds of its image, with the same norms.
 
     The closed triangle 0 <= y <= x <= 1/2 meets every orbit exactly once.
@@ -490,7 +490,7 @@ def _neighbour_blocks(cols):
     exactly when both parts of P norm(s') - conj(s s') lie in
     [0, n norm(s')].  None of this depends on S beyond |s| <= S: the
     escape test of is_consecutive, M > S^2, is left to the caller
-    (_partner_blocks, _finds).
+    (consecutive_pairs, _finds).
     """
     step = max(region.BLOCK_ELEMENTS // 4, 1)  # a point holds about a dozen int64 temporaries
     # the per-fraction set-up below (x, y, P, the row bounds) is taken for
@@ -535,19 +535,6 @@ def _neighbour_blocks(cols):
                 # 2 max(|Re z|, |Im z|), z = conj(s) s'
                 mediant = ns + nsp + 2 * np.maximum(np.abs(a + b), np.abs(c - d))
                 yield lo + i[keep], sp_re[keep], sp_im[keep], mediant
-
-
-def _partner_blocks(S: int, cols):
-    """The consecutive partners among the finds of _neighbour_blocks(cols):
-    yields (i, Re s', Im s') for the partners r'/s' with |s'| <= |s| of
-    the fractions i of cols whose largest mediant escapes, M > S^2
-    (is_consecutive).  Each pair is found from its end with the larger
-    denominator norm: once when |s'| < |s|, from both ends when
-    |s'| = |s|."""
-    S2 = S * S
-    for i, sp_re, sp_im, mediant in _neighbour_blocks(cols):
-        escape = mediant > S2
-        yield i[escape], sp_re[escape], sp_im[escape]
 
 
 # farey's one cache, behind moment.direct_total: (B, the read-only int64
@@ -609,26 +596,19 @@ def _finds(S: int) -> np.ndarray:
     return table[: S + 1, : S * S + 1]
 
 
-def _end_counts(S: int) -> np.ndarray:
-    """c_S(n) for n = 0 .. S^2, row S of the table of _finds: the pair ends
-    of norm n of the consecutive pairs at level S, each weighted by the
-    orbit size of its find, as a read-only int64 view."""
-    return _finds(S)[S]
-
-
 def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     """Every unordered consecutive pair of fractions at level S, each as
     (f, f') with f first in sort_key order, sorted by (f, f'): the same
     list as consecutive_pairs_scan.
 
     G_S is built once (gs_arrays), and the finds of the neighbour solve on
-    all of it (_partner_blocks) are turned into indices (i, j) into its
-    columns: the partner r'/s' is found in G_S by its numerator
-    r' = (r s' - 1)/s, an exact division, after rotating s' to its
-    canonical associate.  Each pair is taken once, as the find
-    whose partner j comes before i: sort_key order starts with the norm,
-    so that is every find with norm(s_j) < norm(s_i) and one of the two
-    finds of each tie."""
+    all of it (_neighbour_blocks) whose largest mediant escapes, M > S^2,
+    are turned into indices (i, j) into its columns: the partner r'/s' is
+    found in G_S by its numerator r' = (r s' - 1)/s, an exact division,
+    after rotating s' to its canonical associate.  Each pair is taken
+    once, as the find whose partner j comes before i: sort_key order
+    starts with the norm, so that is every find with norm(s_j) < norm(s_i)
+    and one of the two finds of each tie."""
     cols = gs_arrays(S)
     n, s_re, s_im, r_re, r_im = cols
     # every fraction has a key that increases along the sort_key order:
@@ -640,7 +620,9 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
     keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
     first, second = [], []
-    for i, sp_re, sp_im in _partner_blocks(S, cols):
+    for i, sp_re, sp_im, mediant in _neighbour_blocks(cols):
+        escape = mediant > S * S
+        i, sp_re, sp_im = i[escape], sp_re[escape], sp_im[escape]
         # r' = (r s' - 1) conj(s) / norm(s)
         sr, si, rr, ri, ns = s_re[i], s_im[i], r_re[i], r_im[i], n[i]
         w_re = rr * sp_re - ri * sp_im - 1

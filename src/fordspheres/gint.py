@@ -70,10 +70,6 @@ def norm(q: GInt) -> int:
     return q.re * q.re + q.im * q.im
 
 
-def is_unit(q: GInt) -> bool:
-    return norm(q) == 1
-
-
 def is_canonical(q: GInt) -> bool:
     """True for the first-quadrant associate: re >= 1, im >= 0."""
     return q.re >= 1 and q.im >= 0

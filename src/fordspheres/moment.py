@@ -14,7 +14,7 @@ Three routes to the same quantity:
               farey's one cache (farey._finds) is the table of their
               weighted pair ends per level and norm, grown shell by
               shell, so a call at a level already built reads one row
-              of it (farey._end_counts) and takes one exact sum;
+              of it and takes one exact sum;
 
   counting    2 * sum over canonical |s| <= S of N(s)/|s|^2, where N(s)
               counts consecutive partner denominators for s as lattice
@@ -118,22 +118,24 @@ def constant_C(terms: int = 60) -> float:
     return total
 
 
-def constant_C_quad(tol: float = 1e-10) -> float:
+def constant_C_quad() -> float:
     """Same integral by Gauss-Legendre quadrature (region._gauss_legendre),
     an independent scheme.  The logarithmic singularity at u = 0 would
     leave a plain rule about 1e-4 off, so the rule runs in v, u = v^6/sqrt 2,
     where the integrand -36/sqrt2 v^5 ln v sqrt(1 - v^12/2) on [0, 1] has
-    four continuous derivatives; tol bounds the rule's error estimate."""
+    four continuous derivatives; the rule's error estimate must be below
+    1e-10."""
     return region._gauss_legendre(
-        lambda v: -36.0 / math.sqrt(2.0) * v**5 * np.log(v) * np.sqrt(1.0 - v**12 / 2.0), 0.0, 1.0, tol
+        lambda v: -36.0 / math.sqrt(2.0) * v**5 * np.log(v) * np.sqrt(1.0 - v**12 / 2.0), 0.0, 1.0, 1e-10
     )
 
 
-def constant_C_tanh_sinh(dps: int = 25) -> float:
-    """Same integral by tanh-sinh quadrature (mpmath), an independent scheme."""
+def constant_C_tanh_sinh() -> float:
+    """Same integral by tanh-sinh quadrature (mpmath) at 25 digits, an
+    independent scheme."""
     import mpmath
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(25):
         val = mpmath.quad(
             lambda u: -mpmath.log(mpmath.sqrt(2) * u) * mpmath.sqrt(1 - u * u),
             [0, 1 / mpmath.sqrt(2)],
@@ -163,13 +165,11 @@ def constants_bundle(with_z2: bool = False) -> ConstantsBundle:
     return bundle
 
 
-def main_term(S: int, bundle: ConstantsBundle | None = None) -> float:
+def main_term(S: int) -> float:
     """pi * zeta_i^{-1}(2) * (8C - 1) * S^2."""
     if S < 0:
         raise DomainError("S must be >= 0")
-    if bundle is None:
-        bundle = constants_bundle()
-    return bundle.main_coeff * float(S) * float(S)
+    return constants_bundle().main_coeff * float(S) * float(S)
 
 
 def direct_total(S: int) -> Fraction:
@@ -191,13 +191,13 @@ def direct_total(S: int) -> Fraction:
     of levels; farey's one cache (farey._finds) is the table of the
     weighted counts per level and norm, which a sweep over S builds once,
     shell by shell, while G_S is built block by block and not kept.
-    farey._end_counts(S) reads c(n) at level S as one int64 row, so a
-    call at a level already built runs no scan.  The per-norm terms
+    farey._finds(S)[S] reads c(n) at level S as one int64 row, so a call
+    at a level already built runs no scan.  The per-norm terms
     c(n)/(2n) are summed over one common denominator, the lcm L of the
     norms (those with a nonzero count), as one integer numerator and one
     exact rational.
     """
-    counts = farey._end_counts(S)
+    counts = farey._finds(S)[S]
     distinct = np.flatnonzero(counts)
     L = math.lcm(*distinct.tolist())
     return Fraction(sum(c * (L // n) for n, c in zip(distinct.tolist(), counts[distinct].tolist())), 2 * L)
@@ -380,9 +380,9 @@ def moment_first_counting(
 def moment_main_term_report(S: int) -> MomentReport:
     """The main term as a report row; elapsed excludes the constants build,
     as in the other routes."""
-    bundle = constants_bundle()
+    constants_bundle()
     t0 = time.perf_counter()
-    mt = main_term(S, bundle)
+    mt = main_term(S)
     return MomentReport(
         S=S,
         method="main_term",
@@ -532,7 +532,6 @@ def fit_phi_over_norm4(ladder: Sequence[int]) -> tuple[float, float]:
 class SweepResult:
     reports: list[MomentReport]
     errors: list[tuple[int, str, str]]  # (S, method, message)
-    bundle: ConstantsBundle
 
 
 def report_sweep(
@@ -560,4 +559,4 @@ def report_sweep(
                 reports.append(evaluate(S, m, normalization, direct_cap, counting_cap))
             except Exception as exc:  # noqa: BLE001 - row failures are data
                 errors.append((S, m, str(exc)))
-    return SweepResult(reports=reports, errors=errors, bundle=constants_bundle())
+    return SweepResult(reports=reports, errors=errors)

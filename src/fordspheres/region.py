@@ -212,19 +212,10 @@ PER_T_BATCH = 32
 
 
 def _floor_sqrt(n: np.ndarray) -> np.ndarray:
-    """isqrt(n) for each n >= 0 and -1 for each n < 0, exact while n < 2^62.
-
-    The float root of n is within sqrt(n) 2^-52 < 2^-21 of the true root
-    (one rounding to float, one in the square root), so its truncation is
-    off by at most one, and the two corrections square integers of at
-    most 2^31 + 1, below 2^63.  farey's neighbour solve takes roots of
-    S^4 < 2^56.  The lattice kernel does not call it: below its bound
-    limit 2^52 the truncated float root needs no correction
-    (_half_widths)."""
-    r = np.sqrt(np.maximum(n, 0).astype(np.float64)).astype(np.int64)
-    r -= r * r > n
-    r += (r + 1) * (r + 1) <= n
-    return r
+    """isqrt(n) for each 0 <= n < 2^52: the truncated float root, with no
+    correction, exact by the argument of _half_widths.  farey's roots are
+    all of integers below S^4 < 2^52 (farey.INT64_S_LIMIT)."""
+    return np.sqrt(n.astype(np.float64)).astype(np.int64)
 
 
 def _half_widths(bounds: list, depth: list, reach: list):

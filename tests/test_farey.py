@@ -36,9 +36,19 @@ def frac(nre, nim, dre, dim=0):
     return GFraction.make(g(nre, nim), g(dre, dim))
 
 
+def consecutive_finds(S, cols):
+    """The finds of farey._neighbour_blocks(cols) that are consecutive at
+    level S, those whose largest mediant escapes, M > S^2, as
+    (i, Re s', Im s') blocks."""
+    for i, sp_re, sp_im, mediant in farey._neighbour_blocks(cols):
+        escape = mediant > S * S
+        yield i[escape], sp_re[escape], sp_im[escape]
+
+
 def partner_finds(S):
-    """The finds of the neighbour solve as sorted (i, Re s', Im s') triples."""
-    blocks = list(farey._partner_blocks(S, gs_arrays(S)))
+    """The consecutive finds of the neighbour solve on all of G_S as sorted
+    (i, Re s', Im s') triples."""
+    blocks = list(consecutive_finds(S, gs_arrays(S)))
     return sorted(zip(*(np.concatenate(c).tolist() for c in zip(*blocks))))
 
 
@@ -258,7 +268,7 @@ class TestFinds:
         assert np.all(rows[:, 0] == 0) and np.all(rows >= 0)
 
     def test_views_are_read_only(self):
-        for rows in (farey._finds(5), farey._end_counts(5)):
+        for rows in (farey._finds(5), farey._finds(5)[5]):
             with pytest.raises(ValueError):
                 rows[0] = 0
 
@@ -289,11 +299,11 @@ class TestFinds:
         for L in range(1, 13):
             gs = gs_arrays(L)
             counts = np.zeros(L * L + 1, np.int64)
-            for i, sp_re, sp_im in farey._partner_blocks(L, gs):
+            for i, sp_re, sp_im in consecutive_finds(L, gs):
                 n, n_p = gs[0][i], sp_re * sp_re + sp_im * sp_im
                 np.add.at(counts, n, 1)
                 np.add.at(counts, n_p[n_p < n], 1)
-            assert np.array_equal(farey._end_counts(L), counts), L
+            assert np.array_equal(farey._finds(L)[L], counts), L
         assert farey._finds_cache[0][0] == 12
 
 
@@ -334,7 +344,7 @@ class TestSymmetry:
         gs = np.stack(gs_arrays(12))
         sizes = farey._orbit_sizes(*gs)
         reps = np.flatnonzero(sizes)
-        finds = sum(len(i) for i, _, _ in farey._partner_blocks(12, gs[:, reps]))
+        finds = sum(len(i) for i, _, _ in consecutive_finds(12, gs[:, reps]))
         assert (len(sizes), len(reps), finds, len(partner_finds(12))) == (5157, 668, 1694, 13172)
 
 
@@ -483,7 +493,7 @@ class TestConsecutive:
         # found from both ends
         degrees, on_edge = box_scan_degrees(S, gs_arrays(S))
         assert on_edge == {5: 24, 10: 88, 13: 152, 25: 584}[S]
-        finds = np.concatenate([i for i, _, _ in farey._partner_blocks(S, gs_arrays(S))])
+        finds = np.concatenate([i for i, _, _ in consecutive_finds(S, gs_arrays(S))])
         assert np.bincount(finds, minlength=len(degrees)).tolist() == degrees.tolist()
 
     @pytest.mark.parametrize("block", [1, 7, 40])

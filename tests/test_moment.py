@@ -8,6 +8,7 @@ import pytest
 
 from fordspheres import arith, farey, moment, region, verify
 from fordspheres.gint import DomainError, GInt
+from test_farey import consecutive_finds
 
 
 _SUM_B = moment.sum_B
@@ -156,7 +157,7 @@ class TestDirect:
             gs = farey.gs_arrays(S)
             norms = gs[0]
             counts = np.zeros(S * S + 1, dtype=np.int64)
-            for i, sp_re, sp_im in farey._partner_blocks(S, gs):
+            for i, sp_re, sp_im in consecutive_finds(S, gs):
                 n, n_p = norms[i], sp_re * sp_re + sp_im * sp_im
                 counts += np.bincount(np.concatenate([n, n_p[n_p < n]]), minlength=len(counts))
             total = sum(Fraction(int(counts[n]), 2 * n) for n in np.flatnonzero(counts).tolist())
@@ -176,7 +177,7 @@ class TestDirect:
             gs = farey.gs_arrays(S)
             norms = gs[0]
             finds = tie_finds = 0
-            for i, sp_re, sp_im in farey._partner_blocks(S, gs):
+            for i, sp_re, sp_im in consecutive_finds(S, gs):
                 finds += len(i)
                 tie_finds += int(np.count_nonzero(sp_re * sp_re + sp_im * sp_im == norms[i]))
             assert tie_finds == ties, S
@@ -488,6 +489,19 @@ class TestSums:
 
         assert verify.check_b_sum_growth()[0]
         monkeypatch.setattr(moment, "sum_B", wrong)
+        ok, detail = verify.check_b_sum_growth()
+        assert not ok, detail
+
+    def test_ceiling_check_fails_on_a_wrong_B_of_one(self, monkeypatch):
+        # only B(1) is off, by one part in a million; the ladder values,
+        # and so the band and the increments, stay true
+        from fordspheres import verify
+
+        def wrong(S, epsilon=0.1):
+            return _SUM_B(S, epsilon) * (1.0 + 1e-6 * (S == 1))
+
+        monkeypatch.setattr(moment, "sum_B", wrong)
+        assert [moment.sum_B(S) for S in verify.B_LADDER] == [_SUM_B(S) for S in verify.B_LADDER]
         ok, detail = verify.check_b_sum_growth()
         assert not ok, detail
 
