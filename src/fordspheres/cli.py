@@ -154,21 +154,14 @@ def cmd_enumerate(args, config: RunConfig) -> int:
     for f in fractions:
         print(f)
     if args.json or config.output_path:
-        rows = []
-        for f in fractions:
-            sphere = f.sphere()
-            rows.append(
-                {
-                    "fraction": str(f),
-                    "base_re": str(sphere.base_re),
-                    "base_im": str(sphere.base_im),
-                    "radius": str(sphere.radius),
-                }
-            )
+        spheres = [(f, f.sphere()) for f in fractions]
+        rows = [
+            {"fraction": str(f), "base_re": str(sp.base_re), "base_im": str(sp.base_im), "radius": str(sp.radius)}
+            for f, sp in spheres
+        ]
         meta = _metadata(config, include_constants=False)
-        if config.output_path:
-            _emit(config, meta, ("fraction", "base_re", "base_im", "radius"), rows)
-        else:
+        _emit(config, meta, ("fraction", "base_re", "base_im", "radius"), rows)
+        if args.json:
             print(json.dumps({"meta": meta, "rows": rows}, sort_keys=True, indent=2))
     return EXIT_OK
 

@@ -158,12 +158,19 @@ def _shell(lo: int, S: int, triangle: bool = False):
     order and each box is expanded in (x, y) order, so the output is in
     sort_key order as built.  The boxes of consecutive denominators are
     expanded together, whole, at most region.BLOCK_ELEMENTS candidates at
-    a time (region.flat_blocks).
+    a time (region.flat_blocks).  S is checked when _shell is called, not
+    when its first block is drawn, so a caller can check it before it
+    allocates anything for the blocks.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
     if S >= INT64_S_LIMIT:
         raise ArithmeticError(f"G_S arrays are exact in int64 for S < {INT64_S_LIMIT}; got {S}")
+    return _shell_blocks(lo, S, triangle)
+
+
+def _shell_blocks(lo: int, S: int, triangle: bool):
+    """The blocks of _shell(lo, S, triangle), which has checked S."""
     a, b, norms = arith.canonical_cells(S * S)
     first = int(np.searchsorted(norms, lo * lo, side="right"))
     a, b, norms = a[first:], b[first:], norms[first:]
@@ -573,10 +580,11 @@ def _finds(S: int) -> np.ndarray:
         raise DomainError("S must be >= 1")
     built, table = _finds_cache[0] if _finds_cache else (0, np.zeros((1, 1), np.int64))
     if S > built:
+        shells = _shell(built, S, triangle=True)  # checks S before the table is allocated
         width = S * S + 1
         grown = np.zeros((2 * S + 1, width), np.int64)
         flat = grown.reshape(-1)
-        for shell in _shell(built, S, triangle=True):
+        for shell in shells:
             sizes = _orbit_sizes(*shell)
             for i, sp_re, sp_im, mediant in _neighbour_blocks(shell):
                 norms = shell[0, i]

@@ -27,7 +27,8 @@ Three routes to the same quantity:
               of one kernel pass, without forming any N(s);
               consecutive_partner_counts, its oracle, forms every N(s)
               as region.coprime_counts, the per-denominator Moebius sum
-              over the divisors of gint.factor;
+              over the divisors of gint.factor, and counting_total, the
+              exact total of that oracle, sums them as one rational;
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
               zeta_i(2) = zeta(2) * Catalan in closed form (arith.ZETA_I_2;
@@ -38,8 +39,9 @@ Three routes to the same quantity:
 The counting value under 'omega_full' converges to the main term.  The
 direct value agrees with 'omega_quarter' up to the contribution of
 denominator pairs on the real axis (which realize eight fraction pairs
-instead of four), so the full/direct ratio drifts slowly toward 4; the
-calibration helper measures that ratio on the exactly computable range.
+instead of four), exactly direct_total(S) == counting_total(S) / 4 +
+real_axis_correction(S), so the full/direct ratio drifts slowly toward 4;
+the calibration helper measures that ratio on the exactly computable range.
 
 evaluate(S, method, ...) is the one map from a method name to its route;
 the CLI and report_sweep both call it.
@@ -291,6 +293,31 @@ def consecutive_partner_counts(S: int) -> np.ndarray:
     return region.coprime_counts(re, im, S)
 
 
+def counting_total(S: int) -> Fraction:
+    """2 * sum over canonical |s| <= S of N(s)/|s|^2 exactly, the
+    'omega_full' counting value, from the per-denominator oracle
+    consecutive_partner_counts.
+
+    The one exact total of the per-denominator counts: it uses neither
+    the sieve nor the bound regrouping of moment_first_counting, so it
+    stays an independent oracle of that route.  The norms come from
+    arith.canonical_cells(S * S), in the counts' cell order, and the
+    terms are summed over one common denominator, the lcm L of the norms,
+    as one integer numerator.  The region is invariant under the units
+    and never contains 0, so every unit orbit in it has four points and
+    each N(s) is a multiple of 4 ('omega_quarter' is exactly a quarter of
+    the total); a count that is not raises ArithmeticError.  With it,
+    direct_total(S) == counting_total(S) / 4 + real_axis_correction(S).
+    """
+    counts = consecutive_partner_counts(S)
+    re, im, nrm = arith.canonical_cells(S * S)
+    i = int(np.argmax(counts % 4 != 0))  # the first count off the multiple of 4, if any
+    if counts[i] % 4:
+        raise ArithmeticError(f"N(s) = {counts[i]} is not a multiple of 4 for s = {re[i]}+{im[i]}i at S = {S}")
+    L = math.lcm(*nrm.tolist())
+    return Fraction(2 * sum(c * (L // n) for c, n in zip(counts.tolist(), nrm.tolist())), L)
+
+
 def moment_first_counting(
     S: int,
     normalization: str = "omega_full",
@@ -327,9 +354,10 @@ def moment_first_counting(
     fold the t and find the bounds again.
     Each quotient is correctly rounded, F(B) and W(B) are float sums, and
     the outer sum over bounds is exactly rounded (math.fsum); the value
-    agrees with the exact rational of the per-denominator oracle
-    consecutive_partner_counts to a few ulps.  N(s) is divisible by 4, so
-    the 'omega_quarter' value is the full one divided by 4, exactly.
+    agrees with counting_total, the exact rational of the per-denominator
+    oracle consecutive_partner_counts, to a few ulps.  N(s) is divisible
+    by 4, so the 'omega_quarter' value is the full one divided by 4,
+    exactly.
     threads is accepted and ignored, for callers that still pass it: the
     route runs in the calling process and starts no workers.  elapsed
     excludes the main-term constants, which are built (once per process)

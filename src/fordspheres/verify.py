@@ -599,28 +599,22 @@ def check_calibration() -> tuple[bool, str]:
     )
 
 
-RECONCILIATION_RANGE = range(2, 65)
+RECONCILIATION_RANGE = range(2, 69)
 
 
 @_check("moment", "direct moment reconciles exactly with quarter counting")
 def check_direct_quarter_reconciliation() -> tuple[bool, str]:
-    # quarter counting assumes four fraction pairs per denominator pair;
-    # real-axis pairs (classical consecutive Farey denominators) realize
-    # eight, so adding four radius sums per such pair
-    # (moment.real_axis_correction) must reconcile the two pipelines
-    # exactly, in rational arithmetic
+    # direct(S) = quarter(S) + extra(S), exactly, in rational arithmetic:
+    # quarter counting assumes four fraction pairs per denominator pair,
+    # quarter(S) = counting_total(S) / 4 (which raises on a full count
+    # that is not a multiple of 4); real-axis pairs (classical consecutive
+    # Farey denominators) realize eight, and extra(S) =
+    # real_axis_correction(S) adds four radius sums per such pair
     for S in RECONCILIATION_RANGE:
         direct = moment.direct_total(S)
-        quarter = Fraction(0)
-        counts = moment.consecutive_partner_counts(S).tolist()
-        for q, c in zip(_canonical_upto(S * S), counts):
-            if c % 4:
-                return False, f"full count {c} of {q} at S = {S} is not divisible by 4"
-            quarter += Fraction(c // 4, norm(q))
-        quarter *= 2
-        extra = moment.real_axis_correction(S)
-        if direct != quarter + extra:
-            return False, f"mismatch at S = {S}: {direct} vs {quarter + extra}"
+        expected = moment.counting_total(S) / 4 + moment.real_axis_correction(S)
+        if direct != expected:
+            return False, f"mismatch at S = {S}: {direct} vs {expected}"
     lo, hi = RECONCILIATION_RANGE[0], RECONCILIATION_RANGE[-1]
     return True, f"S in {lo}..{hi}: direct == quarter + real-axis correction, exactly"
 
@@ -631,18 +625,13 @@ COUNTING_ORACLE_TOLERANCE = Fraction(1, 2**50)  # measured: at most 3.3e-16 rela
 
 @_check("moment", "counting route matches the per-denominator counts")
 def check_counting_vs_per_denominator() -> tuple[bool, str]:
-    # the route sums W(B) F(B) over bounds in floats; the per-denominator
-    # counts, each a Moebius sum over the divisors from gint.factor and
-    # sharing only the kernel with the route, give the exact rational
+    # the route sums W(B) F(B) over bounds in floats; counting_total, the
+    # exact rational of the per-denominator counts (each a Moebius sum
+    # over the divisors from gint.factor, sharing only the kernel with the
+    # route), is its oracle
     worst = Fraction(0)
     for S in COUNTING_ORACLE_RANGE:
-        per_norm: dict[int, int] = {}
-        counts = moment.consecutive_partner_counts(S).tolist()
-        for q, c in zip(_canonical_upto(S * S), counts):
-            n = norm(q)
-            per_norm[n] = per_norm.get(n, 0) + c
-        exact = 2 * sum((Fraction(c, n) for n, c in per_norm.items()), Fraction(0))
-        error = abs(Fraction(moment.moment_first_counting(S).value) - exact) / exact
+        error = abs(Fraction(moment.moment_first_counting(S).value) / moment.counting_total(S) - 1)
         if error > COUNTING_ORACLE_TOLERANCE:
             return False, f"S = {S}: relative error {float(error):.2e} above 2^-50"
         worst = max(worst, error)

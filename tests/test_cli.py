@@ -33,6 +33,17 @@ class TestEnumerate:
         assert len(rows) == 4
         assert {r["radius"] for r in rows} == {"1/2"}
 
+    def test_json_is_printed_with_an_artifact(self, capsys, tmp_path):
+        # --json prints the rows and --out-path writes them, also together
+        path = tmp_path / "gs.json"
+        code, out, _ = run(capsys, "enumerate", "--S", "1", "--json", "--out", "json", "--out-path", str(path))
+        assert code == 0
+        printed = json.loads(out[out.index("{"):])
+        meta, rows = cli.read_artifact(str(path))
+        assert len(rows) == 4
+        assert printed["rows"] == rows
+        assert printed["meta"]["config"] == meta["config"]
+
     def test_level_beyond_the_direct_cap_is_refused_before_any_build(self, capsys, monkeypatch):
         from fordspheres import farey
 
@@ -176,6 +187,12 @@ class TestMoment:
         code, _, err = run(capsys, "moment", "--S", "40", "--method", "direct")
         assert code == cli.EXIT_NUMERIC
         assert "capped" in err
+
+    def test_direct_past_the_int64_limit_exits_numeric(self, capsys):
+        # refused by the documented limit check, not by a failed allocation
+        code, out, err = run(capsys, "moment", "--S", "8192", "--method", "direct", "--direct-cap", "8192")
+        assert (code, out) == (cli.EXIT_NUMERIC, "")
+        assert err == "error: G_S arrays are exact in int64 for S < 8192; got 8192\n"
 
     def test_cap_override_via_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("FORDSPHERES_DIRECT_CAP", "3")

@@ -289,6 +289,19 @@ class TestFinds:
         assert [(built, table.shape) for built, table in fresh_table] == [(1, (3, 2))]
         assert table_bytes(1) == before
 
+    def test_a_level_past_the_int64_limit_is_refused_before_the_table_grows(self, monkeypatch):
+        # the shell checks S when it is made, before the grown table (8 TiB
+        # at the limit) is allocated, and the cache stays as it was
+        from fordspheres import moment
+
+        cache = []
+        monkeypatch.setattr(farey, "_finds_cache", cache)
+        farey._finds(3)
+        before = list(cache)
+        with pytest.raises(ArithmeticError, match=f"exact in int64 for S < {INT64_S_LIMIT}; got {INT64_S_LIMIT}"):
+            moment.direct_total(INT64_S_LIMIT)
+        assert len(cache) == 1 and cache[0] is before[0]
+
     def test_rows_recount_the_full_scan(self, monkeypatch):
         # the level bounds ceil(sqrt N) and floor(sqrt(M - 1)) against a
         # recount at each level L <= 12 from the consecutive partners of

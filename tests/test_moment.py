@@ -269,12 +269,36 @@ class TestCounting:
                 spec = region.OmegaSpec(g(x, y), S)
                 assert c == region.omega_lattice_count_bruteforce(spec, True), (x, y, S)
 
-    @staticmethod
-    def _per_denominator_exact(S):
-        # sum of N(s)/|s|^2 from the per-denominator oracle, as a rational
-        counts = moment.consecutive_partner_counts(S).tolist()
-        _, _, nrm = arith.canonical_cells(S * S)
-        return sum((Fraction(c, n) for c, n in zip(counts, nrm.tolist())), Fraction(0))
+    def test_counting_total_is_the_per_cell_sum(self):
+        # the per-cell rational sum of the per-denominator counts is the
+        # oracle of the one common-denominator sum
+        for S in range(1, 13):
+            counts = moment.consecutive_partner_counts(S).tolist()
+            _, _, nrm = arith.canonical_cells(S * S)
+            per_cell = 2 * sum((Fraction(c, n) for c, n in zip(counts, nrm.tolist())), Fraction(0))
+            assert moment.counting_total(S) == per_cell, S
+
+    def test_counting_total_rounds_to_the_pinned_values(self):
+        # the pinned route values are correctly rounded: the float of the
+        # exact total equals them bit for bit
+        for S, (full, _) in self.PINNED.items():
+            assert float(moment.counting_total(S)).hex() == full, S
+
+    def test_a_count_off_the_multiple_of_four_is_refused(self, monkeypatch):
+        real = moment.consecutive_partner_counts
+
+        def one_more(S):
+            counts = real(S).copy()
+            counts[-1] += 1
+            return counts
+
+        monkeypatch.setattr(moment, "consecutive_partner_counts", one_more)
+        with pytest.raises(ArithmeticError, match=r"N\(s\) = \d+ is not a multiple of 4 for s = \d+\+\d+i at S = 5"):
+            moment.counting_total(5)
+        results = {r.name: r for r in verify.run_suite("moment")}
+        failed = results["direct moment reconciles exactly with quarter counting"]
+        assert not failed.passed
+        assert failed.detail.startswith("raised ArithmeticError: N(s) = ")
 
     @staticmethod
     def _by_bound_exact(S):
@@ -302,7 +326,7 @@ class TestCounting:
     def test_bound_regrouping_is_exact(self):
         # the route's identity in rationals, and its float within 2^-50
         for S in range(1, 41):
-            exact = self._per_denominator_exact(S)
+            exact = moment.counting_total(S) / 2
             assert self._by_bound_exact(S) == exact, S
             for normalization, scale in (("omega_full", 2), ("omega_quarter", Fraction(1, 2))):
                 value = moment.moment_first_counting(S, normalization).value
@@ -406,7 +430,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 65)
+        assert verify.RECONCILIATION_RANGE == range(2, 69)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 
