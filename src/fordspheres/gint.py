@@ -14,6 +14,7 @@ a/b, which guarantees norm(remainder) <= norm(b) / 2.  Component ties
 
 from __future__ import annotations
 
+import functools
 import re as _regex
 from dataclasses import dataclass
 from math import isqrt
@@ -195,12 +196,15 @@ def _sqrt_minus_one_mod(p: int) -> int:
     raise ArithmeticError(f"no quadratic non-residue found mod {p}")
 
 
+@functools.cache
 def two_squares_prime(p: int) -> tuple[int, int]:
     """(a, b) with a^2 + b^2 == p for prime p == 1 (mod 4) or p == 2.
 
     Cornacchia's descent: Euclid's algorithm on p and a square root of
     -1 mod p stops at the first remainder b below sqrt(p), and then
-    p - b^2 is a square.
+    p - b^2 is a square.  Cached: factor lifts the same few primes for
+    every q whose norm they divide, and the search for a non-residue
+    mod p is the cost.
     """
     if p == 2:
         return 1, 1

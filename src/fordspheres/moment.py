@@ -28,13 +28,17 @@ Three routes to the same quantity:
               consecutive_partner_counts, its oracle, forms every N(s)
               as region.coprime_counts, the per-denominator Moebius sum
               over the divisors of gint.factor, and counting_total, the
-              exact total of that oracle, sums them as one rational;
+              exact total of that oracle, sums them per norm;
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
               zeta_i(2) = zeta(2) * Catalan in closed form (arith.ZETA_I_2;
               the truncated lattice sums are oracles) and
               C = -int_0^{1/sqrt 2} ln(sqrt 2 u) sqrt(1 - u^2) du, summed
               from its termwise series (the quadratures are oracles).
+
+direct_total, counting_total and real_axis_correction each turn integer
+counts per norm into one exact rational through _exact_sum, a binary
+splitting sum reduced once at the root.
 
 The counting value under 'omega_full' converges to the main term.  The
 direct value agrees with 'omega_quarter' up to the contribution of
@@ -174,6 +178,33 @@ def main_term(S: int) -> float:
     return constants_bundle().main_coeff * float(S) * float(S)
 
 
+def _exact_sum(norms: Sequence[int], counts: Sequence[int]) -> Fraction:
+    """sum of c/n over the norms n > 0 and the counts c, Python ints,
+    exactly: the one place where counts per norm become a rational.
+
+    Binary splitting: the terms are added pairwise in a balanced tree,
+    p/q + r/s = (p s + r q)/(q s), unreduced, and the root is reduced once.
+    Over one common denominator L, the lcm of the norms, every term would
+    cost a division and a product of the full-size L, so the work would
+    grow like the number of norms times the size of L; in the tree the
+    partial denominators stay small until the last levels, where few
+    products remain, each of two halves of equal size.  The tree is built
+    in place, level by level (the partial sum at i takes in the one at
+    i + step), with no tuple or list per node, so a warm direct_total at
+    S <= 12, with a few dozen norms, costs no more than a common
+    denominator would; a new list of pairs per level cost about 15 % more
+    on the benchmark's direct ladder.
+    """
+    nums, dens = list(counts), list(norms)
+    step = 1
+    while step < len(dens):
+        for i in range(0, len(dens) - step, 2 * step):
+            j = i + step
+            nums[i], dens[i] = nums[i] * dens[j] + nums[j] * dens[i], dens[i] * dens[j]
+        step *= 2
+    return Fraction(nums[0], dens[0]) if dens else Fraction(0)
+
+
 def direct_total(S: int) -> Fraction:
     """M(S) exactly, from the consecutive pairs of the neighbour solve.
 
@@ -194,15 +225,12 @@ def direct_total(S: int) -> Fraction:
     weighted counts per level and norm, which a sweep over S builds once,
     shell by shell, while G_S is built block by block and not kept.
     farey._finds(S)[S] reads c(n) at level S as one int64 row, so a call
-    at a level already built runs no scan.  The per-norm terms
-    c(n)/(2n) are summed over one common denominator, the lcm L of the
-    norms (those with a nonzero count), as one integer numerator and one
-    exact rational.
+    at a level already built runs no scan.  The nonzero entries of the
+    row go to the one exact sum over norms (_exact_sum), halved.
     """
     counts = farey._finds(S)[S]
-    distinct = np.flatnonzero(counts)
-    L = math.lcm(*distinct.tolist())
-    return Fraction(sum(c * (L // n) for n, c in zip(distinct.tolist(), counts[distinct].tolist())), 2 * L)
+    norms = np.flatnonzero(counts)
+    return _exact_sum(norms.tolist(), counts[norms].tolist()) / 2
 
 
 def real_axis_correction(S: int) -> Fraction:
@@ -218,8 +246,9 @@ def real_axis_correction(S: int) -> Fraction:
     That interval holds q consecutive integers, one of each residue class
     mod q, so c(q) = phi(q), Euler's totient, for every q <= S; only at
     S = 1 is the one candidate p = q = 1 no pair.  So
-    extra(S) = 2 * sum over q <= S of phi(q)/q^2 for S >= 2, summed over
-    the common denominator lcm(1..S)^2 as one integer numerator.
+    extra(S) = 2 * sum over q <= S of phi(q)/q^2 for S >= 2, the exact
+    sum over norms (_exact_sum) of the counts phi(q) at the norms q^2,
+    doubled.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -229,8 +258,7 @@ def real_axis_correction(S: int) -> Fraction:
     for p in range(2, S + 1):
         if phi[p] == p:  # p is prime: no smaller prime has touched it
             phi[p::p] -= phi[p::p] // p
-    L = math.lcm(*range(1, S + 1)) ** 2
-    return Fraction(2 * sum(c * (L // (q * q)) for q, c in enumerate(phi.tolist()) if q), L)
+    return 2 * _exact_sum([q * q for q in range(1, S + 1)], phi[1:].tolist())
 
 
 def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
@@ -301,12 +329,14 @@ def counting_total(S: int) -> Fraction:
     The one exact total of the per-denominator counts: it uses neither
     the sieve nor the bound regrouping of moment_first_counting, so it
     stays an independent oracle of that route.  The norms come from
-    arith.canonical_cells(S * S), in the counts' cell order, and the
-    terms are summed over one common denominator, the lcm L of the norms,
-    as one integer numerator.  The region is invariant under the units
-    and never contains 0, so every unit orbit in it has four points and
-    each N(s) is a multiple of 4 ('omega_quarter' is exactly a quarter of
-    the total); a count that is not raises ArithmeticError.  With it,
+    arith.canonical_cells(S * S), in the counts' cell order.  They ascend,
+    so the cells of one norm are one run; the counts of each run are added
+    in int64, exactly, and the one exact sum over norms (_exact_sum) takes
+    the distinct norms (60,108 of the 205,868 cells at S = 512), doubled.
+    The region is invariant under the units and never contains 0, so
+    every unit orbit in it has four points and each N(s) is a multiple of
+    4 ('omega_quarter' is exactly a quarter of the total); a count that
+    is not raises ArithmeticError.  With it,
     direct_total(S) == counting_total(S) / 4 + real_axis_correction(S).
     """
     counts = consecutive_partner_counts(S)
@@ -314,8 +344,8 @@ def counting_total(S: int) -> Fraction:
     i = int(np.argmax(counts % 4 != 0))  # the first count off the multiple of 4, if any
     if counts[i] % 4:
         raise ArithmeticError(f"N(s) = {counts[i]} is not a multiple of 4 for s = {re[i]}+{im[i]}i at S = {S}")
-    L = math.lcm(*nrm.tolist())
-    return Fraction(2 * sum(c * (L // n) for c, n in zip(counts.tolist(), nrm.tolist())), L)
+    norms, first = np.unique(nrm, return_index=True)
+    return 2 * _exact_sum(norms.tolist(), np.add.reduceat(counts, first).tolist())
 
 
 def moment_first_counting(

@@ -599,7 +599,7 @@ def check_calibration() -> tuple[bool, str]:
     )
 
 
-RECONCILIATION_RANGE = range(2, 69)
+RECONCILIATION_RANGE = range(2, 71)
 
 
 @_check("moment", "direct moment reconciles exactly with quarter counting")

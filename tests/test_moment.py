@@ -86,6 +86,37 @@ class TestMainTerm:
         assert moment.main_term(0) == 0.0
 
 
+class TestExactSum:
+    @staticmethod
+    def per_term(norms, counts):
+        return sum((Fraction(c, n) for n, c in zip(norms, counts)), Fraction(0))
+
+    def test_empty_is_zero(self):
+        total = moment._exact_sum([], [])
+        assert total == 0 and isinstance(total, Fraction)
+
+    def test_random_norms_and_counts(self):
+        # every length from 1 to 70 (odd and even at each level of the
+        # tree), counts of either sign, zero among them, norms up to S^4
+        # at S = 512
+        rng = Random(31)
+        for size in range(1, 71):
+            top = rng.choice((100, 10**4, 512**4))
+            norms = rng.sample(range(1, top + 1), size)
+            counts = [rng.choice((0, rng.randint(-(10**6), 10**6))) for _ in norms]
+            assert moment._exact_sum(norms, counts) == self.per_term(norms, counts), (size, top)
+
+    def test_zero_counts_and_norms_near_the_top(self):
+        # norms next to 512^4 (S^4 at S = 512) and two large divisors of
+        # it: the unreduced product at the root has a large common factor
+        # with its numerator, which the one reduction must remove
+        top = 512**4
+        norms = [top - k for k in range(12)] + [top // 3, top // 5]
+        counts = [0, 3, 0, 0, 7, 1, 0, 12, 0, 0, 5, 2, 0, 9]
+        assert moment._exact_sum(norms, counts) == self.per_term(norms, counts)
+        assert moment._exact_sum(norms, [0] * len(norms)) == 0
+
+
 class TestDirect:
     def test_level_one_is_four(self):
         rep = moment.moment_first_direct(1)
@@ -271,7 +302,7 @@ class TestCounting:
 
     def test_counting_total_is_the_per_cell_sum(self):
         # the per-cell rational sum of the per-denominator counts is the
-        # oracle of the one common-denominator sum
+        # oracle of the per-norm grouping and the exact sum over norms
         for S in range(1, 13):
             counts = moment.consecutive_partner_counts(S).tolist()
             _, _, nrm = arith.canonical_cells(S * S)
@@ -430,7 +461,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 69)
+        assert verify.RECONCILIATION_RANGE == range(2, 71)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 
