@@ -171,6 +171,8 @@ class Factorization:
 
 def _factor_int(n: int) -> dict[int, int]:
     """Trial-division factorization of n >= 1."""
+    if n < 1:
+        raise DomainError(f"cannot factor {n}: need n >= 1")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -217,17 +219,29 @@ def two_squares_prime(p: int) -> tuple[int, int]:
     return b, c
 
 
+def primes_above(p: int) -> tuple[tuple[int, int, int], ...]:
+    """The canonical Gaussian primes above the rational prime p, as int
+    triples (c, d, norm): (1, 1, 2) above 2, (p, 0, p^2) for p == 3 mod 4
+    (inert), and (a, b, p) and (b, a, p), the canonical associates of
+    a + bi and a - bi, for p == 1 mod 4 with a^2 + b^2 == p.  The prime
+    c + di divides x + yi exactly when both parts of (x + yi)(c - di) are
+    multiples of norm, and the quotient is that product / norm."""
+    if p == 2:
+        return ((1, 1, 2),)
+    if p % 4 == 3:
+        return ((p, 0, p * p),)
+    a, b = two_squares_prime(p)
+    return ((a, b, p), (b, a, p))
+
+
 def factor(q: GInt) -> Factorization:
     """Factor nonzero q into a unit times canonical Gaussian prime powers.
 
     Strategy: rotate q to its canonical associate x + yi, factor its norm
-    over the rational integers, and lift each rational prime p to the
-    canonical Gaussian primes above it, as int triples (c, d, norm):
-    (1, 1, 2) above 2, (p, 0, p^2) for p == 3 mod 4 (inert), and (a, b, p)
-    and (b, a, p), the canonical associates of a + bi and a - bi, for
-    p == 1 mod 4 with a^2 + b^2 == p.  Exponents are read off by exact
-    division in plain integers; GInt objects are made only for the sorted
-    result, primes ordered by (norm, re, im).
+    over the rational integers, and lift each rational prime to the
+    canonical Gaussian primes above it (primes_above).  Exponents are read
+    off by exact division in plain integers; GInt objects are made only
+    for the sorted result, primes ordered by (norm, re, im).
     """
     if not q:
         raise DomainError("cannot factor 0")
@@ -235,16 +249,7 @@ def factor(q: GInt) -> Factorization:
     x, y = rem.re, rem.im
     found = []  # (norm, c, d, exponent) of each prime c + di dividing q
     for p in _factor_int(x * x + y * y):
-        if p == 2:
-            lifts = ((1, 1, 2),)
-        elif p % 4 == 3:
-            lifts = ((p, 0, p * p),)
-        else:
-            a, b = two_squares_prime(p)
-            lifts = ((a, b, p), (b, a, p))
-        for c, d, n in lifts:
-            # c + di divides x + yi when both parts of (x + yi)(c - di)
-            # are multiples of n; the quotient is that product / n
+        for c, d, n in primes_above(p):
             k = 0
             while True:
                 u, v = x * c + y * d, y * c - x * d

@@ -27,7 +27,8 @@ Three routes to the same quantity:
               of one kernel pass, without forming any N(s);
               consecutive_partner_counts, its oracle, forms every N(s)
               as region.coprime_counts, the per-denominator Moebius sum
-              over the divisors of gint.factor, and counting_total, the
+              over the squarefree divisors built from the primes of
+              |s|^2 (gint.primes_above), and counting_total, the
               exact total of that oracle, sums them per norm;
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
@@ -312,8 +313,10 @@ def consecutive_partner_counts(S: int) -> np.ndarray:
 
     The per-denominator oracle of moment_first_counting, which needs only
     sum N(s)/|s|^2: region.coprime_counts over every s, each a Moebius sum
-    over the squarefree divisors of gint.factor.  It shares only the
-    lattice kernel with the route, not the sieve or the bound regrouping.
+    over the squarefree divisors of s, built on ints from the rational
+    primes of |s|^2 and the Gaussian primes above them (gint.primes_above).
+    It shares only the lattice kernel with the route, not the sieve or the
+    bound regrouping.
     """
     if S < 1:
         raise DomainError("S must be >= 1")

@@ -76,10 +76,13 @@ inclusion-exclusion over the squarefree divisors of s then gives
     #{z in region : gcd(z, s) = 1} = sum_{d | s} mu(d) L(s/d, floor(S^2/|d|^2)),
 
 and the unfiltered count is L(s, S^2).  coprime_counts, the one home of
-this sum, sends the pairs of every s and divisor in one kernel call, for
-omega_lattice_count and moment.consecutive_partner_counts alike, as list
-columns, so that the short call of one s reaches the per-t mode with no
-array built on the way.
+this sum, for omega_lattice_count and moment.consecutive_partner_counts
+alike, builds the squarefree divisors of each s on ints from the primes
+of |s|^2 (gint._factor_int, lifted by gint.primes_above), with no
+factorization object, and sends the pairs of every s and divisor in one
+kernel call as list columns: the short call of one s goes to the per-t
+mode as it is, with no array or copy on the way, and so does the
+unfiltered count of one s.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ from random import Random
 
 import numpy as np
 
-from .gint import DomainError, GInt, UNITS, is_canonical, is_coprime, norm
+from .gint import DomainError, GInt, UNITS, _factor_int, is_canonical, is_coprime, norm, primes_above
 
 
 @dataclass(frozen=True)
@@ -495,37 +498,48 @@ def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
     """Exact count of lattice points in the region (full plane, all four
     quadrants), optionally restricted to points coprime to s.
 
-    Unfiltered this is L(s, S^2); the coprime restriction is coprime_counts
-    of the one s.
+    Unfiltered this is L(s, S^2), one t in the per-t mode; the coprime
+    restriction is coprime_counts of the one s.
     """
     if not coprime_filter:
-        return int(escape_counts([spec.s.re], [spec.s.im], spec.S * spec.S)[0])
+        return _escape_counts_per_t([spec.s.re], [spec.s.im], [spec.S * spec.S])[0]
     return int(coprime_counts([spec.s.re], [spec.s.im], spec.S)[0])
 
 
 def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
     """The region's lattice points coprime to s, for each s = s_re + s_im i
     (at least one, each nonzero with |s| <= S) at level S, as an int64
-    array: the sum over the squarefree divisors d of s (from gint.factor)
-    of mu(d) L(s/d, S^2 // |d|^2), every (s, d) pair in one kernel call.
-    The call's t, bound and mu columns are lists: a call of at most
-    PER_T_BATCH pairs (one s of at most five prime factors) runs in the
-    per-t mode with no array between the factorization and the kernel,
-    and a larger one becomes arrays once, in escape_counts."""
-    from .gint import factor
+    array: the sum over the squarefree divisors d of s of
+    mu(d) L(s/d, S^2 // |d|^2), every (s, d) pair in one kernel call.
 
+    The divisors come straight from the norm's primes, on ints: each
+    rational prime of |s|^2 (gint._factor_int) is lifted to the Gaussian
+    primes above it (gint.primes_above), and each of those that divides s
+    doubles the list of (Re d, Im d, mu(d)).  The call's t, bound and mu
+    columns are lists: a call of at most PER_T_BATCH pairs (one s of at
+    most five prime factors) goes to the per-t mode as they are, and its
+    sums are taken on ints; a larger one becomes arrays once, in
+    escape_counts.  An s of 0 raises DomainError."""
     t_re, t_im, bounds, mu, starts = [], [], [], [], []  # Re s/d, Im s/d, S^2 // |d|^2, mu(d)
-    for a, b in zip(np.asarray(s_re).tolist(), np.asarray(s_im).tolist()):
+    S2 = S * S
+    for a, b in zip(_int_list(s_re), _int_list(s_im)):
+        if not (a or b):
+            raise DomainError("coprime_counts needs nonzero s")
         square_free = [(1, 0, 1)]  # (Re d, Im d, mu(d))
-        for p, _a in factor(GInt(a, b)).factors:
-            square_free += [(x * p.re - y * p.im, x * p.im + y * p.re, -m) for x, y, m in square_free]
+        for p in _factor_int(a * a + b * b):
+            for c, d, n in primes_above(p):
+                if not ((a * c + b * d) % n or (b * c - a * d) % n):  # c + di divides s
+                    square_free += [(x * c - y * d, x * d + y * c, -m) for x, y, m in square_free]
         starts.append(len(mu))
         for x, y, m in square_free:
             k = x * x + y * y  # s / d = s conj(d) / |d|^2, an exact division
             t_re.append((a * x + b * y) // k)
             t_im.append((b * x - a * y) // k)
-            bounds.append(S * S // k)
+            bounds.append(S2 // k)
             mu.append(m)
+    if 0 < len(mu) <= PER_T_BATCH:
+        terms = [m * L for m, L in zip(mu, _escape_counts_per_t(t_re, t_im, bounds))]
+        return np.array([sum(terms[i:j]) for i, j in zip(starts, starts[1:] + [len(mu)])], dtype=np.int64)
     return np.add.reduceat(np.array(mu) * escape_counts(t_re, t_im, bounds), starts)
 
 

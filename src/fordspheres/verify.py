@@ -599,7 +599,7 @@ def check_calibration() -> tuple[bool, str]:
     )
 
 
-RECONCILIATION_RANGE = range(2, 71)
+RECONCILIATION_RANGE = range(2, 72)
 
 
 @_check("moment", "direct moment reconciles exactly with quarter counting")
@@ -619,16 +619,16 @@ def check_direct_quarter_reconciliation() -> tuple[bool, str]:
     return True, f"S in {lo}..{hi}: direct == quarter + real-axis correction, exactly"
 
 
-COUNTING_ORACLE_RANGE = range(1, 25)
-COUNTING_ORACLE_TOLERANCE = Fraction(1, 2**50)  # measured: at most 3.3e-16 relative
+COUNTING_ORACLE_RANGE = range(1, 49)
+COUNTING_ORACLE_TOLERANCE = Fraction(1, 2**50)  # measured: at most 4.2e-16 relative
 
 
 @_check("moment", "counting route matches the per-denominator counts")
 def check_counting_vs_per_denominator() -> tuple[bool, str]:
     # the route sums W(B) F(B) over bounds in floats; counting_total, the
     # exact rational of the per-denominator counts (each a Moebius sum
-    # over the divisors from gint.factor, sharing only the kernel with the
-    # route), is its oracle
+    # over the squarefree divisors built from the primes of |s|^2, sharing
+    # only the kernel with the route), is its oracle
     worst = Fraction(0)
     for S in COUNTING_ORACLE_RANGE:
         error = abs(Fraction(moment.moment_first_counting(S).value) / moment.counting_total(S) - 1)

@@ -24,7 +24,9 @@ from fordspheres.gint import (
     is_coprime,
     norm,
     parse_gint,
+    primes_above,
     two_squares_prime,
+    _factor_int,
     xgcd,
 )
 
@@ -258,6 +260,29 @@ class TestFactor:
         for p in primes + [1_000_033]:
             a, b = two_squares_prime(p)
             assert a * a + b * b == p, p
+
+
+class TestPrimeLift:
+    def test_lift_equals_the_primes_of_factor(self):
+        # every rational prime p <= 10^4, so every Gaussian prime of norm
+        # <= 10^4: the lifts are the canonical primes factor finds in p,
+        # each of its norm and each its own factorization
+        for p in range(2, 10**4 + 1):
+            if any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+                continue
+            lifts = primes_above(p)
+            assert [g(c, d) for c, d, _ in sorted(lifts, key=lambda t: t[:2])] == [q for q, _ in factor(g(p)).factors], p
+            for c, d, n in lifts:
+                assert n == c * c + d * d == (p if p % 4 == 1 else p * p if p % 4 == 3 else 2), p
+                assert factor(g(c, d)) == Factorization(ONE, ((g(c, d), 1),)), p
+
+    def test_factor_int_refuses_n_below_one(self):
+        # 0 would never leave the loop over the factor 2
+        assert _factor_int(1) == {}
+        assert _factor_int(360) == {2: 3, 3: 2, 5: 1}
+        for n in (0, -1, -12):
+            with pytest.raises(DomainError):
+                _factor_int(n)
 
 
 class TestTextGrammar:

@@ -461,7 +461,7 @@ class TestCalibration:
         # in verify.
         from fordspheres import verify
 
-        assert verify.RECONCILIATION_RANGE == range(2, 71)
+        assert verify.RECONCILIATION_RANGE == range(2, 72)
         ok, detail = verify.check_direct_quarter_reconciliation()
         assert ok, detail
 

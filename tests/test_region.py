@@ -487,6 +487,34 @@ class TestLatticeCount:
             assert omega_lattice_count(spec) == escape_counts_rows([s.re], [s.im], S * S)[0], (s, S)
             assert omega_lattice_count(spec, True) == _coprime_scan(s.re, s.im, S), (s, S)
 
+    def test_divisors_from_the_norm_equal_those_of_factor(self):
+        # every canonical s with |s| <= 48 at S = 48, in one call on
+        # arrays and one call per s in the per-t mode, and 195 + 195i at
+        # S = 300 (six Gaussian primes, 64 divisors, on arrays), against
+        # the Moebius sum over the squarefree divisors of gint.factor
+        from fordspheres.arith import canonical_cells
+
+        def moebius_sum(s, S):
+            divisors = [(ONE, 1)]
+            for p, _ in factor(s).factors:
+                divisors += [(d * p, -m) for d, m in divisors]
+            t = [(s * d.conj(), d.re * d.re + d.im * d.im) for d, _ in divisors]
+            t = [(z.re // k, z.im // k, S * S // k) for z, k in t]
+            L = escape_counts(*zip(*t))
+            return sum(m * int(c) for (_, m), c in zip(divisors, L))
+
+        re, im, _ = canonical_cells(48 * 48)
+        want = [moebius_sum(g(a, b), 48) for a, b in zip(re.tolist(), im.tolist())]
+        assert region.coprime_counts(re, im, 48).tolist() == want
+        for a, b, c in zip(re.tolist(), im.tolist(), want):
+            assert region.coprime_counts([a], [b], 48).tolist() == [c], (a, b)
+        assert region.coprime_counts([195], [195], 300).tolist() == [moebius_sum(g(195, 195), 300)]
+
+    def test_coprime_counts_refuse_zero(self):
+        for re, im in (([0], [0]), ([1, 0], [0, 0])):
+            with pytest.raises(DomainError):
+                region.coprime_counts(re, im, 5)
+
     def test_count_tracks_area(self):
         for S in (4, 8, 16):
             for a in range(1, S + 1):
