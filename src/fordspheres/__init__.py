@@ -30,48 +30,29 @@ from .gint import (
 )
 from .arith import (
     CanonicalSieve,
-    ZetaTruncation,
-    divisor_sum_multiplicative,
     divisors,
-    mobius_divisor_sum,
-    mobius_inversion_check,
     mu_i,
     norm_coefficients,
     phi_i,
-    phi_i_residues,
     r2,
-    sum_phi_upto,
-    sum_r2_weighted,
-    zeta_i_truncated,
 )
 from .farey import (
     GFraction,
     Sphere,
     consecutive_denominator_conditions,
     consecutive_pairs,
-    consecutive_pairs_for_denoms,
-    consecutive_pairs_scan,
-    enumerate_fq,
     enumerate_gs,
-    generate_gs_by_mediants,
     gs_arrays,
     is_adjacent,
     is_consecutive,
-    is_consecutive_fq,
-    mediant_children,
-    spheres_tangent,
 )
 from .region import (
     OmegaSpec,
     boundary_length_surrogate,
     coprime_count_prediction,
     omega_area,
-    omega_area_bounds_check,
-    omega_area_monte_carlo,
-    omega_area_quadrature,
     omega_contains,
     omega_lattice_count,
-    omega_lattice_count_bruteforce,
 )
 from .moment import (
     ConstantsBundle,
@@ -85,7 +66,6 @@ from .moment import (
     report_sweep,
     sum_A,
     sum_B,
-    sum_B_band,
     sum_phi_over_norm2,
     sum_phi_over_norm4,
 )

@@ -22,7 +22,8 @@ conj(pi) divide q exactly when p | g.  One pass over the rational primes
 fills the tables over n here and the zeta coefficients below.
 
 zeta_i(2) is the closed form :data:`ZETA_I_2` = zeta(2) * L(2, chi_-4)
-= (pi^2/6) * Catalan.  Its oracles are the truncated lattice sums
+= (pi^2/6) * Catalan.  Its oracles, oracles.zeta_i_truncated, are the
+truncated lattice sums
 
     zeta_i(s)      ~ sum of norm(q)^-s   over canonical q, |q| <= radius,
     zeta_i^{-1}(s) ~ same sum weighted by mu_i(q),
@@ -36,10 +37,8 @@ radius with no per-point table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import inf, isqrt, pi
-from typing import Callable, Mapping, NamedTuple
+from math import isqrt, pi
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +49,6 @@ from .gint import (
     canonical,
     factor,
     is_canonical,
-    is_coprime,
     norm,
 )
 
@@ -83,24 +81,6 @@ def phi_i(q: GInt) -> int:
     return out
 
 
-def phi_i_residues(q: GInt) -> int:
-    """phi_i by brute force: count residues in a fundamental domain of (q)
-    that are coprime to q.  Reference implementation, O(norm(q)) per call."""
-    q = _as_canonical(q)
-    n = norm(q)
-    qc = q.conj()
-    bound = q.re + q.im  # |z| <= |q|sqrt(2) box
-    count = 0
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            w = GInt(x, y) * qc
-            if 0 <= w.re < n and 0 <= w.im < n:
-                # z = 0 is handled by gcd(0, q) = q, coprime only for q = 1
-                if is_coprime(GInt(x, y), q):
-                    count += 1
-    return count
-
-
 def divisors(q: GInt) -> list[GInt]:
     """All canonical divisors of q, sorted by (norm, re, im)."""
     q = _as_canonical(q)
@@ -115,46 +95,6 @@ def divisors(q: GInt) -> list[GInt]:
     divs = [canonical(d) for d in divs]
     divs.sort(key=lambda d: (norm(d), d.re, d.im))
     return divs
-
-
-def mobius_divisor_sum(q: GInt) -> int:
-    """sum of mu_i(d) over d | q; equals 1 exactly when q is a unit, else 0."""
-    return sum(mu_i(d) for d in divisors(q))
-
-
-def mobius_inversion_check(f_table: Mapping[GInt, Fraction | int | float], q: GInt) -> bool:
-    """Verify Moebius inversion for f on the divisor lattice of q.
-
-    With g(e) := sum_{d | e} mu_i(e/d) f(d), checks f(q) == sum_{e | q} g(e).
-    The table must cover every divisor of q.
-    """
-    q = _as_canonical(q)
-    divs = divisors(q)
-    missing = [d for d in divs if d not in f_table]
-    if missing:
-        raise DomainError(f"f_table missing divisors: {missing[:3]}")
-
-    def g(e: GInt) -> Fraction | int | float:
-        from .gint import exact_div
-
-        return sum(mu_i(exact_div(e, d)) * f_table[d] for d in divisors(e))
-
-    return sum(g(e) for e in divs) == f_table[q]
-
-
-def divisor_sum_multiplicative(f: Callable[[GInt], int | float | Fraction], q: GInt):
-    """sum_{d | q} f(d) for multiplicative f, computed factor by factor:
-    prod_i (f(1) + f(p_i) + ... + f(p_i^a_i))."""
-    q = _as_canonical(q)
-    result = None
-    for p, a in factor(q).factors:
-        term = f(ONE)
-        pk = ONE
-        for _ in range(a):
-            pk = pk * p
-            term = term + f(canonical(pk))
-        result = term if result is None else result * term
-    return f(ONE) if result is None else result
 
 
 def r2(n: int) -> int:
@@ -177,19 +117,6 @@ def r2(n: int) -> int:
         elif p % 4 == 1:
             out *= e + 1
     return out
-
-
-def r2_direct(n: int) -> int:
-    """r2 by scanning a for a^2 + b^2 = n.  Cross-check oracle."""
-    if n == 0:
-        return 1
-    count = 0
-    for a in range(-isqrt(n), isqrt(n) + 1):
-        b2 = n - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            count += 1 if b == 0 else 2
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +275,8 @@ def get_sieve(radius: int) -> SieveCells:
 
 
 # ---------------------------------------------------------------------------
-# truncated zeta values (the oracles of ZETA_I_2) and lattice sums
+# the Dirichlet coefficients of zeta_i
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZetaTruncation:
-    """Truncated zeta_i(s) and its Moebius-weighted (inverse) companion."""
-
-    s: float
-    radius: float
-    value: float
-    inverse_value: float
 
 
 def norm_coefficients(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,57 +326,3 @@ def norm_coefficients(max_norm: int) -> tuple[np.ndarray, np.ndarray]:
         b[p::p] *= b_pk[exps]
     a[0] = b[0] = 0
     return a, b
-
-
-def zeta_i_truncated(s: float, radius: float) -> ZetaTruncation:
-    """Sum norm(q)^-s and mu_i(q) * norm(q)^-s over canonical |q| <= radius,
-    grouped by norm n <= radius^2 through :func:`norm_coefficients`."""
-    if s <= 1:
-        raise DomainError("need s > 1 for convergence")
-    if not 1 <= radius < inf:  # also refuses nan
-        raise DomainError(f"zeta radius must be a finite number >= 1, got {radius}")
-    a, b = norm_coefficients(int(radius * radius))
-    n = np.flatnonzero(a)  # b(n) = 0 wherever a(n) = 0
-    weights = n.astype(np.float64) ** (-float(s))
-    value = float(np.sum(a[n] * weights))
-    inverse = float(np.sum(b[n] * weights))
-    return ZetaTruncation(s=float(s), radius=float(radius), value=value, inverse_value=inverse)
-
-
-def zeta_tail_allowance(radius: float) -> float:
-    """Allowed gap of the truncation at radius R, 20 / R^2: for
-    |value * inverse_value - 1| and for the distance of either series from
-    its limit.  At s = 2 each truncated series omits a tail of about
-    (pi/4) / R^2."""
-    return 20.0 / (radius * radius)
-
-
-def zeta_tail(s: float, lo_radius: float, hi_radius: float) -> float:
-    """Sum of norm(q)^-s over canonical lo_radius <= |q| <= hi_radius."""
-    max_norm = int(hi_radius * hi_radius)
-    rex, imy, nrm = canonical_cells(max_norm)
-    mask = nrm >= lo_radius * lo_radius
-    return float(np.sum(nrm[mask].astype(np.float64) ** (-float(s))))
-
-
-def sum_r2_weighted(N: int, a: float) -> tuple[float, float]:
-    """(sum_{n <= N} n^a r2(n), pi N^(a+1) / (a+1)).
-
-    The exact sum is 4 * sum of norm^a over canonical cells, since every
-    unit orbit has size four.
-    """
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    _, _, nrm = canonical_cells(N)
-    fn = nrm.astype(np.float64)
-    exact = 4.0 * float(np.sum(fn**a)) if a else 4.0 * len(nrm)
-    return exact, pi * float(N) ** (a + 1) / (a + 1)
-
-
-def sum_phi_upto(Q: int) -> tuple[int, float]:
-    """(exact sum of phi_i(q) over canonical |q| <= Q, main term).
-
-    The main term is (pi/8) * zeta_i^{-1}(2) * Q^4.
-    """
-    exact = int(np.sum(get_sieve(Q).phi))
-    return exact, pi / 8 / ZETA_I_2 * Q**4

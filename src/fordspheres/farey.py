@@ -45,14 +45,14 @@ levels L with N <= L^2 < M, an interval that ends below 2 ceil(sqrt N),
 so the table grows shell by shell, in O(S^3) entries, and each
 representative is scanned once, when its shell enters it.  A call at a
 level already built reads one row of it.  G_S itself is not kept.  The
-all-pairs determinant scan is kept as the oracle consecutive_pairs_scan.
+all-pairs determinant scan is kept as the oracle
+oracles.consecutive_pairs_scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd
 
 import numpy as np
 
@@ -60,15 +60,12 @@ from . import arith, region
 from .gint import (
     DomainError,
     GInt,
-    ONE,
     UNITS,
-    ZERO,
     canonicalize,
     exact_div,
     gcd,
     is_coprime,
     norm,
-    xgcd,
 )
 
 # below this S every quantity of gs_arrays and the neighbour solve stays
@@ -218,104 +215,6 @@ def is_adjacent(f1: GFraction, f2: GFraction) -> bool:
     return norm(f2.num * f1.den - f1.num * f2.den) == 1
 
 
-def spheres_tangent(f1: GFraction, f2: GFraction) -> bool:
-    """Geometric tangency test on the spheres themselves, in exact rationals:
-    squared center distance equals squared radius sum."""
-    if f1 == f2:
-        raise DomainError("tangency needs distinct fractions")
-    x1, y1 = f1.value()
-    x2, y2 = f2.value()
-    r1 = Fraction(1, 2 * norm(f1.den))
-    r2_ = Fraction(1, 2 * norm(f2.den))
-    dist2 = (x1 - x2) ** 2 + (y1 - y2) ** 2 + (r1 - r2_) ** 2
-    return dist2 == (r1 + r2_) ** 2
-
-
-def _mirror_values(num: GInt, den: GInt) -> list[tuple[GInt, GInt]]:
-    """Reflections of the value num/den across the four edge lines of the
-    unit square: conj(v), conj(v)+2i, -conj(v), 2-conj(v)."""
-    rc, sc = num.conj(), den.conj()
-    two_i = GInt(0, 2)
-    two = GInt(2, 0)
-    return [(rc, sc), (rc + two_i * sc, sc), (-rc, sc), (two * sc - rc, sc)]
-
-
-def mediant_children(f1: GFraction, f2: GFraction) -> list[GFraction]:
-    """The complex mediants (r + u r')/(s + u s') of an adjacent pair that
-    land in the unit square, reduced and deduplicated.
-
-    A mediant with zero denominator is dropped.  When a mediant falls
-    outside the square (possible only with both parents on the boundary),
-    its mirror image across an edge is kept instead, provided the mirror
-    is in the square and still adjacent to both parents.
-    """
-    if not is_adjacent(f1, f2):
-        raise DomainError("parents are not adjacent")
-    kids: set[GFraction] = set()
-    for u in UNITS:
-        den = f1.den + u * f2.den
-        if not den:
-            continue
-        num = f1.num + u * f2.num
-        child = GFraction.make(num, den)
-        if child.in_unit_square():
-            kids.add(child)
-            continue
-        for mnum, mden in _mirror_values(child.num, child.den):
-            mirror = GFraction.make(mnum, mden)
-            if (
-                mirror.in_unit_square()
-                and is_adjacent(mirror, f1)
-                and is_adjacent(mirror, f2)
-            ):
-                kids.add(mirror)
-    return sorted(kids, key=GFraction.sort_key)
-
-
-SEED_FRACTIONS = (
-    GFraction(ZERO, ONE),
-    GFraction(ONE, ONE),
-    GFraction(GInt(0, 1), ONE),
-    GFraction(GInt(1, 1), ONE),
-)
-
-
-def generate_gs_by_mediants(S: int) -> set[GFraction]:
-    """Close the seed set {0, 1, i, 1+i} under mediants of adjacent pairs,
-    keeping denominators of modulus <= S, until nothing new appears."""
-    if S < 1:
-        raise DomainError("S must be >= 1")
-    S2 = S * S
-    current: set[GFraction] = set(SEED_FRACTIONS)
-    frontier = sorted(current, key=GFraction.sort_key)
-    processed: set[frozenset[GFraction]] = set()
-    while frontier:
-        items = sorted(current, key=GFraction.sort_key)
-        rx = np.array([f.num.re for f in items], dtype=np.int64)
-        ry = np.array([f.num.im for f in items], dtype=np.int64)
-        sx = np.array([f.den.re for f in items], dtype=np.int64)
-        sy = np.array([f.den.im for f in items], dtype=np.int64)
-        new: list[GFraction] = []
-        for f in frontier:
-            a, b = f.num.re, f.num.im
-            c, d = f.den.re, f.den.im
-            cx = rx * c - ry * d - (a * sx - b * sy)
-            cy = rx * d + ry * c - (a * sy + b * sx)
-            adjacent = np.nonzero(cx * cx + cy * cy == 1)[0]
-            for j in adjacent:
-                g = items[int(j)]
-                key = frozenset((f, g))
-                if key in processed:
-                    continue
-                processed.add(key)
-                for child in mediant_children(f, g):
-                    if norm(child.den) <= S2 and child not in current:
-                        current.add(child)
-                        new.append(child)
-        frontier = sorted(set(new), key=GFraction.sort_key)
-    return current
-
-
 def is_consecutive(f1: GFraction, f2: GFraction, S: int) -> bool:
     """Adjacent, and some mediant denominator escapes modulus S, i.e. a
     sphere of radius < 1/(2 S^2) is tangent to both."""
@@ -334,52 +233,6 @@ def consecutive_denominator_conditions(s: GInt, s_prime: GInt, S: int) -> bool:
     if not is_coprime(s, s_prime):
         return False
     return any(norm(s_prime + u * s) > S2 for u in UNITS)
-
-
-def _offset_range(p: int, n: int) -> range:
-    """All integers t with 0 <= p + t*n <= n."""
-    # ceil(-p/n) <= t <= floor((n-p)/n)
-    lo = -(p // n)
-    hi = (n - p) // n
-    return range(lo, hi + 1)
-
-
-def consecutive_pairs_for_denoms(
-    s: GInt, s_prime: GInt, S: int
-) -> list[tuple[GFraction, GFraction]]:
-    """All unordered consecutive fraction pairs with denominators (s, s').
-
-    For each unit u one solves r s' - r' s = u; the solution is unique up
-    to r -> r + k s, r' -> r' + k s', and the Gaussian integers k that put
-    both fractions in the unit square are read off exactly.  Generic
-    denominator pairs produce four pairs; pairs with both denominators on
-    the real axis produce eight (their fraction pairs ride the horizontal
-    edges of the square and reappear translated by i).
-    """
-    if not consecutive_denominator_conditions(s, s_prime, S):
-        raise DomainError("denominators fail the consecutivity conditions")
-    g, x, y = xgcd(s_prime, s)  # x*s' + y*s == g, a unit
-    g_inv = _UNIT_INV[g]
-    found: set[tuple[GFraction, GFraction]] = set()
-    n = norm(s)
-    npr = norm(s_prime)
-    for u in UNITS:
-        # r0*s' - r0'*s == u
-        r0 = x * u * g_inv
-        r0p = -(y * u * g_inv)
-        w = r0 * s.conj()
-        wp = r0p * s_prime.conj()
-        # k = t1 + t2 i shifts the first value by k; both fractions must land
-        # in the square, so intersect the exact offset ranges per axis
-        for t1 in _offset_range(w.re, n):
-            for t2 in _offset_range(w.im, n):
-                k = GInt(t1, t2)
-                f1 = GFraction.make(r0 + k * s, s)
-                f2 = GFraction.make(r0p + k * s_prime, s_prime)
-                if f1.in_unit_square() and f2.in_unit_square():
-                    pair = tuple(sorted((f1, f2), key=GFraction.sort_key))
-                    found.add(pair)
-    return sorted(found, key=lambda p: (p[0].sort_key(), p[1].sort_key()))
 
 
 def _round_div(p: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -607,7 +460,7 @@ def _finds(S: int) -> np.ndarray:
 def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     """Every unordered consecutive pair of fractions at level S, each as
     (f, f') with f first in sort_key order, sorted by (f, f'): the same
-    list as consecutive_pairs_scan.
+    list as oracles.consecutive_pairs_scan.
 
     G_S is built once (gs_arrays), and the finds of the neighbour solve on
     all of it (_neighbour_blocks) whose largest mediant escapes, M > S^2,
@@ -656,47 +509,3 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     fractions = _fractions(cols)
     return [(fractions[a], fractions[b]) for a, b in zip(first[order].tolist(), second[order].tolist())]
 
-
-def consecutive_pairs_scan(S: int) -> list[tuple[GFraction, GFraction]]:
-    """Oracle for consecutive_pairs: the determinant test on all |G_S|^2
-    fraction pairs (vectorized per row), keeping those with an escaping
-    mediant.  Its cost grows like S^8."""
-    cols = gs_arrays(S)
-    _, sx, sy, rx, ry = cols
-    fractions = _fractions(cols)
-    n = len(fractions)
-    out: list[tuple[GFraction, GFraction]] = []
-    for i in range(n - 1):
-        a, b = int(rx[i]), int(ry[i])
-        c, d = int(sx[i]), int(sy[i])
-        jx = slice(i + 1, n)
-        cx = rx[jx] * c - ry[jx] * d - (a * sx[jx] - b * sy[jx])
-        cy = rx[jx] * d + ry[jx] * c - (a * sy[jx] + b * sx[jx])
-        for j0 in np.nonzero(cx * cx + cy * cy == 1)[0]:
-            j = i + 1 + int(j0)
-            if is_consecutive(fractions[i], fractions[j], S):
-                out.append((fractions[i], fractions[j]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# real Farey fractions, the one-dimensional reference picture
-# ---------------------------------------------------------------------------
-
-
-def enumerate_fq(Q: int) -> list[Fraction]:
-    """The Farey fractions of order Q on [0, 1], in increasing order."""
-    if Q < 1:
-        raise DomainError("Q must be >= 1")
-    out = {Fraction(0), Fraction(1)}
-    for q in range(2, Q + 1):
-        for p in range(1, q):
-            if int_gcd(p, q) == 1:
-                out.add(Fraction(p, q))
-    return sorted(out)
-
-
-def is_consecutive_fq(f1: Fraction, f2: Fraction, Q: int) -> bool:
-    """Adjacent (|bc - ad| == 1 for a/b and c/d) with denominator sum > Q."""
-    b, d = f1.denominator, f2.denominator
-    return abs(b * f2.numerator - f1.numerator * d) == 1 and b + d > Q

@@ -28,18 +28,19 @@ Three routes to the same quantity:
               consecutive_partner_counts, its oracle, forms every N(s)
               as region.coprime_counts, the per-denominator Moebius sum
               over the squarefree divisors built from the primes of
-              |s|^2 (gint.primes_above), and counting_total, the
-              exact total of that oracle, sums them per norm;
+              |s|^2 (gint.primes_above), and oracles.counting_total,
+              the exact total of that oracle, sums them per norm;
 
   main_term   the asymptotic pi * zeta_i^{-1}(2) * (8C - 1) * S^2, with
               zeta_i(2) = zeta(2) * Catalan in closed form (arith.ZETA_I_2;
-              the truncated lattice sums are oracles) and
+              the truncated lattice sums of oracles check it) and
               C = -int_0^{1/sqrt 2} ln(sqrt 2 u) sqrt(1 - u^2) du, summed
-              from its termwise series (the quadratures are oracles).
+              from its termwise series (the quadratures of oracles
+              check it).
 
-direct_total, counting_total and real_axis_correction each turn integer
-counts per norm into one exact rational through _exact_sum, a binary
-splitting sum reduced once at the root.
+direct_total, real_axis_correction and oracles.counting_total each turn
+integer counts per norm into one exact rational through _exact_sum, a
+binary splitting sum reduced once at the root.
 
 The counting value under 'omega_full' converges to the main term.  The
 direct value agrees with 'omega_quarter' up to the contribution of
@@ -123,31 +124,6 @@ def constant_C(terms: int = 60) -> float:
         total += a_k * 2.0 ** (-k - 0.5) / (2 * k + 1) ** 2
         a_k *= (2 * k - 1) / (2 * k + 2)
     return total
-
-
-def constant_C_quad() -> float:
-    """Same integral by Gauss-Legendre quadrature (region._gauss_legendre),
-    an independent scheme.  The logarithmic singularity at u = 0 would
-    leave a plain rule about 1e-4 off, so the rule runs in v, u = v^6/sqrt 2,
-    where the integrand -36/sqrt2 v^5 ln v sqrt(1 - v^12/2) on [0, 1] has
-    four continuous derivatives; the rule's error estimate must be below
-    1e-10."""
-    return region._gauss_legendre(
-        lambda v: -36.0 / math.sqrt(2.0) * v**5 * np.log(v) * np.sqrt(1.0 - v**12 / 2.0), 0.0, 1.0, 1e-10
-    )
-
-
-def constant_C_tanh_sinh() -> float:
-    """Same integral by tanh-sinh quadrature (mpmath) at 25 digits, an
-    independent scheme."""
-    import mpmath
-
-    with mpmath.workdps(25):
-        val = mpmath.quad(
-            lambda u: -mpmath.log(mpmath.sqrt(2) * u) * mpmath.sqrt(1 - u * u),
-            [0, 1 / mpmath.sqrt(2)],
-        )
-        return float(val)
 
 
 @functools.cache
@@ -316,39 +292,13 @@ def consecutive_partner_counts(S: int) -> np.ndarray:
     over the squarefree divisors of s, built on ints from the rational
     primes of |s|^2 and the Gaussian primes above them (gint.primes_above).
     It shares only the lattice kernel with the route, not the sieve or the
-    bound regrouping.
+    bound regrouping.  It is the one oracle that lives here and not in
+    oracles, because benchmarks/layers.py wraps it by name.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
     re, im, _ = arith.canonical_cells(S * S)
     return region.coprime_counts(re, im, S)
-
-
-def counting_total(S: int) -> Fraction:
-    """2 * sum over canonical |s| <= S of N(s)/|s|^2 exactly, the
-    'omega_full' counting value, from the per-denominator oracle
-    consecutive_partner_counts.
-
-    The one exact total of the per-denominator counts: it uses neither
-    the sieve nor the bound regrouping of moment_first_counting, so it
-    stays an independent oracle of that route.  The norms come from
-    arith.canonical_cells(S * S), in the counts' cell order.  They ascend,
-    so the cells of one norm are one run; the counts of each run are added
-    in int64, exactly, and the one exact sum over norms (_exact_sum) takes
-    the distinct norms (60,108 of the 205,868 cells at S = 512), doubled.
-    The region is invariant under the units and never contains 0, so
-    every unit orbit in it has four points and each N(s) is a multiple of
-    4 ('omega_quarter' is exactly a quarter of the total); a count that
-    is not raises ArithmeticError.  With it,
-    direct_total(S) == counting_total(S) / 4 + real_axis_correction(S).
-    """
-    counts = consecutive_partner_counts(S)
-    re, im, nrm = arith.canonical_cells(S * S)
-    i = int(np.argmax(counts % 4 != 0))  # the first count off the multiple of 4, if any
-    if counts[i] % 4:
-        raise ArithmeticError(f"N(s) = {counts[i]} is not a multiple of 4 for s = {re[i]}+{im[i]}i at S = {S}")
-    norms, first = np.unique(nrm, return_index=True)
-    return 2 * _exact_sum(norms.tolist(), np.add.reduceat(counts, first).tolist())
 
 
 def moment_first_counting(
@@ -387,8 +337,8 @@ def moment_first_counting(
     fold the t and find the bounds again.
     Each quotient is correctly rounded, F(B) and W(B) are float sums, and
     the outer sum over bounds is exactly rounded (math.fsum); the value
-    agrees with counting_total, the exact rational of the per-denominator
-    oracle consecutive_partner_counts, to a few ulps.  N(s) is divisible
+    agrees with oracles.counting_total, the exact rational of the
+    per-denominator oracle consecutive_partner_counts, to a few ulps.  N(s) is divisible
     by 4, so the 'omega_quarter' value is the full one divided by 4,
     exactly.
     threads is accepted and ignored, for callers that still pass it: the
@@ -509,54 +459,19 @@ def sum_A(S: int) -> tuple[float, float]:
 
 def sum_B(S: int, epsilon: float = 0.1) -> float:
     """sum over |s| <= S of surrogate_boundary_length / |s|^(2 - epsilon),
-    with the constant surrogate 8 pi S."""
+    with the constant surrogate region.boundary_length_surrogate(S) = 8 pi S."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must be in (0, 1)")
     if S < 1:
         raise DomainError("S must be >= 1")
     _, _, nrm = arith.canonical_cells(S * S)
     weights = nrm.astype(np.float64) ** (-(1.0 - epsilon / 2.0))
-    return 8.0 * math.pi * S * float(np.sum(weights))
+    return region.boundary_length_surrogate(S) * float(np.sum(weights))
 
 
 def sum_B_growth(ladder: Sequence[int], epsilon: float = 0.1) -> list[tuple[int, float]]:
     """(S, B(S)/S^(1+epsilon)) along a ladder; the growth diagnostic."""
     return [(S, sum_B(S, epsilon) / S ** (1.0 + epsilon)) for S in ladder]
-
-
-def sum_B_band(S: int, epsilon: float = 0.1) -> tuple[float, float]:
-    """(lower, upper) bounds on B(S)/S^(1+epsilon), valid for every S >= 1.
-
-    With f(z) = |z|^(-2+epsilon), decreasing in |z|, B(S) = 8 pi S * T(S)
-    where T(S) sums f over the canonical cells a+bi (a >= 1, b >= 0) with
-    |a+bi| <= S.  Compare T with the quarter-disc integral
-    I(R) = int_{x,y >= 0, |z| <= R} f = (pi/2) R^epsilon / epsilon using
-    unit squares:
-
-      upper  for b >= 1 the square [a-1, a] x [b-1, b] lies in the quarter
-             disc and f(a+bi) is at most its mean there; these squares are
-             disjoint, so their part of T is at most I(S).  The real-axis
-             cells add sum_{a <= S} a^(-2+epsilon) <= 1 + 1/(1 - epsilon);
-
-      lower  f(a+bi) is at least its mean on [a, a+1] x [b, b+1]; these
-             squares cover {x >= 1, y >= 0, |z| <= S}, which contains the
-             quarter annulus sqrt2 <= |z| <= S minus the strip 0 <= x < 1,
-             y >= 1, where the integral is at most 1/(1 - epsilon).
-
-    Hence (pi/2 epsilon)(S^epsilon - 2^(epsilon/2)) - 1/(1 - epsilon)
-    <= T(S) <= (pi/2 epsilon) S^epsilon + 1 + 1/(1 - epsilon); multiplying
-    by 8 pi S^(-epsilon) gives the band.  Both ends tend to 4 pi^2/epsilon,
-    so B(S) = O(S^(1+epsilon)) and B(S)/S^(1+epsilon) has a finite limit.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must be in (0, 1)")
-    if S < 1:
-        raise DomainError("S must be >= 1")
-    decay = float(S) ** (-epsilon)
-    half = math.pi / (2.0 * epsilon)
-    lower = 8.0 * math.pi * (half * (1.0 - 2.0 ** (epsilon / 2.0) * decay) - decay / (1.0 - epsilon))
-    upper = 4.0 * math.pi**2 / epsilon + 8.0 * math.pi * (1.0 + 1.0 / (1.0 - epsilon)) * decay
-    return lower, upper
 
 
 def sum_phi_over_norm2(S: int) -> tuple[float, float]:

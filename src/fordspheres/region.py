@@ -18,7 +18,8 @@ which collapses to pi S^2 at |s| = S and to ~ 4 sqrt(2) S |s| as
 |s|/S -> 0.  It is coded once, vectorized over norms, in
 area_closed_form; omega_area and moment.sum_A both evaluate it.  It is
 validated against direct quadrature of the polar double integral and
-against Monte Carlo sampling.
+against Monte Carlo sampling (oracles.omega_area_quadrature and
+oracles.omega_area_monte_carlo).
 
 Lattice counts go through one kernel,
 
@@ -65,8 +66,8 @@ with no correction: it is exact for every argument below 2^52
 (_half_widths).  The kernel stops at B < 2^52, where its table is exact
 and its float boundaries are still far within half a row, and beyond that
 raises ArithmeticError.  The row-by-row kernel, O(sqrt B)
-rows per t, is kept as the oracle escape_counts_rows, beside the
-point-by-point scan omega_lattice_count_bruteforce.
+rows per t, is kept as oracles.escape_counts_rows, beside the
+point-by-point scan oracles.omega_lattice_count_bruteforce.
 
 Scaling by a divisor d turns the coprime count into kernel values: d w
 lies in the region of (s, S) exactly when w lies in the region of s/d at
@@ -87,15 +88,13 @@ unfiltered count of one s.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from random import Random
 
 import numpy as np
 
-from .gint import DomainError, GInt, UNITS, _factor_int, is_canonical, is_coprime, norm, primes_above
+from .gint import DomainError, GInt, UNITS, _factor_int, is_canonical, norm, primes_above
 
 
 @dataclass(frozen=True)
@@ -139,72 +138,6 @@ def area_closed_form(norms: np.ndarray, S: int) -> np.ndarray:
 def omega_area(spec: OmegaSpec) -> float:
     """Closed-form area of the region."""
     return float(area_closed_form(norm(spec.s), spec.S))
-
-
-@functools.cache  # the n-node rule; numpy.polynomial loads on first use, not on import
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _gauss_legendre(f, a: float, b: float, tol: float) -> float:
-    """int_a^b f by the 64-node Gauss-Legendre rule, f vectorized.
-
-    The gap to the 32-node rule is the error estimate: above tol times the
-    value, the rule does not resolve f, and ArithmeticError is raised."""
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    coarse, fine = (half * float(w @ f(half * x + mid)) for x, w in map(_leggauss, (32, 64)))
-    if abs(fine - coarse) > tol * abs(fine):
-        raise ArithmeticError(f"Gauss-Legendre error estimate {abs(fine - coarse):.2e} above tolerance")
-    return fine
-
-
-def omega_area_quadrature(spec: OmegaSpec) -> float:
-    """Area by Gauss-Legendre quadrature of the polar double integral
-
-        8 * int_0^{pi/4} int_{r_t}^{S} r dr dt,
-        r_t = -|s| cos t + sqrt(S^2 - |s|^2 sin^2 t),
-
-    kept as an independent check on the closed form.  The inner integral
-    (S^2 - r_t^2)/2 is analytic on [0, pi/4], as |s| <= S."""
-    S = float(spec.S)
-    s_abs = math.sqrt(float(norm(spec.s)))
-
-    def gap(theta: np.ndarray) -> np.ndarray:
-        r_t = -s_abs * np.cos(theta) + np.sqrt(S * S - s_abs**2 * np.sin(theta) ** 2)
-        return 0.5 * (S * S - r_t * r_t)
-
-    return 8.0 * _gauss_legendre(gap, 0.0, math.pi / 4.0, 1e-13)
-
-
-def omega_contains_float(x: np.ndarray, y: np.ndarray, spec: OmegaSpec) -> np.ndarray:
-    """Float membership of the points x + yi, for the sampling oracles:
-    |z|^2 <= S^2 and |z|^2 + |s|^2 + 2 max(|a x + b y|, |a y - b x|) > S^2
-    (s = a + bi), the largest of the four |z + u s|^2 written out.  Points
-    within rounding of the boundary may be misclassified; omega_contains
-    is the exact test on lattice points."""
-    a, b = spec.s.re, spec.s.im
-    S2 = float(spec.S * spec.S)
-    n = x * x + y * y
-    reach = np.maximum(np.abs(a * x + b * y), np.abs(a * y - b * x))
-    return (n <= S2) & (n + float(a * a + b * b) + 2.0 * reach > S2)
-
-
-def omega_area_monte_carlo(spec: OmegaSpec, samples: int = 200_000, seed: int = 0) -> float:
-    """Area by membership sampling on the bounding square, fixed seed.
-
-    The points are Random(seed).uniform(-S, S) pairs, x before y, drawn in
-    steps of BLOCK_ELEMENTS and tested together."""
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = Random(seed)
-    S = spec.S
-    hits = 0
-    for start in range(0, samples, BLOCK_ELEMENTS):
-        n = min(BLOCK_ELEMENTS, samples - start)
-        # uniform(a, b) is a + (b - a) * random(); the same floats, in order
-        xy = -S + (2 * S) * np.array([rng.random() for _ in range(2 * n)])
-        hits += int(np.count_nonzero(omega_contains_float(xy[0::2], xy[1::2], spec)))
-    return hits / samples * (2.0 * S) ** 2
 
 
 KERNEL_BOUND_LIMIT = 1 << 52  # truncated float roots of smaller integers are exact (_half_widths)
@@ -413,7 +346,7 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     set-up, the steps and the array call of the body; the counting route
     of moment calls it directly, with the octant t and the bounds it
     already holds.  The modes give the same integers; the row kernel
-    escape_counts_rows is the oracle of both.
+    oracles.escape_counts_rows is the oracle of both.
 
     The bounds are a scalar or a sequence of one bound, which apply to
     every t, or a sequence with one bound per t; any other length, t_re
@@ -543,69 +476,6 @@ def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
     return np.add.reduceat(np.array(mu) * escape_counts(t_re, t_im, bounds), starts)
 
 
-def escape_counts_rows(t_re, t_im, bounds) -> np.ndarray:
-    """L(t, B) row by row, kept as the oracle of escape_counts (same
-    arguments, same values).
-
-    Each t visits the staircase of rows x = 0 ... R - reach, with
-    R = isqrt(B) and reach = max(|Re t|, |Im t|): beyond it one translate
-    is empty, and within it every shifted row x + p, |p| <= reach, stays in
-    [-R, R] of the flat half-width table.  Row x of the translate by
-    u t = p + qi is |y + q| <= H(x + p), and I is the sum of the lengths of
-    the intersections of all four intervals, clipped at 0.  The (t, row)
-    elements go through in steps of BLOCK_ELEMENTS, one t across several
-    steps if need be: O(sqrt B) work per t.
-    """
-    t_re = np.asarray(t_re, dtype=np.int64)
-    t_im = np.asarray(t_im, dtype=np.int64)
-    bounds = np.broadcast_to(np.asarray(bounds, dtype=np.int64), t_re.shape)
-    out = np.empty(len(t_re), dtype=np.int64)
-    if not len(t_re):
-        return out
-    uB = np.unique(bounds)
-    R, half, _, centre = _bound_tables(uB.tolist(), int(uB[-1]))  # depth B >= R: rows -R ... R
-    R, centre = np.array(R, dtype=np.int64), np.array(centre, dtype=np.int64)
-    disc = np.add.reduceat(2 * half + 1, centre - R, dtype=np.int64)
-    half = half.astype(np.int32)  # halves the row loop's memory traffic; values stay below 2^28
-    for s in range(0, len(out), BLOCK_ELEMENTS):  # the per-t arrays in steps too
-        a, b = t_re[s : s + BLOCK_ELEMENTS], t_im[s : s + BLOCK_ELEMENTS]
-        which = np.searchsorted(uB, bounds[s : s + BLOCK_ELEMENTS])
-        out[s : s + BLOCK_ELEMENTS] = disc[which]
-        rows = R[which] - np.maximum(np.abs(a), np.abs(b)) + 1
-        live = np.flatnonzero(rows > 0)
-        for items, c, x in flat_blocks(rows[live]):
-            t = live[items]
-            pa = np.repeat(a[t].astype(np.int32), c)
-            pb = np.repeat(b[t].astype(np.int32), c)
-            X = np.repeat(centre[which[t]], c) + x
-            r = half[X + pa]
-            low, hi = r + pb, r - pb  # the row of the translate by t is [-low, hi]
-            for p, q in ((-pb, pa), (-pa, -pb), (pb, -pa)):  # u t for u = i, -1, -i
-                r = half[X + p]
-                low = np.minimum(low, r + q)
-                hi = np.minimum(hi, r - q)
-            lengths = np.maximum(hi + low + 1, 0)
-            lengths <<= x > 0  # rows x and -x, row 0 once
-            out[s + t] -= np.add.reduceat(lengths, np.cumsum(c) - c, dtype=np.int64)
-    return out
-
-
-def omega_lattice_count_bruteforce(spec: OmegaSpec, coprime_filter: bool = False) -> int:
-    """Reference implementation: scan the disc point by point with the
-    scalar membership test and a gcd per point."""
-    S = spec.S
-    count = 0
-    for x in range(-S, S + 1):
-        for y in range(-S, S + 1):
-            z = GInt(x, y)
-            if not omega_contains(z, spec):
-                continue
-            if coprime_filter and not (z and is_coprime(z, spec.s)):
-                continue
-            count += 1
-    return count
-
-
 def coprime_count_prediction(spec: OmegaSpec) -> float:
     """Expected coprime count: density phi_i(s)/|s|^2 times the area."""
     from .arith import phi_i
@@ -613,20 +483,10 @@ def coprime_count_prediction(spec: OmegaSpec) -> float:
     return phi_i(spec.s) / norm(spec.s) * omega_area(spec)
 
 
-def omega_area_bounds_check(spec: OmegaSpec) -> bool:
-    """Lower bounds on the closed-form area, by regime:
-    area >= 2|s|^2 when S <= 2|s|, else area >= 2(sqrt(7)-1) S |s|."""
-    area = omega_area(spec)
-    ns = norm(spec.s)
-    s_abs = math.sqrt(ns)
-    if spec.S <= 2 * s_abs:
-        return area >= 2.0 * ns - 1e-9
-    return area >= 2.0 * (math.sqrt(7.0) - 1.0) * spec.S * s_abs - 1e-9
-
-
-def boundary_length_surrogate(spec: OmegaSpec) -> float:
-    """Upper-bound surrogate 8 pi S for the boundary length; the region's
-    boundary is made of arcs of five circles of radius S, so its length is
-    at most a small multiple of S.  The constant is recorded in artifact
-    metadata wherever this feeds a sum."""
-    return 8.0 * math.pi * spec.S
+def boundary_length_surrogate(S: int) -> float:
+    """Upper-bound surrogate 8 pi S for the boundary length of the region
+    of any s at level S: the boundary is made of arcs of five circles of
+    radius S, so its length is at most a small multiple of S, whatever s
+    is.  moment.sum_B weights every s by it, and the boundary-sum artifact
+    records it in its metadata."""
+    return 8.0 * math.pi * S

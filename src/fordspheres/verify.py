@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import arith, farey, moment, region
+from . import arith, farey, moment, oracles, region
 from .gint import GInt, ONE, canonical, is_coprime, norm
 
 CheckFn = Callable[[], tuple[bool, str]]
@@ -145,7 +145,7 @@ def check_phi_multiplicative() -> tuple[bool, str]:
 @_check("arith", "phi from factorization equals residue-ring count")
 def check_phi_residue_oracle() -> tuple[bool, str]:
     cells = _canonical_upto(RESIDUE_ORACLE_MAX_NORM)
-    bad = sum(1 for q in cells if arith.phi_i(q) != arith.phi_i_residues(q))
+    bad = sum(1 for q in cells if arith.phi_i(q) != oracles.phi_i_residues(q))
     return bad == 0, f"{len(cells)} values with norm <= {RESIDUE_ORACLE_MAX_NORM}, {bad} violations"
 
 
@@ -183,18 +183,18 @@ def check_divisor_machinery() -> tuple[bool, str]:
     for q in cells:
         divs = arith.divisors(q)
         norm_table = {d: norm(d) for d in divs}
-        if not arith.mobius_inversion_check(norm_table, q):
+        if not oracles.mobius_inversion_check(norm_table, q):
             return False, f"inversion fails for the norm table at q = {q}"
-        if arith.divisor_sum_multiplicative(arith.phi_i, q) != norm(q):
+        if oracles.divisor_sum_multiplicative(arith.phi_i, q) != norm(q):
             return False, f"multiplicative phi divisor sum is not norm at q = {q}"
-        if arith.divisor_sum_multiplicative(arith.mu_i, q) != arith.mobius_divisor_sum(q):
+        if oracles.divisor_sum_multiplicative(arith.mu_i, q) != oracles.mobius_divisor_sum(q):
             return False, f"multiplicative mobius sum disagrees at q = {q}"
     return True, f"{len(cells)} values with norm <= 300: inversion and product forms agree"
 
 
 @_check("arith", "r2 formula matches direct scan")
 def check_r2() -> tuple[bool, str]:
-    bad = sum(1 for n in range(0, 2001) if arith.r2(n) != arith.r2_direct(n))
+    bad = sum(1 for n in range(0, 2001) if arith.r2(n) != oracles.r2_direct(n))
     spot = arith.r2(1) == 4 and arith.r2(3) == 0 and arith.r2(25) == 12
     return bad == 0 and spot, f"n <= 2000, {bad} mismatches; spot values {'ok' if spot else 'WRONG'}"
 
@@ -206,18 +206,18 @@ R2_PARTIAL_SUM_BOUND = 4.0  # measured max |error|/sqrt(N) is ~1.3 up to N = 10^
 def check_r2_partial_sums() -> tuple[bool, str]:
     worst = 0.0
     for N in (10**3, 10**4, 10**5, 10**6):
-        exact, main = arith.sum_r2_weighted(N, 0.0)
+        exact, main = oracles.sum_r2_weighted(N, 0.0)
         worst = max(worst, abs(exact - main) / math.sqrt(N))
     return worst <= R2_PARTIAL_SUM_BOUND, f"max |error|/sqrt(N) = {worst:.3f} (bound {R2_PARTIAL_SUM_BOUND})"
 
 
 @_check("arith", "weighted r2 sums match their main terms")
 def check_sum_r2_weighted() -> tuple[bool, str]:
-    v1, m1 = arith.sum_r2_weighted(1, 0.0)
+    v1, m1 = oracles.sum_r2_weighted(1, 0.0)
     ok1 = v1 == 4.0 and abs(m1 - math.pi) < 1e-12
-    v2, m2 = arith.sum_r2_weighted(10**6, 0.0)
+    v2, m2 = oracles.sum_r2_weighted(10**6, 0.0)
     ok2 = abs(v2 / m2 - 1.0) < 0.002
-    v3, m3 = arith.sum_r2_weighted(10**4, 1.0)
+    v3, m3 = oracles.sum_r2_weighted(10**4, 1.0)
     ok3 = abs(v3 / m3 - 1.0) < 0.02
     return ok1 and ok2 and ok3, (
         f"N=1: {v1}; N=1e6 ratio {v2/m2:.5f} (0.2% allowed); "
@@ -229,8 +229,8 @@ def check_sum_r2_weighted() -> tuple[bool, str]:
 def check_zeta_truncation() -> tuple[bool, str]:
     # each lattice sum falls short of zeta_i(2) = zeta(2) * Catalan by its
     # positive tail, and its Moebius companion approaches 1 / zeta_i(2)
-    ok_unit = arith.zeta_i_truncated(2, 1).value == 1.0
-    rows = [(arith.zeta_i_truncated(2, R), arith.zeta_tail_allowance(R)) for R in (10, 40, 160, 640, 2000)]
+    ok_unit = oracles.zeta_i_truncated(2, 1).value == 1.0
+    rows = [(oracles.zeta_i_truncated(2, R), oracles.zeta_tail_allowance(R)) for R in (10, 40, 160, 640, 2000)]
     gaps = [arith.ZETA_I_2 - z.value for z, _ in rows]
     ok_value = all(0.0 < gap <= allowance for gap, (_, allowance) in zip(gaps, rows))
     ok_inverse = all(abs(z.inverse_value - 1.0 / arith.ZETA_I_2) <= allowance for z, allowance in rows)
@@ -245,16 +245,16 @@ def check_zeta_truncation() -> tuple[bool, str]:
 def check_zeta_tail() -> tuple[bool, str]:
     vals = []
     for Q in (8, 16, 32, 64):
-        vals.append(Q * Q * arith.zeta_tail(2.0, Q, 4 * Q))
+        vals.append(Q * Q * oracles.zeta_tail(2.0, Q, 4 * Q))
     ok = max(vals) <= 10.0 and vals[-1] <= vals[0] * 1.1
     return ok, "Q^2 * tail(Q..4Q) = " + ", ".join(f"{v:.3f}" for v in vals)
 
 
 @_check("arith", "phi partial sums match the quartic main term")
 def check_sum_phi_upto() -> tuple[bool, str]:
-    e1, _ = arith.sum_phi_upto(1)
-    e2, _ = arith.sum_phi_upto(2)  # {1, 1+i, 2}: 1 + 1 + 2
-    e512, m512 = arith.sum_phi_upto(512)
+    e1, _ = oracles.sum_phi_upto(1)
+    e2, _ = oracles.sum_phi_upto(2)  # {1, 1+i, 2}: 1 + 1 + 2
+    e512, m512 = oracles.sum_phi_upto(512)
     ratio = e512 / m512
     ok = e1 == 1 and e2 == 4 and abs(ratio - 1.0) < 0.02
     return ok, f"Q=1: {e1}; Q=2: {e2}; Q=512 ratio {ratio:.5f} (2% allowed)"
@@ -272,7 +272,7 @@ CLASSIFICATION_MAX_S = 6
 def check_mediant_closure() -> tuple[bool, str]:
     sizes = []
     for S in range(1, MEDIANT_CLOSURE_MAX_S + 1):
-        generated = farey.generate_gs_by_mediants(S)
+        generated = oracles.generate_gs_by_mediants(S)
         enumerated = set(farey.enumerate_gs(S))
         if generated != enumerated:
             return False, f"set mismatch at S = {S}"
@@ -286,7 +286,7 @@ def check_adjacency_vs_tangency() -> tuple[bool, str]:
     bad = 0
     for i, f1 in enumerate(fractions):
         for f2 in fractions[i + 1 :]:
-            if farey.is_adjacent(f1, f2) != farey.spheres_tangent(f1, f2):
+            if farey.is_adjacent(f1, f2) != oracles.spheres_tangent(f1, f2):
                 bad += 1
     n = len(fractions)
     return bad == 0, f"{n * (n - 1) // 2} pairs at S = 4, {bad} disagreements"
@@ -317,7 +317,7 @@ def classification_report():
         if set(realized) != qualifying:
             conditions_match = False
         for (s, sp), pairs in sorted(realized.items(), key=lambda kv: (norm(kv[0][0]), norm(kv[0][1]))):
-            solved = set(farey.consecutive_pairs_for_denoms(s, sp, S))
+            solved = set(oracles.consecutive_pairs_for_denoms(s, sp, S))
             if solved != pairs:
                 counts_ok = False
             both_real = s.im == 0 and sp.im == 0
@@ -349,10 +349,10 @@ def check_four_pairs() -> tuple[bool, str]:
 @_check("farey", "real Farey predicate matches positional consecutivity")
 def check_real_farey() -> tuple[bool, str]:
     for Q in range(1, 51):
-        seq = farey.enumerate_fq(Q)
+        seq = oracles.enumerate_fq(Q)
         for i, lo in enumerate(seq):
             for j in range(i + 1, len(seq)):
-                predicate = farey.is_consecutive_fq(lo, seq[j], Q)
+                predicate = oracles.is_consecutive_fq(lo, seq[j], Q)
                 if predicate != (j == i + 1):
                     return False, f"mismatch at Q = {Q}: {lo}, {seq[j]}"
     return True, "Q <= 50, predicate equals list adjacency"
@@ -391,7 +391,7 @@ def check_area_vs_quadrature() -> tuple[bool, str]:
                 break
         spec = region.OmegaSpec(GInt(a, b), S)
         cf = region.omega_area(spec)
-        qd = region.omega_area_quadrature(spec)
+        qd = oracles.omega_area_quadrature(spec)
         worst = max(worst, abs(cf - qd) / qd)
     return worst <= 1e-9, f"100 random specs, worst relative gap {worst:.2e}"
 
@@ -405,7 +405,7 @@ def check_area_special_values() -> tuple[bool, str]:
             ok_collapse = False
     spec = region.OmegaSpec(ONE, 2)
     area = region.omega_area(spec)
-    mc = region.omega_area_monte_carlo(spec, samples=2_000_000, seed=20240)
+    mc = oracles.omega_area_monte_carlo(spec, samples=2_000_000, seed=20240)
     ok_mc = abs(area - mc) < 0.02
     return ok_collapse and ok_mc, (
         f"|s| = S gives pi S^2 exactly; area(1, 2) = {area:.4f} vs MC {mc:.4f} "
@@ -420,7 +420,7 @@ def check_count_vs_bruteforce() -> tuple[bool, str]:
         spec = region.OmegaSpec(s, S)
         for filt in (False, True):
             fast = region.omega_lattice_count(spec, filt)
-            slow = region.omega_lattice_count_bruteforce(spec, filt)
+            slow = oracles.omega_lattice_count_bruteforce(spec, filt)
             if fast != slow:
                 return False, f"mismatch at s={s}, S={S}, filtered={filt}: {fast} vs {slow}"
     return True, f"{len(cases)} specs, filtered and unfiltered"
@@ -489,7 +489,7 @@ def check_area_bounds() -> tuple[bool, str]:
     for S in (4, 8, 16):
         for q in _canonical_upto(S * S):
             checked += 1
-            if not region.omega_area_bounds_check(region.OmegaSpec(q, S)):
+            if not oracles.omega_area_bounds_check(region.OmegaSpec(q, S)):
                 return False, f"bound fails at s = {q}, S = {S}"
     return True, f"{checked} specs over S in (4, 8, 16)"
 
@@ -501,7 +501,7 @@ def _grid_perimeter_estimate(spec: region.OmegaSpec, cells: int = 800) -> float:
     h = 2.0 * S / cells
     xs = (np.arange(cells) + 0.5) * h - S
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    member = region.omega_contains_float(X, Y, spec)
+    member = oracles.omega_contains_float(X, Y, spec)
     trans = np.count_nonzero(member[1:, :] != member[:-1, :]) + np.count_nonzero(
         member[:, 1:] != member[:, :-1]
     )
@@ -512,10 +512,8 @@ def _grid_perimeter_estimate(spec: region.OmegaSpec, cells: int = 800) -> float:
 def check_boundary_surrogate() -> tuple[bool, str]:
     spec = region.OmegaSpec(GInt(1, 1), 4)
     measured = _grid_perimeter_estimate(spec)
-    surrogate = region.boundary_length_surrogate(spec)
-    ok = surrogate >= measured and abs(
-        region.boundary_length_surrogate(region.OmegaSpec(ONE, 1)) - 8 * math.pi
-    ) < 1e-12
+    surrogate = region.boundary_length_surrogate(spec.S)
+    ok = surrogate >= measured and abs(region.boundary_length_surrogate(1) - 8 * math.pi) < 1e-12
     return ok, f"grid estimate {measured:.1f} <= surrogate {surrogate:.1f} at (1+i, 4)"
 
 
@@ -540,14 +538,14 @@ def check_constant_value() -> tuple[bool, str]:
 @_check("moment", "series and independent quadrature schemes agree")
 def check_constant_schemes() -> tuple[bool, str]:
     c1 = moment.constant_C()
-    c2 = moment.constant_C_quad()
-    c3 = moment.constant_C_tanh_sinh()
+    c2 = oracles.constant_C_quad()
+    c3 = oracles.constant_C_tanh_sinh()
     worst = max(abs(c1 - c2), abs(c1 - c3))
     return worst <= 1e-8, f"series vs Gauss-Legendre vs tanh-sinh: max gap {worst:.2e}"
 
 
 # M(S) summed over the pairs of the all-pairs oracle
-# farey.consecutive_pairs_scan, which shares only the G_S enumeration
+# oracles.consecutive_pairs_scan, which shares only the G_S enumeration
 # (farey._shell) with the neighbour solve, not the partner scan
 DIRECT_BASELINES = {
     1: Fraction(4),
@@ -612,7 +610,7 @@ def check_direct_quarter_reconciliation() -> tuple[bool, str]:
     # real_axis_correction(S) adds four radius sums per such pair
     for S in RECONCILIATION_RANGE:
         direct = moment.direct_total(S)
-        expected = moment.counting_total(S) / 4 + moment.real_axis_correction(S)
+        expected = oracles.counting_total(S) / 4 + moment.real_axis_correction(S)
         if direct != expected:
             return False, f"mismatch at S = {S}: {direct} vs {expected}"
     lo, hi = RECONCILIATION_RANGE[0], RECONCILIATION_RANGE[-1]
@@ -631,7 +629,7 @@ def check_counting_vs_per_denominator() -> tuple[bool, str]:
     # only the kernel with the route), is its oracle
     worst = Fraction(0)
     for S in COUNTING_ORACLE_RANGE:
-        error = abs(Fraction(moment.moment_first_counting(S).value) / moment.counting_total(S) - 1)
+        error = abs(Fraction(moment.moment_first_counting(S).value) / oracles.counting_total(S) - 1)
         if error > COUNTING_ORACLE_TOLERANCE:
             return False, f"S = {S}: relative error {float(error):.2e} above 2^-50"
         worst = max(worst, error)
@@ -708,7 +706,7 @@ def check_b_sum_growth() -> tuple[bool, str]:
     value B(1) = 8 pi of the one cell s = 1.
 
     (a) every B(S)/S^(1+eps) lies in the unit-square band of
-        moment.sum_B_band, whose ends both tend to 4 pi^2/eps;
+        oracles.sum_B_band, whose ends both tend to 4 pi^2/eps;
     (b) its increments per doubling are positive and shrink, as they do
         for a quantity rising to a finite limit; growth like S^(1+eps')
         with eps' > eps would make them grow.
@@ -721,7 +719,7 @@ def check_b_sum_growth() -> tuple[bool, str]:
     """
     rows = moment.sum_B_growth(B_LADDER, epsilon=B_EPSILON)
     values = [v for _, v in rows]
-    bands = [moment.sum_B_band(S, B_EPSILON) for S, _ in rows]
+    bands = [oracles.sum_B_band(S, B_EPSILON) for S, _ in rows]
     inside = [lo <= v <= hi for v, (lo, hi) in zip(values, bands)]
     steps = [b - a for a, b in zip(values, values[1:])]
     shrinking = all(d > 0 for d in steps) and all(b < a for a, b in zip(steps, steps[1:]))

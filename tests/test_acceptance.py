@@ -4,7 +4,7 @@ PASS/FAIL line with the measured quantities (run pytest with -s to watch).
 Every criterion runs the verify checks that hold its ladders and
 tolerances, and pins those constants here, so neither can drift from the
 other.  The boundary-sum criterion (9) checks the S^(1+eps) ceiling of
-B(S) against the proven band of moment.sum_B_band; see the README.
+B(S) against the proven band of oracles.sum_B_band; see the README.
 """
 
 import time

@@ -9,20 +9,22 @@ from random import Random
 import numpy as np
 import pytest
 
-from fordspheres import arith, moment
+from fordspheres import arith, moment, oracles
 from fordspheres.arith import (
     CanonicalSieve,
     canonical_cells,
-    divisor_sum_multiplicative,
     divisors,
     get_sieve,
-    mobius_divisor_sum,
-    mobius_inversion_check,
     mu_i,
     norm_coefficients,
     phi_i,
-    phi_i_residues,
     r2,
+)
+from fordspheres.oracles import (
+    divisor_sum_multiplicative,
+    mobius_divisor_sum,
+    mobius_inversion_check,
+    phi_i_residues,
     r2_direct,
     sum_phi_upto,
     sum_r2_weighted,
@@ -215,17 +217,17 @@ class TestSieve:
         "moment.sum_phi_over_norm2(0)",
         "moment.sum_phi_over_norm4(-3)",
         "moment.sum_A(0)",
-        "arith.sum_phi_upto(0)",
+        "oracles.sum_phi_upto(0)",
     )
 
     @pytest.mark.parametrize("call", DOOR_REFUSALS)
     def test_door_domain_with_a_sieve_cached(self, call):
         get_sieve(64)
         with pytest.raises(DomainError):
-            eval(call, {"arith": arith, "moment": moment})
+            eval(call, {"arith": arith, "moment": moment, "oracles": oracles})
 
     def test_door_domain_in_a_fresh_process(self):
-        code = "from fordspheres import arith, moment\nfrom fordspheres.gint import DomainError\n" + "".join(
+        code = "from fordspheres import arith, moment, oracles\nfrom fordspheres.gint import DomainError\n" + "".join(
             f"try:\n    {call}\n    print('accepted')\nexcept DomainError:\n    print('refused')\n"
             for call in self.DOOR_REFUSALS
         )

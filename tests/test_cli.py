@@ -496,6 +496,17 @@ class TestColdStart:
             "print('scipy' in sys.modules, 'mpmath' in sys.modules)\n"
         )
         assert self._fresh(code).stdout.strip() == "False False"
+        # the set-up that benchmarks/run.py times loads no checking code
+        # either; the CLI above loads verify, and with it the oracles, by
+        # design
+        code = (
+            "import sys\n"
+            "from fordspheres import moment\n"
+            "moment.constants_bundle()\n"
+            "checking = {'fordspheres.oracles', 'fordspheres.verify', 'fordspheres.cli', 'mpmath', 'scipy'}\n"
+            "print(sorted(checking & set(sys.modules)))\n"
+        )
+        assert self._fresh(code).stdout.strip() == "[]"
 
     def test_quadrature_oracles_run_without_scipy(self):
         # a None entry in sys.modules makes any import of scipy fail

@@ -12,14 +12,16 @@ from fordspheres.farey import (
     INT64_S_LIMIT,
     consecutive_denominator_conditions,
     consecutive_pairs,
-    consecutive_pairs_for_denoms,
-    consecutive_pairs_scan,
-    enumerate_fq,
     enumerate_gs,
-    generate_gs_by_mediants,
     gs_arrays,
     is_adjacent,
     is_consecutive,
+)
+from fordspheres.oracles import (
+    consecutive_pairs_for_denoms,
+    consecutive_pairs_scan,
+    enumerate_fq,
+    generate_gs_by_mediants,
     is_consecutive_fq,
     mediant_children,
     spheres_tangent,

@@ -6,7 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from fordspheres import arith, farey, moment, region, verify
+from fordspheres import arith, farey, moment, oracles, region, verify
 from fordspheres.gint import DomainError, GInt
 from test_farey import consecutive_finds
 
@@ -34,8 +34,8 @@ class TestConstant:
     def test_schemes_agree(self):
         # the series against two independent quadratures
         c = moment.constant_C()
-        assert moment.constant_C_quad() == pytest.approx(c, abs=1e-12)
-        assert moment.constant_C_tanh_sinh() == pytest.approx(c, abs=1e-12)
+        assert oracles.constant_C_quad() == pytest.approx(c, abs=1e-12)
+        assert oracles.constant_C_tanh_sinh() == pytest.approx(c, abs=1e-12)
 
     def test_series_has_converged(self):
         # terms shrink like 2^-k: 40, 60 and 80 of them give the same float
@@ -176,7 +176,7 @@ class TestDirect:
 
         for S in range(1, 9):
             total = Fraction(0)
-            for f1, f2 in farey.consecutive_pairs_scan(S):
+            for f1, f2 in oracles.consecutive_pairs_scan(S):
                 total += Fraction(1, 2 * norm(f1.den)) + Fraction(1, 2 * norm(f2.den))
             assert moment.direct_total(S) == total, S
 
@@ -298,7 +298,7 @@ class TestCounting:
             re, im, _ = arith.canonical_cells(S * S)
             for x, y, c in zip(re.tolist(), im.tolist(), counts.tolist()):
                 spec = region.OmegaSpec(g(x, y), S)
-                assert c == region.omega_lattice_count_bruteforce(spec, True), (x, y, S)
+                assert c == oracles.omega_lattice_count_bruteforce(spec, True), (x, y, S)
 
     def test_counting_total_is_the_per_cell_sum(self):
         # the per-cell rational sum of the per-denominator counts is the
@@ -307,13 +307,13 @@ class TestCounting:
             counts = moment.consecutive_partner_counts(S).tolist()
             _, _, nrm = arith.canonical_cells(S * S)
             per_cell = 2 * sum((Fraction(c, n) for c, n in zip(counts, nrm.tolist())), Fraction(0))
-            assert moment.counting_total(S) == per_cell, S
+            assert oracles.counting_total(S) == per_cell, S
 
     def test_counting_total_rounds_to_the_pinned_values(self):
         # the pinned route values are correctly rounded: the float of the
         # exact total equals them bit for bit
         for S, (full, _) in self.PINNED.items():
-            assert float(moment.counting_total(S)).hex() == full, S
+            assert float(oracles.counting_total(S)).hex() == full, S
 
     def test_a_count_off_the_multiple_of_four_is_refused(self, monkeypatch):
         real = moment.consecutive_partner_counts
@@ -325,7 +325,7 @@ class TestCounting:
 
         monkeypatch.setattr(moment, "consecutive_partner_counts", one_more)
         with pytest.raises(ArithmeticError, match=r"N\(s\) = \d+ is not a multiple of 4 for s = \d+\+\d+i at S = 5"):
-            moment.counting_total(5)
+            oracles.counting_total(5)
         results = {r.name: r for r in verify.run_suite("moment")}
         failed = results["direct moment reconciles exactly with quarter counting"]
         assert not failed.passed
@@ -357,7 +357,7 @@ class TestCounting:
     def test_bound_regrouping_is_exact(self):
         # the route's identity in rationals, and its float within 2^-50
         for S in range(1, 41):
-            exact = moment.counting_total(S) / 2
+            exact = oracles.counting_total(S) / 2
             assert self._by_bound_exact(S) == exact, S
             for normalization, scale in (("omega_full", 2), ("omega_quarter", Fraction(1, 2))):
                 value = moment.moment_first_counting(S, normalization).value
@@ -524,11 +524,11 @@ class TestSums:
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.5])
     def test_sum_B_band_contains_sum_B(self, eps):
         for S in range(1, 65):
-            lo, hi = moment.sum_B_band(S, eps)
+            lo, hi = oracles.sum_B_band(S, eps)
             assert lo <= moment.sum_B(S, eps) / S ** (1 + eps) <= hi, S
 
     def test_sum_B_band_ends_meet_at_the_limit(self):
-        lo, hi = moment.sum_B_band(10**12, 0.5)
+        lo, hi = oracles.sum_B_band(10**12, 0.5)
         assert lo < 4 * math.pi**2 / 0.5 < hi
         assert hi - lo < 0.02 * hi
 
