@@ -46,6 +46,7 @@ from .gint import (
     DomainError,
     GInt,
     ONE,
+    _factor_int,
     canonical,
     factor,
     is_canonical,
@@ -107,8 +108,6 @@ def r2(n: int) -> int:
         raise DomainError("r2 needs n >= 0")
     if n == 0:
         return 1
-    from .gint import _factor_int
-
     out = 4
     for p, e in _factor_int(n).items():
         if p % 4 == 3:

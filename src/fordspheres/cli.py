@@ -1,11 +1,19 @@
-"""Command-line front end.
+"""Command-line front end: from argv to a printed table and an artifact.
 
 Human-readable tables go to stdout; machine artifacts (CSV or JSON, always
 with a metadata header carrying the tool version, the full configuration
-echo, the constants bundle, and the seed) go to files.  Identical
-configurations produce byte-identical artifacts apart from the elapsed_s
-timing column, for any --threads value (accepted for compatibility; no
-command starts worker processes).
+echo, the constants bundle, and the seed) go to files, all written by
+_emit.  Identical configurations produce byte-identical artifacts apart
+from the elapsed_s timing column, for any --threads value (accepted for
+compatibility; no command starts worker processes).
+
+The method and normalization names are the library's (moment.METHODS,
+moment.NORMALIZATIONS), spelled with '-' for '_' on the command line
+(main-term); _library_name maps a token back and refuses a name the
+library does not have, so an unknown --methods name is a usage error
+before any row runs.  moment and report --kind sweep end in one tail,
+_reports: the table, the failed rows of a sweep, the calibration ratios
+on request, and the artifact.
 
 Exit codes: 0 success, 2 usage or parse error, 3 numeric domain or cap
 violation or a request beyond host memory, 4 verification failure,
@@ -15,8 +23,11 @@ violation or a request beyond host memory, 4 verification failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -42,15 +53,12 @@ class RunConfig:
     output_format: str
     output_path: str | None
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
 
 def _metadata(config: RunConfig, include_constants: bool = True) -> dict[str, Any]:
     meta: dict[str, Any] = {
         "tool": "fordspheres",
         "version": __version__,
-        "config": config.to_dict(),
+        "config": dataclasses.asdict(config),
     }
     if include_constants:
         constants = dataclasses.asdict(moment.constants_bundle())
@@ -59,83 +67,58 @@ def _metadata(config: RunConfig, include_constants: bool = True) -> dict[str, An
     return meta
 
 
-REPORT_COLUMNS = ("S", "method", "normalization", "value", "main_term", "residual", "elapsed_s")
-
-
-def report_rows(reports: Sequence[moment.MomentReport]) -> list[dict[str, Any]]:
-    # each column is the report field of the same name; elapsed_s is elapsed
-    return [{c: getattr(r, c.removesuffix("_s")) for c in REPORT_COLUMNS} for r in reports]
-
-
-def write_csv(path: str, meta: dict[str, Any], columns: Sequence[str], rows: list[dict[str, Any]]) -> None:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    buf.write(f"# {json.dumps(meta, sort_keys=True)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
-    _write_text(path, buf.getvalue())
-
-
-def write_json(path: str, meta: dict[str, Any], rows: list[dict[str, Any]]) -> None:
-    _write_text(path, json.dumps({"meta": meta, "rows": rows}, sort_keys=True, indent=2) + "\n")
-
-
-def read_artifact(path: str) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Parse either artifact format back into (meta, rows)."""
-    import csv
-
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        payload = json.loads(text)
-        return payload["meta"], payload["rows"]
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    meta = json.loads(lines[0][2:]) if lines and lines[0].startswith("# ") else {}
-    parsed = list(csv.reader(lines[1:]))
-    header = parsed[0]
-    rows = []
-    for cells in parsed[1:]:
-        row: dict[str, Any] = {}
-        for key, cell in zip(header, cells):
-            try:
-                row[key] = int(cell)
-            except ValueError:
-                try:
-                    row[key] = float(cell)
-                except ValueError:
-                    row[key] = cell
-        rows.append(row)
-    return meta, rows
-
-
-def _cell(v: Any) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
-
-
 class _IoFailure(Exception):
     pass
 
 
 def _emit(config: RunConfig, meta: dict, columns: Sequence[str], rows: list[dict]) -> None:
-    if config.output_path:
-        if config.output_format == "json":
-            write_json(config.output_path, meta, rows)
-        else:
-            write_csv(config.output_path, meta, columns, rows)
+    """Write the artifact to --out-path, if one is given: JSON holds the
+    metadata and the rows; CSV holds the metadata as one '# ' comment line,
+    then the columns and one line per row (str of each value, so a float
+    is its repr)."""
+    if not config.output_path:
+        return
+    if config.output_format == "json":
+        text = json.dumps({"meta": meta, "rows": rows}, sort_keys=True, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        buf.write(f"# {json.dumps(meta, sort_keys=True)}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(row[c]) for c in columns] for row in rows)
+        text = buf.getvalue()
+    try:
+        with open(config.output_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _IoFailure(str(exc)) from exc
+
+
+def _choices(names: Sequence[str]) -> list[str]:
+    """The command-line spelling of library names: main_term is main-term."""
+    return [name.replace("_", "-") for name in names]
+
+
+def _library_name(token: str, flag: str, names: Sequence[str]) -> str:
+    """The library name of a command-line token (main-term is main_term);
+    a token that names none of names is refused."""
+    name = token.replace("-", "_")
+    if name not in names:
+        raise ParseError(f"{flag} takes {', '.join(_choices(names))}; got {token!r}")
+    return name
+
+
+def _tokens(text: str, flag: str, what: str, convert) -> list:
+    """The comma-separated tokens of a list flag, each converted; an empty
+    list, an empty token or one that convert refuses by ValueError is
+    refused."""
+    tokens = text.split(",")
+    try:
+        if all(tokens):
+            return [convert(tok) for tok in tokens]
+    except ValueError:
+        pass
+    raise ParseError(f"{flag} must be comma-separated {what}, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -188,58 +171,48 @@ def cmd_area(args, config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _print_report_table(reports):
-    header = f"{'S':>6} {'method':>10} {'normalization':>14} {'value':>18} {'main_term':>18} {'residual':>14} {'elapsed_s':>10}"
-    print(header)
+REPORT_COLUMNS = ("S", "method", "normalization", "value", "main_term", "residual", "elapsed_s")
+
+
+def _reports(args, config: RunConfig, reports: list[moment.MomentReport], errors: list | None = None) -> int:
+    """The tail of moment and report --kind sweep: the table on stdout,
+    one stderr line per failed row, and the artifact, whose metadata
+    records the row errors of a sweep and, on request, the calibration
+    ratios."""
+    print(f"{'S':>6} {'method':>10} {'normalization':>14} {'value':>18} {'main_term':>18} {'residual':>14} {'elapsed_s':>10}")
     for r in reports:
         print(
             f"{r.S:>6} {r.method:>10} {r.normalization:>14} {r.value:>18.8f} "
             f"{r.main_term:>18.8f} {r.residual:>14.6f} {r.elapsed:>10.3f}"
         )
-
-
-def _calibration_meta() -> dict[str, Any]:
-    ratios = moment.calibration_ratios(verify.CALIBRATION_RANGE)
-    return {
-        "full_over_direct": {str(S): r for S, r in ratios.items()},
-        "band": [min(ratios.values()), max(ratios.values())],
-    }
+    meta = _metadata(config)
+    if errors is not None:
+        for S, m, msg in errors:
+            print(f"row failed: S={S} method={m}: {msg}", file=sys.stderr)
+        meta["row_errors"] = [{"S": S, "method": m, "error": msg} for S, m, msg in errors]
+    if args.with_calibration:
+        ratios = moment.calibration_ratios(verify.CALIBRATION_RANGE)
+        meta["calibration"] = {
+            "full_over_direct": {str(S): r for S, r in ratios.items()},
+            "band": [min(ratios.values()), max(ratios.values())],
+        }
+    # each column is the report field of the same name; elapsed_s is elapsed
+    rows = [{c: getattr(r, c.removesuffix("_s")) for c in REPORT_COLUMNS} for r in reports]
+    _emit(config, meta, REPORT_COLUMNS, rows)
+    return EXIT_OK
 
 
 def cmd_moment(args, config: RunConfig) -> int:
     if args.normalization is not None and args.method != "counting":
         raise ParseError(f"--normalization applies to --method counting only, not {args.method}")
-    reports = [
-        moment.evaluate(
-            args.S,
-            args.method.replace("-", "_"),
-            (args.normalization or "omega-full").replace("-", "_"),
-            args.direct_cap,
-            args.counting_cap,
-        )
-    ]
-    _print_report_table(reports)
-    meta = _metadata(config)
-    if args.with_calibration:
-        meta["calibration"] = _calibration_meta()
-    _emit(config, meta, REPORT_COLUMNS, report_rows(reports))
-    return EXIT_OK
-
-
-def _tokens(text: str, flag: str, what: str) -> list[str]:
-    """The comma-separated tokens of a list flag; an empty list or an empty
-    token is refused."""
-    tokens = text.split(",")
-    if not all(tokens):
-        raise ParseError(f"{flag} must be comma-separated {what}, got {text!r}")
-    return tokens
-
-
-def _levels(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in _tokens(text, "--S-values", "integers")]
-    except ValueError:
-        raise ParseError(f"--S-values must be comma-separated integers, got {text!r}") from None
+    report = moment.evaluate(
+        args.S,
+        _library_name(args.method, "--method", moment.METHODS),
+        _library_name(args.normalization or "omega-full", "--normalization", moment.NORMALIZATIONS),
+        args.direct_cap,
+        args.counting_cap,
+    )
+    return _reports(args, config, [report])
 
 
 def cmd_report(args, config: RunConfig) -> int:
@@ -253,12 +226,10 @@ def cmd_report(args, config: RunConfig) -> int:
         print(f"{len(rows)} canonical values with |q| <= {args.radius}")
         _emit(config, _metadata(config, include_constants=False), ("q", "norm", "mu_i", "phi_i"), rows)
         return EXIT_OK
-    S_values = _levels(args.S_values)
+    S_values = _tokens(args.S_values, "--S-values", "integers", int)
     if args.kind == "bsum":
         eps = args.epsilon
-        if not 0.0 < eps < 1.0:
-            raise DomainError("epsilon must be in (0, 1)")
-        # every S is evaluated (and its domain checked) before any output
+        # every S and epsilon is evaluated (and its domain checked) before any output
         growth = moment.sum_B_growth(S_values, epsilon=eps)
         rows = []
         print(f"{'S':>6} {'B':>16} {'B/S^(1+eps)':>14}   eps = {eps}")
@@ -270,22 +241,16 @@ def cmd_report(args, config: RunConfig) -> int:
         meta["boundary_surrogate"] = "8*pi*S"
         _emit(config, meta, ("S", "epsilon", "B", "B_over_S_1_eps"), rows)
         return EXIT_OK
+    tokens = _tokens(args.methods, "--methods", "method names", str)
+    methods = [_library_name(m, "--methods", moment.METHODS) for m in tokens]
     sweep = moment.report_sweep(
         S_values,
-        methods=[tok.replace("-", "_") for tok in _tokens(args.methods, "--methods", "method names")],
-        normalization=args.normalization.replace("-", "_"),
-        direct_cap=args.direct_cap,
-        counting_cap=args.counting_cap,
+        methods,
+        _library_name(args.normalization, "--normalization", moment.NORMALIZATIONS),
+        args.direct_cap,
+        args.counting_cap,
     )
-    _print_report_table(sweep.reports)
-    for S, m, msg in sweep.errors:
-        print(f"row failed: S={S} method={m}: {msg}", file=sys.stderr)
-    meta = _metadata(config)
-    meta["row_errors"] = [{"S": S, "method": m, "error": msg} for S, m, msg in sweep.errors]
-    if args.with_calibration:
-        meta["calibration"] = _calibration_meta()
-    _emit(config, meta, REPORT_COLUMNS, report_rows(sweep.reports))
-    return EXIT_OK
+    return _reports(args, config, sweep.reports, sweep.errors)
 
 
 def cmd_verify(args, config: RunConfig) -> int:
@@ -296,19 +261,9 @@ def cmd_verify(args, config: RunConfig) -> int:
         print(f"[{res.suite:>6}] {status}  {res.name}  ({res.elapsed:.2f}s)\n         {res.detail}")
         failed += 0 if res.passed else 1
     print(f"\n{len(results) - failed}/{len(results)} checks passed in suite '{args.suite}'")
-    if config.output_path:
-        rows = [
-            {
-                "suite": r.suite,
-                "name": r.name,
-                "passed": int(r.passed),
-                "detail": r.detail,
-                "elapsed_s": r.elapsed,
-            }
-            for r in results
-        ]
-        _emit(config, _metadata(config, include_constants=False),
-              ("suite", "name", "passed", "detail", "elapsed_s"), rows)
+    columns = ("suite", "name", "passed", "detail", "elapsed_s")
+    rows = [dict(zip(columns, (r.suite, r.name, int(r.passed), r.detail, r.elapsed))) for r in results]
+    _emit(config, _metadata(config, include_constants=False), columns, rows)
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
@@ -318,8 +273,6 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 
 def _env_cap(name: str, default: int) -> int:
-    import os
-
     raw = os.environ.get(name)
     if not raw:
         return default
@@ -396,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moment", help="one moment evaluation")
     p.add_argument("--S", type=int, required=True)
-    p.add_argument("--method", choices=("direct", "counting", "main-term"), default="counting")
+    p.add_argument("--method", choices=_choices(moment.METHODS), default="counting")
     p.add_argument(
-        "--normalization", choices=("omega-full", "omega-quarter"), default=None,
+        "--normalization", choices=_choices(moment.NORMALIZATIONS), default=None,
         help="counting only (default omega-full); direct rows are omega_quarter, main-term rows none",
     )
     caps(p)
@@ -409,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S-values", default="1,2,4,8", help="comma-separated levels (sweep, bsum)")
     p.add_argument("--methods", default="direct,counting", help="comma-separated methods (sweep)")
     p.add_argument(
-        "--normalization", choices=("omega-full", "omega-quarter"), default="omega-full",
+        "--normalization", choices=_choices(moment.NORMALIZATIONS), default="omega-full",
         help="applies to counting rows only; direct rows are omega_quarter, main-term rows none",
     )
     p.add_argument("--epsilon", type=float, default=0.1)

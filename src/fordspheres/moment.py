@@ -50,7 +50,8 @@ real_axis_correction(S), so the full/direct ratio drifts slowly toward 4;
 the calibration helper measures that ratio on the exactly computable range.
 
 evaluate(S, method, ...) is the one map from a method name to its route;
-the CLI and report_sweep both call it.
+the CLI and report_sweep both call it.  The two capped routes refuse a
+level through _check_level, and every route builds its row through _row.
 """
 
 from __future__ import annotations
@@ -238,6 +239,23 @@ def real_axis_correction(S: int) -> Fraction:
     return 2 * _exact_sum([q * q for q in range(1, S + 1)], phi[1:].tolist())
 
 
+def _check_level(S: int, cap: int, method: str, advice: str = "") -> None:
+    """The refusals of the two capped routes: S >= 1, cap >= 1, S <= cap."""
+    if S < 1:
+        raise DomainError("S must be >= 1")
+    if cap < 1:
+        raise DomainError("cap must be >= 1")
+    if S > cap:
+        raise DomainError(f"{method} method capped at S = {cap}; {advice}raise cap= explicitly")
+
+
+def _row(S: int, method: str, normalization: str, value: float, mt: float, t0: float) -> MomentReport:
+    """The report row of every route: residual = value - mt, and elapsed
+    the time since t0, which each route takes after the main term's
+    constants are built."""
+    return MomentReport(S, method, value, mt, value - mt, normalization, time.perf_counter() - t0)
+
+
 def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     """Exact direct evaluation: every consecutive fraction pair, found by
     the neighbour solve of farey._neighbour_blocks from its end with the
@@ -260,27 +278,10 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     add a lower-order excess).  elapsed excludes the main-term constants,
     which are built (once per process) beforehand.
     """
-    if S < 1:
-        raise DomainError("S must be >= 1")
-    if cap < 1:
-        raise DomainError("cap must be >= 1")
-    if S > cap:
-        raise DomainError(
-            f"direct method capped at S = {cap}; "
-            f"use method='counting' for larger S, or raise cap= explicitly"
-        )
+    _check_level(S, cap, "direct", "use method='counting' for larger S, or ")
     mt = main_term(S) / 4
     t0 = time.perf_counter()
-    value = float(direct_total(S))
-    return MomentReport(
-        S=S,
-        method="direct",
-        value=value,
-        main_term=mt,
-        residual=value - mt,
-        normalization="omega_quarter",
-        elapsed=time.perf_counter() - t0,
-    )
+    return _row(S, "direct", "omega_quarter", float(direct_total(S)), mt, t0)
 
 
 def consecutive_partner_counts(S: int) -> np.ndarray:
@@ -346,14 +347,9 @@ def moment_first_counting(
     excludes the main-term constants, which are built (once per process)
     beforehand.
     """
-    if S < 1:
-        raise DomainError("S must be >= 1")
+    _check_level(S, cap, "counting")
     if normalization not in NORMALIZATIONS:
         raise DomainError(f"unknown normalization {normalization!r}")
-    if cap < 1:
-        raise DomainError("cap must be >= 1")
-    if S > cap:
-        raise DomainError(f"counting method capped at S = {cap}; raise cap= explicitly")
     mt = main_term(S) / 4 if normalization == "omega_quarter" else main_term(S)
     t0 = time.perf_counter()
     re, im, nrm, _, mu = arith.get_sieve(S)
@@ -377,15 +373,7 @@ def moment_first_counting(
     value = 2.0 * math.fsum(W * F)
     if normalization == "omega_quarter":
         value /= 4
-    return MomentReport(
-        S=S,
-        method="counting",
-        value=value,
-        main_term=mt,
-        residual=value - mt,
-        normalization=normalization,
-        elapsed=time.perf_counter() - t0,
-    )
+    return _row(S, "counting", normalization, value, mt, t0)
 
 
 def moment_main_term_report(S: int) -> MomentReport:
@@ -394,15 +382,7 @@ def moment_main_term_report(S: int) -> MomentReport:
     constants_bundle()
     t0 = time.perf_counter()
     mt = main_term(S)
-    return MomentReport(
-        S=S,
-        method="main_term",
-        value=mt,
-        main_term=mt,
-        residual=0.0,
-        normalization="none",
-        elapsed=time.perf_counter() - t0,
-    )
+    return _row(S, "main_term", "none", mt, mt, t0)
 
 
 def evaluate(

@@ -328,13 +328,11 @@ def consecutive_pairs_for_denoms(
     g_inv = farey._UNIT_INV[g]
     found: set[tuple[farey.GFraction, farey.GFraction]] = set()
     n = norm(s)
-    npr = norm(s_prime)
     for u in UNITS:
         # r0*s' - r0'*s == u
         r0 = x * u * g_inv
         r0p = -(y * u * g_inv)
         w = r0 * s.conj()
-        wp = r0p * s_prime.conj()
         # k = t1 + t2 i shifts the first value by k; both fractions must land
         # in the square, so intersect the exact offset ranges per axis
         for t1 in _offset_range(w.re, n):

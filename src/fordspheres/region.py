@@ -94,6 +94,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from .arith import phi_i
 from .gint import DomainError, GInt, UNITS, _factor_int, is_canonical, norm, primes_above
 
 
@@ -478,8 +479,6 @@ def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
 
 def coprime_count_prediction(spec: OmegaSpec) -> float:
     """Expected coprime count: density phi_i(s)/|s|^2 times the area."""
-    from .arith import phi_i
-
     return phi_i(spec.s) / norm(spec.s) * omega_area(spec)
 
 

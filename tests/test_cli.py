@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -7,6 +8,32 @@ import sys
 import pytest
 
 from fordspheres import arith, cli, moment, verify
+
+
+def read_artifact(path):
+    """Parse either artifact format back into (meta, rows)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        payload = json.loads(text)
+        return payload["meta"], payload["rows"]
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    meta = json.loads(lines[0][2:]) if lines and lines[0].startswith("# ") else {}
+    parsed = list(csv.reader(lines[1:]))
+    header = parsed[0]
+    rows = []
+    for cells in parsed[1:]:
+        row = {}
+        for key, cell in zip(header, cells):
+            try:
+                row[key] = int(cell)
+            except ValueError:
+                try:
+                    row[key] = float(cell)
+                except ValueError:
+                    row[key] = cell
+        rows.append(row)
+    return meta, rows
 
 
 def run(capsys, *argv):
@@ -27,7 +54,7 @@ class TestEnumerate:
         path = tmp_path / "gs.json"
         code, _, _ = run(capsys, "enumerate", "--S", "1", "--out", "json", "--out-path", str(path))
         assert code == 0
-        meta, rows = cli.read_artifact(str(path))
+        meta, rows = read_artifact(str(path))
         assert meta["tool"] == "fordspheres"
         assert meta["config"]["command"] == "enumerate"
         assert len(rows) == 4
@@ -39,7 +66,7 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--S", "1", "--json", "--out", "json", "--out-path", str(path))
         assert code == 0
         printed = json.loads(out[out.index("{"):])
-        meta, rows = cli.read_artifact(str(path))
+        meta, rows = read_artifact(str(path))
         assert len(rows) == 4
         assert printed["rows"] == rows
         assert printed["meta"]["config"] == meta["config"]
@@ -93,7 +120,7 @@ class TestOutFormat:
             code, _, _ = run(capsys, *argv, "--out", fmt, "--out-path", str(path))
             assert code == 0
             assert path.read_text().startswith("{") == (fmt == "json")
-            meta, got = cli.read_artifact(str(path))
+            meta, got = read_artifact(str(path))
             assert meta["config"]["output_format"] == fmt
             rows[fmt] = [{k: str(v) for k, v in row.items()} for row in got]
         assert len(rows["csv"]) == count
@@ -151,7 +178,7 @@ class TestMoment:
             capsys, "moment", "--S", "1", "--method", "direct", "--out-path", str(path)
         )
         assert code == 0
-        meta, rows = cli.read_artifact(str(path))
+        meta, rows = read_artifact(str(path))
         assert rows[0]["value"] == 4.0
         assert rows[0]["method"] == "direct"
         assert "constants" in meta and "C" in meta["constants"]
@@ -163,7 +190,7 @@ class TestMoment:
         path = tmp_path / "row.json"
         run(capsys, "moment", "--S", "4", "--method", "direct", "--out", "json",
             "--out-path", str(path))
-        _, rows = cli.read_artifact(str(path))
+        _, rows = read_artifact(str(path))
         assert rows[0]["value"] == rep.value
         assert rows[0]["main_term"] == rep.main_term
         assert rows[0]["residual"] == rep.residual
@@ -176,7 +203,7 @@ class TestMoment:
             "--with-calibration", "--out", "json", "--out-path", str(path),
         )
         assert code == 0
-        meta, _ = cli.read_artifact(str(path))
+        meta, _ = read_artifact(str(path))
         cal = meta["calibration"]["full_over_direct"]
         assert cal["4"] == pytest.approx(3.6318, abs=1e-3)
         assert cal["12"] == pytest.approx(3.9436, abs=1e-3)
@@ -246,7 +273,7 @@ class TestMoment:
         ):
             code, _, _ = run(capsys, *argv, *extra)
             assert code == 0
-            assert cli.read_artifact(str(path))[1][0]["normalization"] == want
+            assert read_artifact(str(path))[1][0]["normalization"] == want
 
     def test_report_normalization_help_names_counting(self, capsys):
         with pytest.raises(SystemExit):
@@ -352,6 +379,8 @@ class TestBadInput:
             (("--kind", "bsum", "--S-values", "1,,2"), cli.EXIT_USAGE, "--S-values"),
             (("--S-values", "1,2", "--methods", ""), cli.EXIT_USAGE, "--methods"),
             (("--S-values", "1,2", "--methods", "direct,,counting"), cli.EXIT_USAGE, "--methods"),
+            # an unknown method name is refused before any row runs
+            (("--S-values", "1,2", "--methods", "direct,foo"), cli.EXIT_USAGE, "--methods"),
         ],
     )
     def test_report(self, capsys, argv, code, word):
@@ -383,7 +412,7 @@ class TestReport:
             "--out", "json", "--out-path", str(path),
         )
         assert code == 0
-        meta, rows = cli.read_artifact(str(path))
+        meta, rows = read_artifact(str(path))
         assert len(rows) == 4
         values = {(r["S"], r["method"]): r["value"] for r in rows}
         assert values[(1, "direct")] == 4.0
@@ -396,7 +425,7 @@ class TestReport:
             capsys, "report", "--kind", "arith", "--radius", "5", "--out-path", str(path)
         )
         assert code == 0
-        _, rows = cli.read_artifact(str(path))
+        _, rows = read_artifact(str(path))
         by_q = {str(r["q"]): r for r in rows}
         assert by_q["1+i"]["phi_i"] == 1
         assert by_q["2"]["mu_i"] == 0
@@ -412,7 +441,7 @@ class TestReport:
             "--epsilon", "0.1", "--out-path", str(path),
         )
         assert code == 0
-        meta, rows = cli.read_artifact(str(path))
+        meta, rows = read_artifact(str(path))
         assert meta["boundary_surrogate"] == "8*pi*S"
         assert rows[0]["B"] == pytest.approx(8 * math.pi)
         assert rows[1]["B_over_S_1_eps"] == pytest.approx(rows[1]["B"] / 16**1.1)
@@ -432,7 +461,7 @@ class TestReport:
         )
         assert code == 0
         assert "row failed" in err
-        meta, rows = cli.read_artifact(str(path))
+        meta, rows = read_artifact(str(path))
         assert len(rows) == 1
 
 
@@ -446,7 +475,7 @@ class TestVerifyCommand:
         path = tmp_path / "verify.csv"
         code, _, _ = run(capsys, "verify", "--suite", "toy", "--out-path", str(path))
         assert code == 0
-        _, rows = cli.read_artifact(str(path))
+        _, rows = read_artifact(str(path))
         assert rows[0]["detail"] == 'detail with, commas and "quotes"'
         assert rows[0]["passed"] == 1
 
