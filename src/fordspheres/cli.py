@@ -230,11 +230,11 @@ def cmd_report(args, config: RunConfig) -> int:
     if args.kind == "bsum":
         eps = args.epsilon
         # every S and epsilon is evaluated (and its domain checked) before any output
-        growth = moment.sum_B_growth(S_values, epsilon=eps)
+        values = [moment.sum_B(S, eps) for S in S_values]
         rows = []
         print(f"{'S':>6} {'B':>16} {'B/S^(1+eps)':>14}   eps = {eps}")
-        for S, normalized in growth:
-            b_val = normalized * S ** (1.0 + eps)
+        for S, b_val in zip(S_values, values):
+            normalized = b_val / S ** (1.0 + eps)
             rows.append({"S": S, "epsilon": eps, "B": b_val, "B_over_S_1_eps": normalized})
             print(f"{S:>6} {b_val:>16.4f} {normalized:>14.4f}")
         meta = _metadata(config, include_constants=False)

@@ -150,10 +150,16 @@ def constants_bundle(with_z2: bool = False) -> ConstantsBundle:
 
 
 def main_term(S: int) -> float:
-    """pi * zeta_i^{-1}(2) * (8C - 1) * S^2."""
+    """pi * zeta_i^{-1}(2) * (8C - 1) * S^2; an S whose main term is
+    beyond the float range (S above about 4.4e153) raises DomainError,
+    so no row carries an inf main term or a nan residual."""
     if S < 0:
         raise DomainError("S must be >= 0")
-    return constants_bundle().main_coeff * float(S) * float(S)
+    fS = float(min(S, 1 << 1000))  # float(S) overflows from 2^1024; the product long before
+    value = constants_bundle().main_coeff * fS * fS
+    if not math.isfinite(value):
+        raise DomainError("S too large: its main term is beyond the float range")
+    return value
 
 
 def _exact_sum(norms: Sequence[int], counts: Sequence[int]) -> Fraction:
@@ -335,7 +341,8 @@ def moment_first_counting(
     a >= b >= 0 and come grouped by ascending bound: the route calls the
     kernel's array core region._escape_core directly, with each t's bound
     index w = repeat(arange, k), instead of escape_counts, which would
-    fold the t and find the bounds again.
+    fold the t and find the bounds again.  Every such t has
+    0 < |t|^2 <= B, the core's precondition.
     Each quotient is correctly rounded, F(B) and W(B) are float sums, and
     the outer sum over bounds is exactly rounded (math.fsum); the value
     agrees with oracles.counting_total, the exact rational of the
@@ -447,11 +454,6 @@ def sum_B(S: int, epsilon: float = 0.1) -> float:
     _, _, nrm = arith.canonical_cells(S * S)
     weights = nrm.astype(np.float64) ** (-(1.0 - epsilon / 2.0))
     return region.boundary_length_surrogate(S) * float(np.sum(weights))
-
-
-def sum_B_growth(ladder: Sequence[int], epsilon: float = 0.1) -> list[tuple[int, float]]:
-    """(S, B(S)/S^(1+epsilon)) along a ladder; the growth diagnostic."""
-    return [(S, sum_B(S, epsilon) / S ** (1.0 + epsilon)) for S in ladder]
 
 
 def sum_phi_over_norm2(S: int) -> tuple[float, float]:

@@ -467,8 +467,10 @@ def omega_area_monte_carlo(spec: region.OmegaSpec, samples: int = 200_000, seed:
 
 
 def escape_counts_rows(t_re, t_im, bounds) -> np.ndarray:
-    """L(t, B) row by row, kept as the oracle of escape_counts (same
-    arguments, same values).
+    """L(t, B) row by row, kept as the oracle of both modes of the
+    kernel.  It accepts more than escape_counts: a scalar bound for every
+    t, t = 0 (L = 0) and |t|^2 > B (L is the disc's count), which the
+    kernel refuses; on the kernel's domain it gives the same values.
 
     Each t visits the staircase of rows x = 0 ... R - reach, with
     R = isqrt(B) and reach = max(|Re t|, |Im t|): beyond it one translate

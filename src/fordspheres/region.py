@@ -49,19 +49,23 @@ integer square roots, one segment per distinct bound and no pad, serves
 them all.  A t reads only the rows -b ... R of its bound, so each call
 builds the rows -min(b_max, R) ... R, b_max the largest Im t of the
 call's a + bi, and takes the disc's point count from the half x >= 0 by
-symmetry.  The closed form is one body, run once per t
-on Python ints for a call of at most PER_T_BATCH t (the per-spec calls,
-where numpy's per-call cost would dominate) and on int64 arrays, in
-fixed-size steps, for a larger one; at the constant, a Moebius batch,
-the per-spec calls run as fast either way.  escape_counts is
-a thin normaliser: it sends a short call to the per-t mode before any
-numpy conversion, and otherwise folds t to a >= b >= 0, takes the
-distinct bounds from the runs of np.sort of the bounds (_sorted_runs)
-and each t's index among them by np.searchsorted, and calls the array
-core _escape_core.  The core owns the table set-up, the steps and the
-array call of the body.  The counting route of moment, whose octant t
-already have a >= b >= 0 and whose bounds are already runs, calls the
-core directly.  The table takes one truncated float square root per row,
+symmetry.  The closed form is one body in two modes,
+and the caller that knows its batch picks the mode.  The per-t mode,
+_escape_counts_per_t, runs it once per t on Python ints: for the one t
+of a plain per-spec count, and for a Moebius batch of at most
+PER_T_BATCH t, where numpy's per-call cost would dominate (at the
+constant, a Moebius batch, the per-spec calls run as fast either way).
+The array mode, _escape_core, runs it on int64 arrays in fixed-size
+steps and owns the table set-up: the counting route of moment, whose
+octant t already have a >= b >= 0 and whose bounds are already runs,
+calls it directly, and escape_counts, the array mode for any t, folds t
+to a >= b >= 0, takes the distinct bounds from the runs of np.sort of
+the bounds (_sorted_runs) and each t's index among them by
+np.searchsorted, and calls it for a larger Moebius batch.  Both modes
+answer only 0 < |t|^2 <= B, the t every caller sends (L(0, B) = 0 and
+L(t, B) = disc(B) when |t|^2 > B are never asked for); escape_counts,
+the public entry, refuses any other t and any call without exactly one
+bound per t.  The table takes one truncated float square root per row,
 with no correction: it is exact for every argument below 2^52
 (_half_widths).  The kernel stops at B < 2^52, where its table is exact
 and its float boundaries are still far within half a row, and beyond that
@@ -81,9 +85,11 @@ this sum, for omega_lattice_count and moment.consecutive_partner_counts
 alike, builds the squarefree divisors of each s on ints from the primes
 of |s|^2 (gint._factor_int, lifted by gint.primes_above), with no
 factorization object, and sends the pairs of every s and divisor in one
-kernel call as list columns: the short call of one s goes to the per-t
-mode as it is, with no array or copy on the way, and so does the
-unfiltered count of one s.
+kernel call as list columns: a batch of at most PER_T_BATCH pairs goes
+to the per-t mode as it is, with no array or copy on the way, and a
+larger one to escape_counts; the unfiltered count of one s goes to the
+per-t mode too.  It refuses an s = 0 or |s| > S before any kernel call,
+so every t = s/d it sends has 0 < |t|^2 <= S^2 // |d|^2.
 """
 
 from __future__ import annotations
@@ -282,9 +288,9 @@ def _intersection(a, b, B, R, c, half, P, ops):
 
 
 def escape_counts(t_re, t_im, bounds) -> np.ndarray:
-    """L(t, B) for each t = t_re + t_im i and its own norm bound B (a
-    scalar bound applies to every t): the lattice points w with |w|^2 <= B
-    and |w + u t|^2 > B for at least one unit u.  L(0, B) = 0.
+    """L(t, B) for each t = t_re + t_im i and its own norm bound B, with
+    0 < |t|^2 <= B: the lattice points w with |w|^2 <= B and
+    |w + u t|^2 > B for at least one unit u.
 
     L = disc(B) - I, where I counts the points of the intersection of the
     four translated discs |w + u t|^2 <= B; the intersection lies inside
@@ -334,85 +340,68 @@ def escape_counts(t_re, t_im, bounds) -> np.ndarray:
     largest min(|Re t|, |Im t|) of the call, not -R ... R, and takes
     disc(B) from the half x >= 0 of the prefix sum by the disc's symmetry
     (_disc).  The closed form is one body, _intersection, evaluated in one
-    of two modes.  escape_counts is the normaliser in front of them.  A
-    call of at most PER_T_BATCH t goes, before any numpy conversion, to
-    the per-t mode, which runs the body once per t on Python ints and
-    reads the table and its prefix sum through memoryviews (Python ints,
-    no copy).  A larger call is folded to a >= b >= 0 on int64 arrays;
-    its distinct bounds are the runs of np.sort of its bounds
-    (_sorted_runs), and each t's index among them comes from
-    np.searchsorted, which on the few thousand distinct bounds of a
-    Moebius batch is faster than a hash np.unique or a full argsort.  The
-    folded t go to _escape_core, the array mode, which owns the table
-    set-up, the steps and the array call of the body; the counting route
-    of moment calls it directly, with the octant t and the bounds it
-    already holds.  The modes give the same integers; the row kernel
+    of two modes, and the caller that knows its batch picks the mode: the
+    per-t mode _escape_counts_per_t runs the body once per t on Python
+    ints, and the array mode _escape_core on int64 arrays.  escape_counts
+    is the array mode for any t: it folds t to a >= b >= 0, takes the
+    distinct bounds from the runs of np.sort of the bounds (_sorted_runs)
+    and each t's index among them from np.searchsorted, which on the few
+    thousand distinct bounds of a Moebius batch is faster than a hash
+    np.unique or a full argsort, and calls the core.  The counting route
+    of moment calls the core directly, with the octant t and the bounds
+    it already holds.  The modes give the same integers; the row kernel
     oracles.escape_counts_rows is the oracle of both.
 
-    The bounds are a scalar or a sequence of one bound, which apply to
-    every t, or a sequence with one bound per t; any other length, t_re
-    and t_im of different lengths, or a negative bound raise ValueError.
+    t_re, t_im and bounds have one length, one bound per t, and every t
+    has 0 < |t|^2 <= B after the fold: anything else raises ValueError, so
+    the core is never handed a t it does not answer.  coprime_counts is
+    the one production caller, with the t = s/d of a Moebius batch, whose
+    |t|^2 = |s|^2/|d|^2 <= S^2/|d|^2 is an integer and so at most its
+    bound S^2 // |d|^2.
     """
     n = len(t_re)
-    if len(t_im) != n:
-        raise ValueError(f"{n} real parts but {len(t_im)} imaginary parts")
-    try:
-        per_t = len(bounds) == n
-    except TypeError:  # a scalar bound
-        bounds, per_t = [bounds], False
-    if not per_t and len(bounds) != 1:
-        raise ValueError(f"{len(bounds)} bounds for {n} t; give one, or one per t")
+    if not n == len(t_im) == len(bounds):
+        raise ValueError(f"{n} real parts, {len(t_im)} imaginary parts and {len(bounds)} bounds")
     if not n:
         return np.empty(0, dtype=np.int64)
-    if n <= PER_T_BATCH:
-        t_re, t_im, bounds = map(_int_list, (t_re, t_im, bounds))
-        counts = _escape_counts_per_t(t_re, t_im, bounds if per_t else bounds * n)
-        return np.array(counts, dtype=np.int64)
     a = np.abs(np.asarray(t_re, dtype=np.int64))
     b = np.abs(np.asarray(t_im, dtype=np.int64))
     a, b = np.maximum(a, b), np.minimum(a, b)
     bounds = np.asarray(bounds, dtype=np.int64)
+    norms = a * a + b * b
+    if not np.all((norms > 0) & (norms <= bounds)):
+        raise ValueError("escape_counts needs 0 < |t|^2 <= B for every t and its bound B")
     uB = _sorted_runs(np.sort(bounds))[0]
-    w = np.searchsorted(uB, bounds) if per_t else np.zeros(n, dtype=np.int64)
-    return _escape_core(a, b, w, uB)
+    return _escape_core(a, b, np.searchsorted(uB, bounds), uB)
 
 
 def _escape_core(a: np.ndarray, b: np.ndarray, w: np.ndarray, uB: np.ndarray) -> np.ndarray:
     """L(a + bi, uB[w]) for each t = a + bi, on int64 arrays: the array
-    mode of escape_counts.  a, b and w have one length, a >= b >= 0, and
-    w indexes uB, the call's distinct bounds (a nonempty ascending int64
-    array).  It builds the tables once, for b_max = max b, and runs
-    _intersection on the t with 0 < |t|^2 <= B in steps of
-    BLOCK_ELEMENTS / 4 t, so that the five table reads of a step stay
-    near BLOCK_ELEMENTS elements."""
-    out = np.empty(len(a), dtype=np.int64)
-    if not len(out):
-        return out
+    mode.  a, b and w have one nonzero length, a >= b >= 0, w indexes uB,
+    the call's distinct bounds (a nonempty ascending int64 array), and
+    every t has 0 < |t|^2 <= uB[w].  Its two callers guarantee that:
+    escape_counts checks it, and the counting route of moment sends the
+    first k(B) octant cells of each bound B, whose norms are at most B.
+    It builds the tables once, for b_max = max b, and runs _intersection
+    in steps of BLOCK_ELEMENTS / 4 t, so that the five table reads of a
+    step stay near BLOCK_ELEMENTS elements."""
     R, half, P, centre = _bound_tables(uB.tolist(), int(b.max()))
     R, centre = np.array(R, dtype=np.int64), np.array(centre, dtype=np.int64)
     disc = _disc(R, centre, half, P)
+    out = np.empty(len(a), dtype=np.int64)
     step = max(BLOCK_ELEMENTS // 4, 1)  # each t reads five table rows
     for s in range(0, len(out), step):
         at, bt, wt = a[s : s + step], b[s : s + step], w[s : s + step]
-        n, B = at * at + bt * bt, uB[wt]
-        part = out[s : s + len(at)]
-        part[:] = np.where(n > 0, disc[wt], 0)
-        live = np.flatnonzero((n > 0) & (n <= B))
-        if len(live) < len(at):
-            at, bt, wt, B = at[live], bt[live], wt[live], B[live]
-        else:
-            live = slice(None)
-        part[live] -= _intersection(at, bt, B, R[wt], centre[wt], half, P, _ON_ARRAYS)
+        out[s : s + step] = disc[wt] - _intersection(at, bt, uB[wt], R[wt], centre[wt], half, P, _ON_ARRAYS)
     return out
 
 
-def _int_list(v) -> list:
-    """The elements of a sequence or an array as Python ints."""
-    return v.tolist() if isinstance(v, np.ndarray) else [int(x) for x in v]
-
-
 def _escape_counts_per_t(t_re: list, t_im: list, bounds: list) -> list:
-    """escape_counts of a short call, on Python ints, one t at a time."""
+    """L(t, B) for each t = t_re + t_im i and its bound B, lists of Python
+    ints of one nonzero length, on ints, one t at a time: the per-t mode.
+    Every t has 0 < |t|^2 <= B.  Its two callers guarantee that:
+    coprime_counts sends the short batch of an s with 0 < |s| <= S, and
+    omega_lattice_count the one s of an OmegaSpec at the bound S^2."""
     ab = [(max(abs(x), abs(y)), min(abs(x), abs(y))) for x, y in zip(t_re, t_im)]
     uB = sorted(set(bounds))
     R, half, P, centre = _bound_tables(uB, max(b for _, b in ab))
@@ -420,11 +409,8 @@ def _escape_counts_per_t(t_re: list, t_im: list, bounds: list) -> list:
     which = {B: w for w, B in enumerate(uB)}
     out = []
     for (a, b), B in zip(ab, bounds):
-        w, n = which[B], a * a + b * b
-        L = _disc(R[w], centre[w], half, P) if n else 0
-        if 0 < n <= B:
-            L -= _intersection(a, b, B, R[w], centre[w], half, P, _ON_INTS)
-        out.append(L)
+        w = which[B]
+        out.append(_disc(R[w], centre[w], half, P) - _intersection(a, b, B, R[w], centre[w], half, P, _ON_INTS))
     return out
 
 
@@ -440,9 +426,14 @@ def omega_lattice_count(spec: OmegaSpec, coprime_filter: bool = False) -> int:
     return int(coprime_counts([spec.s.re], [spec.s.im], spec.S)[0])
 
 
+def _int_list(v) -> list:
+    """The elements of a sequence or an array as Python ints."""
+    return v.tolist() if isinstance(v, np.ndarray) else [int(x) for x in v]
+
+
 def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
     """The region's lattice points coprime to s, for each s = s_re + s_im i
-    (at least one, each nonzero with |s| <= S) at level S, as an int64
+    (at least one, each with 0 < |s| <= S) at level S, as an int64
     array: the sum over the squarefree divisors d of s of
     mu(d) L(s/d, S^2 // |d|^2), every (s, d) pair in one kernel call.
 
@@ -450,15 +441,19 @@ def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
     rational prime of |s|^2 (gint._factor_int) is lifted to the Gaussian
     primes above it (gint.primes_above), and each of those that divides s
     doubles the list of (Re d, Im d, mu(d)).  The call's t, bound and mu
-    columns are lists: a call of at most PER_T_BATCH pairs (one s of at
-    most five prime factors) goes to the per-t mode as they are, and its
-    sums are taken on ints; a larger one becomes arrays once, in
-    escape_counts.  An s of 0 raises DomainError."""
+    columns are lists.  This is the one reader of PER_T_BATCH: a call of
+    at most PER_T_BATCH pairs (one s of at most five prime factors) goes
+    to the per-t mode as they are, and its sums are taken on ints; a
+    larger one becomes arrays once, in escape_counts.  An s = 0 or
+    |s| > S raises DomainError before any kernel call: the kernel answers
+    only 0 < |t|^2 <= B, and every t = s/d of an s with 0 < |s| <= S has
+    |t|^2 = |s|^2/|d|^2 <= S^2/|d|^2, an integer, so at most its bound
+    S^2 // |d|^2."""
     t_re, t_im, bounds, mu, starts = [], [], [], [], []  # Re s/d, Im s/d, S^2 // |d|^2, mu(d)
     S2 = S * S
     for a, b in zip(_int_list(s_re), _int_list(s_im)):
-        if not (a or b):
-            raise DomainError("coprime_counts needs nonzero s")
+        if not 0 < a * a + b * b <= S2:
+            raise DomainError(f"coprime_counts needs 0 < |s| <= S; got s = {a}{b:+d}i at S = {S}")
         square_free = [(1, 0, 1)]  # (Re d, Im d, mu(d))
         for p in _factor_int(a * a + b * b):
             for c, d, n in primes_above(p):

@@ -717,9 +717,8 @@ def check_b_sum_growth() -> tuple[bool, str]:
     values v and increments d, 0 < d_(i+1) < d_i and v_(i+1) > v_i > 0
     give d_(i+1)/v_(i+1) < d_i/v_i, so (b) implies that too.
     """
-    rows = moment.sum_B_growth(B_LADDER, epsilon=B_EPSILON)
-    values = [v for _, v in rows]
-    bands = [oracles.sum_B_band(S, B_EPSILON) for S, _ in rows]
+    values = [moment.sum_B(S, B_EPSILON) / S ** (1.0 + B_EPSILON) for S in B_LADDER]
+    bands = [oracles.sum_B_band(S, B_EPSILON) for S in B_LADDER]
     inside = [lo <= v <= hi for v, (lo, hi) in zip(values, bands)]
     steps = [b - a for a, b in zip(values, values[1:])]
     shrinking = all(d > 0 for d in steps) and all(b < a for a, b in zip(steps, steps[1:]))

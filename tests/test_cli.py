@@ -221,6 +221,11 @@ class TestMoment:
         assert (code, out) == (cli.EXIT_NUMERIC, "")
         assert err == "error: G_S arrays are exact in int64 for S < 8192; got 8192\n"
 
+    def test_main_term_beyond_the_float_range_exits_numeric(self, capsys):
+        code, out, err = run(capsys, "moment", "--S", str(10**160), "--method", "main-term")
+        assert (code, out) == (cli.EXIT_NUMERIC, "")
+        assert err == "error: S too large: its main term is beyond the float range\n"
+
     def test_cap_override_via_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("FORDSPHERES_DIRECT_CAP", "3")
         code, _, _ = run(capsys, "moment", "--S", "4", "--method", "direct")
@@ -446,6 +451,19 @@ class TestReport:
         assert rows[0]["B"] == pytest.approx(8 * math.pi)
         assert rows[1]["B_over_S_1_eps"] == pytest.approx(rows[1]["B"] / 16**1.1)
 
+    def test_bsum_values_are_those_of_sum_B(self, capsys, tmp_path):
+        # B is moment.sum_B itself, not B/S^(1+eps) multiplied back
+        path = tmp_path / "bsum.json"
+        code, _, _ = run(
+            capsys, "report", "--kind", "bsum", "--S-values", "2,8,57",
+            "--epsilon", "0.3", "--out", "json", "--out-path", str(path),
+        )
+        assert code == 0
+        _, rows = read_artifact(str(path))
+        for row, S in zip(rows, (2, 8, 57)):
+            assert row["B"] == moment.sum_B(S, 0.3), S
+            assert row["B_over_S_1_eps"] == moment.sum_B(S, 0.3) / S**1.3, S
+
     @pytest.mark.parametrize("eps", ["1.5", "0", "-0.1"])
     def test_bsum_epsilon_out_of_range_prints_nothing(self, capsys, eps):
         code, out, err = run(capsys, "report", "--kind", "bsum", "--epsilon", eps)
@@ -463,6 +481,18 @@ class TestReport:
         assert "row failed" in err
         meta, rows = read_artifact(str(path))
         assert len(rows) == 1
+
+    def test_main_term_row_beyond_the_float_range_fails_alone(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, _, err = run(
+            capsys, "report", "--S-values", f"1,{10**160}", "--methods", "main-term",
+            "--out-path", str(path),
+        )
+        assert code == 0
+        assert [line.startswith("row failed:") for line in err.splitlines()] == [True]
+        meta, rows = read_artifact(str(path))
+        assert [row["S"] for row in rows] == [1]
+        assert len(meta["row_errors"]) == 1
 
 
 class TestVerifyCommand:

@@ -14,7 +14,9 @@ file was recorded from the CLI before its front end was merged into one
 vocabulary, one artifact writer and one report tail; every entry is that
 CLI's output except ``report --methods direct,foo``, which then exited 3
 from the library's DomainError and is now refused as a usage error
-(exit 2) before any row runs.
+(exit 2) before any row runs, and the B cell of the JSON bsum case at
+S = 2, which was B/S^(1+eps) multiplied back by S^(1+eps) (one ulp off
+moment.sum_B) and is now moment.sum_B itself.
 """
 
 import contextlib

@@ -85,6 +85,13 @@ class TestMainTerm:
     def test_zero(self):
         assert moment.main_term(0) == 0.0
 
+    def test_beyond_the_float_range_is_refused(self):
+        # the product overflows at 10^160, float(S) itself at 10^400
+        assert math.isfinite(moment.main_term(10**150))
+        for S in (10**160, 10**400):
+            with pytest.raises(DomainError, match="float range"):
+                moment.main_term(S)
+
 
 class TestExactSum:
     @staticmethod
@@ -346,7 +353,7 @@ class TestCounting:
             B = S * S // d_norm
             if B not in F:
                 ts = [(a, b) for a, b in octant if a * a + b * b <= B]
-                L = region.escape_counts([a for a, _ in ts], [b for _, b in ts], B).tolist()
+                L = region.escape_counts([a for a, _ in ts], [b for _, b in ts], [B] * len(ts)).tolist()
                 F[B] = sum(
                     (Fraction(2 * l if a > b > 0 else l, a * a + b * b) for (a, b), l in zip(ts, L)),
                     Fraction(0),

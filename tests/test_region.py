@@ -44,13 +44,13 @@ def _escape_count_scan(a, b, B):
     )
 
 
-def _kernel_modes(monkeypatch):
-    """Set escape_counts to each of its modes in turn: every call on int64
-    arrays (PER_T_BATCH = 0), then every call one t at a time on Python
-    ints (PER_T_BATCH beyond any call).  Yields the mode's name."""
-    for mode, batch in (("arrays", 0), ("per-t", 1 << 62)):
-        monkeypatch.setattr(region, "PER_T_BATCH", batch)
-        yield mode
+def _kernel_modes():
+    """Each mode of the kernel in turn, as (name, count): count(t_re, t_im,
+    bounds) is L(t, B) as a list of ints, for one bound per t with
+    0 < |t|^2 <= B, on int64 arrays through escape_counts, then one t at a
+    time on Python ints through _escape_counts_per_t."""
+    yield "arrays", lambda *columns: escape_counts(*columns).tolist()
+    yield "per-t", lambda *columns: region._escape_counts_per_t(*(np.asarray(c).tolist() for c in columns))
 
 
 def _coprime_scan(a, b, S):
@@ -207,42 +207,47 @@ class TestLatticeCount:
         xs, ys = np.meshgrid(np.arange(-31, 32), np.arange(-31, 32))
         keep = (xs * xs + ys * ys <= B) & ((xs != 0) | (ys != 0))
         t_re, t_im = xs[keep], ys[keep]
+        bounds = [B] * len(t_re)
         rows = escape_counts_rows(t_re, t_im, B).tolist()
-        for mode in _kernel_modes(monkeypatch):
+        for mode, count in _kernel_modes():
             monkeypatch.setattr(region, "BLOCK_ELEMENTS", 1 << 16)
-            batch = escape_counts(t_re, t_im, B)
-            assert batch.tolist() == rows, mode
+            batch = count(t_re, t_im, bounds)
+            assert batch == rows, mode
             monkeypatch.setattr(region, "BLOCK_ELEMENTS", 16)
-            assert escape_counts(t_re, t_im, B).tolist() == rows, mode
+            assert count(t_re, t_im, bounds) == rows, mode
             for k in range(0, len(t_re), 97):
                 a, b = int(t_re[k]), int(t_im[k])
                 for u_re, u_im in ((a, b), (-b, a), (-a, -b), (b, -a)):
-                    assert escape_counts([u_re], [u_im], B)[0] == batch[k], mode
+                    assert count([u_re], [u_im], [B])[0] == batch[k], mode
 
-    def test_mixed_bounds_equal_single_bound_calls(self, monkeypatch):
+    def test_mixed_bounds_equal_single_bound_calls(self):
+        # the seeded draws, kept where 0 < |t|^2 <= B, the kernel's domain
         rng = Random(7)
         t = [(rng.randint(-25, 25), rng.randint(-25, 25)) for _ in range(300)]
         t = [(a, b) for a, b in t if a or b]
-        bounds = [rng.choice((1, 2, 37, 400, 401, 999, 4096)) for _ in t]
+        drawn = [rng.choice((1, 2, 37, 400, 401, 999, 4096)) for _ in t]
+        t, bounds = zip(*[((a, b), B) for (a, b), B in zip(t, drawn) if a * a + b * b <= B])
+        assert len(t) == 119
         t_re, t_im = [a for a, _ in t], [b for _, b in t]
         rows = escape_counts_rows(t_re, t_im, bounds).tolist()
-        for mode in _kernel_modes(monkeypatch):
-            mixed = escape_counts(t_re, t_im, bounds)
-            assert mixed.tolist() == rows, mode
-            for (a, b), B, got in zip(t, bounds, mixed.tolist()):
-                assert got == escape_counts([a], [b], B)[0], (mode, a, b, B)
+        for mode, count in _kernel_modes():
+            mixed = count(t_re, t_im, bounds)
+            assert mixed == rows, mode
+            for (a, b), B, got in zip(t, bounds, mixed):
+                assert got == count([a], [b], [B])[0], (mode, a, b, B)
 
-    def test_conjugate_symmetry(self, monkeypatch):
+    def test_conjugate_symmetry(self):
         # L(a + bi) = L(b + ai): b + ai = i conj(a + bi), and the region is
         # symmetric under conjugation and units
         B = 1000
         xs, ys = np.meshgrid(np.arange(-31, 32), np.arange(-31, 32))
         keep = (xs * xs + ys * ys <= B) & ((xs != 0) | (ys != 0))
         t_re, t_im = xs[keep], ys[keep]
+        bounds = [B] * len(t_re)
         rows = escape_counts_rows(t_re, t_im, B).tolist()
-        for mode in _kernel_modes(monkeypatch):
-            assert escape_counts(t_re, t_im, B).tolist() == rows, mode
-            assert escape_counts(t_im, t_re, B).tolist() == rows, mode
+        for mode, count in _kernel_modes():
+            assert count(t_re, t_im, bounds) == rows, mode
+            assert count(t_im, t_re, bounds) == rows, mode
 
     def test_rows_of_one_t_cut_across_steps(self, monkeypatch):
         # t = 1 at B = 1000 has rows x = 0 .. 30, two steps of 16 elements
@@ -291,23 +296,24 @@ class TestLatticeCount:
         with pytest.raises(ArithmeticError):
             region._bound_tables([big], 64)
 
-    def test_closed_form_equals_rows_on_every_small_bound(self, monkeypatch):
-        # every t in the box |Re t|, |Im t| <= isqrt(B) + 2, which includes
-        # every |t|^2 > B case near the disc, for every B in 1..300; one t
-        # at a time, every t of each B <= 64 and every fourth t beyond
+    def test_closed_form_equals_rows_on_every_small_bound(self):
+        # every t of the kernel's domain 0 < |t|^2 <= B in the box
+        # |Re t|, |Im t| <= isqrt(B) + 2, for every B in 1..300; one t at a
+        # time, every t of each B <= 64 and every fourth t beyond.  The rest
+        # of the box, |t|^2 > B, is refused (test_closed_form_edge_cases)
         t_re, t_im, bounds = [], [], []
         for B in range(1, 301):
             m = isqrt(B) + 2
             xs, ys = np.meshgrid(np.arange(-m, m + 1), np.arange(-m, m + 1))
-            keep = (xs != 0) | (ys != 0)
+            keep = ((xs != 0) | (ys != 0)) & (xs * xs + ys * ys <= B)
             t_re.append(xs[keep]), t_im.append(ys[keep]), bounds.append(np.full(keep.sum(), B))
         t_re, t_im, bounds = map(np.concatenate, (t_re, t_im, bounds))
         rows = escape_counts_rows(t_re, t_im, bounds)
         subsample = (bounds <= 64) | (np.arange(len(bounds)) % 4 == 0)
-        for mode in _kernel_modes(monkeypatch):
+        for mode, count in _kernel_modes():
             pick = subsample if mode == "per-t" else slice(None)
-            got = escape_counts(t_re[pick], t_im[pick], bounds[pick])
-            assert got.tolist() == rows[pick].tolist(), mode
+            got = count(t_re[pick], t_im[pick], bounds[pick])
+            assert got == rows[pick].tolist(), mode
 
     @pytest.mark.parametrize(
         "t, B",
@@ -323,18 +329,22 @@ class TestLatticeCount:
             ((2, 1), 9_999),  # B = k^2 - 1
             ((70, 70), 10_000),
             ((99, 14), 9_999),
-            ((3, 4), 24),  # |t|^2 = B + 1: the intersection is empty
+            ((3, 4), 24),  # |t|^2 = B + 1: the intersection is empty, and the kernel refuses t
         ],
     )
-    def test_closed_form_edge_cases(self, t, B, monkeypatch):
+    def test_closed_form_edge_cases(self, t, B):
         (a, b) = t
         want = escape_counts_rows([a], [b], B)[0]
-        for mode in _kernel_modes(monkeypatch):
-            assert escape_counts([a, -b, b], [b, a, -a], B).tolist() == [want] * 3, mode
+        if a * a + b * b > B:
+            with pytest.raises(ValueError):
+                escape_counts([a, -b, b], [b, a, -a], [B] * 3)
+        else:
+            for mode, count in _kernel_modes():
+                assert count([a, -b, b], [b, a, -a], [B] * 3) == [want] * 3, mode
         if B <= 1000:
             assert want == _escape_count_scan(a, b, B)
 
-    def test_closed_form_equals_rows_at_rational_crossings(self, monkeypatch):
+    def test_closed_form_equals_rows_at_rational_crossings(self):
         # q = (r - n) / (2n), r = sqrt((2B - n) n), is rational when
         # (2B - n) n is a square.  Keep each a >= b >= 0, B <= 2000 where a
         # crossing (a -/+ b) q is an integer or a half-integer: on a row or
@@ -356,40 +366,51 @@ class TestLatticeCount:
                 bounds += B[keep].tolist()
         assert len(bounds) == 3198
         rows = escape_counts_rows(t_re, t_im, bounds).tolist()
-        for mode in _kernel_modes(monkeypatch):
-            assert escape_counts(t_re, t_im, bounds).tolist() == rows, mode
+        for mode, count in _kernel_modes():
+            assert count(t_re, t_im, bounds) == rows, mode
 
-    def test_zero_t_escapes_nothing(self, monkeypatch):
-        for mode in _kernel_modes(monkeypatch):
-            assert escape_counts([0, 1, 0], [0, 0, 0], [5, 5, 1000]).tolist() == [
-                0, _escape_count_scan(1, 0, 5), 0,
-            ], mode
-            assert escape_counts([], [], 5).tolist() == [], mode
-        assert escape_counts_rows([0], [0], 5).tolist() == [0]
-
-    def test_input_contract(self, monkeypatch):
-        t_re, t_im = [3, -1, 0, 7, 2], [1, 5, 0, -7, 2]
-        want = escape_counts_rows(t_re, t_im, 60).tolist()
-        mixed = [400, 17, 400, 3, 17]  # unsorted, repeated
-        for mode in _kernel_modes(monkeypatch):
-            # a scalar bound and a one-element bound sequence apply to every t
-            for bounds in (60, np.int64(60), [60], np.array([60])):
-                got = escape_counts(t_re, t_im, bounds)
-                assert got.dtype == np.int64 and got.tolist() == want, (mode, bounds)
-            assert escape_counts(np.array(t_re), np.array(t_im), 60).tolist() == want, mode
-            rows = escape_counts_rows(t_re, t_im, mixed).tolist()
-            assert escape_counts(t_re, t_im, mixed).tolist() == rows, mode
-            # any other length is refused, not cut to the shorter sequence
-            for bounds in ([60, 61], [60] * 6, []):
-                with pytest.raises(ValueError):
-                    escape_counts(t_re, t_im, bounds)
+    def test_zero_t_escapes_nothing(self):
+        # L(0, B) = 0 in the row oracle; the kernel answers only |t|^2 > 0,
+        # so escape_counts refuses a call with t = 0 in it
+        assert escape_counts_rows([0, 1, 0], [0, 0, 0], [5, 5, 1000]).tolist() == [
+            0, _escape_count_scan(1, 0, 5), 0,
+        ]
+        for t_re, t_im, bounds in (([0, 1, 0], [0, 0, 0], [5, 5, 1000]), ([0], [0], [5])):
             with pytest.raises(ValueError):
-                escape_counts(t_re, t_im[:4], 60)
-            for bounds in (-1, [60, 60, -2, 60, 60]):
+                escape_counts(t_re, t_im, bounds)
+        assert escape_counts([], [], []).tolist() == []
+
+    def test_input_contract(self):
+        # one bound per t, each t with 0 < |t|^2 <= B: t = 0 (the third t)
+        # and 7 - 7i (|t|^2 = 98 > 60, the fourth) are refused, alone or in
+        # a call of valid t; the others are answered
+        t_re, t_im = [3, -1, 0, 7, 2], [1, 5, 0, -7, 2]
+        for k in (2, 3):
+            for columns in (([t_re[k]], [t_im[k]], [60]), (t_re, t_im, [60] * 5)):
                 with pytest.raises(ValueError):
-                    escape_counts(t_re, t_im, bounds)
-            for empty in (escape_counts([], [], 5), escape_counts(np.array([]), np.array([]), [])):
-                assert empty.dtype == np.int64 and empty.tolist() == [], mode
+                    escape_counts(*columns)
+        t_re, t_im = [3, -1, 2], [1, 5, 2]
+        want = escape_counts_rows(t_re, t_im, 60).tolist()
+        mixed = [400, 26, 400]  # unsorted, repeated
+        for bounds in ([60] * 3, np.array([60] * 3)):
+            got = escape_counts(t_re, t_im, bounds)
+            assert got.dtype == np.int64 and got.tolist() == want, bounds
+        assert escape_counts(np.array(t_re), np.array(t_im), [60] * 3).tolist() == want
+        rows = escape_counts_rows(t_re, t_im, mixed).tolist()
+        for mode, count in _kernel_modes():
+            assert count(t_re, t_im, [60] * 3) == want, mode
+            assert count(t_re, t_im, mixed) == rows, mode
+        # any other length is refused, not cut to the shorter sequence or
+        # spread over every t
+        for bounds in ([60], [60, 61], [60] * 4, []):
+            with pytest.raises(ValueError):
+                escape_counts(t_re, t_im, bounds)
+        with pytest.raises(ValueError):
+            escape_counts(t_re, t_im[:2], [60] * 3)
+        with pytest.raises(ValueError):
+            escape_counts(t_re, t_im, [60, -2, 60])
+        for empty in (escape_counts([], [], []), escape_counts(np.array([]), np.array([]), [])):
+            assert empty.dtype == np.int64 and empty.tolist() == []
 
     def test_sorted_runs_equal_unique(self):
         rng = Random(3)
@@ -404,14 +425,14 @@ class TestLatticeCount:
         assert values.tolist() == uniq[::-1].tolist()
         assert runs.tolist() == (len(uniq) - 1 - inverse).tolist()
 
-    def test_closed_form_equals_rows_near_two_to_the_forty(self, monkeypatch):
+    def test_closed_form_equals_rows_near_two_to_the_forty(self):
         B = (1 << 40) + 12_345
         R = isqrt(B)
         t = [(1, 0), (1, 1), (R, 0), (R // 2, R // 2), (R - 1, 1), (123_456, 654_321), (R // 3, 5)]
         t_re, t_im = [a for a, _ in t], [b for _, b in t]
         rows = escape_counts_rows(t_re, t_im, B).tolist()
-        for mode in _kernel_modes(monkeypatch):
-            assert escape_counts(t_re, t_im, B).tolist() == rows, mode
+        for mode, count in _kernel_modes():
+            assert count(t_re, t_im, [B] * len(t)) == rows, mode
 
     def test_sweep_unchanged_with_the_row_kernel(self, monkeypatch):
         # every (t, B) the counting route sends to the kernel's array core
@@ -438,10 +459,10 @@ class TestLatticeCount:
         for S in range(1, 41):
             moment.consecutive_partner_counts(S)
 
-    def test_kernel_exactness_bound(self, monkeypatch):
-        for _ in _kernel_modes(monkeypatch):
+    def test_kernel_exactness_bound(self):
+        for _, count in _kernel_modes():
             with pytest.raises(ArithmeticError):
-                escape_counts([1], [0], KERNEL_BOUND_LIMIT)
+                count([1], [0], [KERNEL_BOUND_LIMIT])
         with pytest.raises(ArithmeticError):
             omega_lattice_count(OmegaSpec(ONE, 1 << 26))
         # the table's plain float roots equal math.isqrt over the kernel's
@@ -516,6 +537,58 @@ class TestLatticeCount:
         for re, im in (([0], [0]), ([1, 0], [0, 0])):
             with pytest.raises(DomainError):
                 region.coprime_counts(re, im, 5)
+
+    def test_coprime_counts_refuse_s_beyond_S(self, monkeypatch):
+        # |s| > S is refused before any kernel call, alone or after a valid s
+        def called(*args):
+            raise AssertionError("a kernel mode was called")
+
+        monkeypatch.setattr(region, "_escape_core", called)
+        monkeypatch.setattr(region, "_escape_counts_per_t", called)
+        for re, im, S in (([2], [2], 2), ([5], [0], 3), ([1, 3], [0, 3], 4), ([1], [0], 0)):
+            with pytest.raises(DomainError):
+                region.coprime_counts(re, im, S)
+
+    def test_production_stays_inside_the_kernel_contract(self, monkeypatch):
+        # every (t, B) that the counting route, the per-denominator oracle
+        # and the per-spec counts send to either mode has 0 < |t|^2 <= B,
+        # and each caller reaches the mode it picks
+        from fordspheres import moment
+
+        core, per_t = region._escape_core, region._escape_counts_per_t
+        sizes = {"arrays": [], "per-t": []}
+
+        def spy_core(a, b, w, uB):
+            n = a * a + b * b
+            assert np.all((a >= b) & (b >= 0) & (n > 0) & (n <= uB[w]))
+            sizes["arrays"].append(len(a))
+            return core(a, b, w, uB)
+
+        def spy_per_t(t_re, t_im, bounds):
+            assert all(0 < x * x + y * y <= B for x, y, B in zip(t_re, t_im, bounds))
+            sizes["per-t"].append(len(bounds))
+            return per_t(t_re, t_im, bounds)
+
+        def reached(run):
+            for v in sizes.values():
+                v.clear()
+            run()
+            return {mode: list(v) for mode, v in sizes.items()}
+
+        monkeypatch.setattr(region, "_escape_core", spy_core)
+        monkeypatch.setattr(region, "_escape_counts_per_t", spy_per_t)
+        counting = reached(lambda: [moment.moment_first_counting(S) for S in range(1, 65)])
+        assert len(counting["arrays"]) == 64 and counting["per-t"] == []
+        oracle = reached(lambda: [moment.consecutive_partner_counts(S) for S in range(1, 25)])
+        # one batch per S, on arrays beyond PER_T_BATCH pairs (S >= 5)
+        assert oracle["per-t"] == [1, 5, 13, 27] and len(oracle["arrays"]) == 20
+        assert min(oracle["arrays"]) > region.PER_T_BATCH
+        for s, S, pairs in ((g(89, 381), 512, 4), (g(195, 195), 300, 64)):
+            spec = OmegaSpec(s, S)
+            assert reached(lambda: omega_lattice_count(spec)) == {"arrays": [], "per-t": [1]}
+            short = pairs <= region.PER_T_BATCH
+            want = {"arrays": [] if short else [pairs], "per-t": [pairs] if short else []}
+            assert reached(lambda: omega_lattice_count(spec, True)) == want, s
 
     def test_count_tracks_area(self):
         for S in (4, 8, 16):
