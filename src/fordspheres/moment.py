@@ -40,7 +40,11 @@ Three routes to the same quantity:
 
 direct_total, real_axis_correction and oracles.counting_total each turn
 integer counts per norm into one exact rational through _exact_sum, a
-binary splitting sum reduced once at the root.
+binary splitting sum that returns its root unreduced, as an int pair
+(num, den).  Each reader does only what it needs: the direct route
+rounds num / den to a float, direct_total and real_axis_correction
+reduce to a Fraction, and verify compares the oracle's pair by
+cross-multiplying, with no gcd of the root.
 
 The counting value under 'omega_full' converges to the main term.  The
 direct value agrees with 'omega_quarter' up to the contribution of
@@ -57,6 +61,7 @@ level through _check_level, and every route builds its row through _row.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -162,12 +167,19 @@ def main_term(S: int) -> float:
     return value
 
 
-def _exact_sum(norms: Sequence[int], counts: Sequence[int]) -> Fraction:
+def _exact_sum(norms: Sequence[int], counts: Sequence[int]) -> tuple[int, int]:
     """sum of c/n over the norms n > 0 and the counts c, Python ints,
-    exactly: the one place where counts per norm become a rational.
+    exactly, as an unreduced pair (num, den) of ints with den > 0 (the
+    product of the norms; (0, 1) for no terms): the one place where counts
+    per norm become a rational.
 
     Binary splitting: the terms are added pairwise in a balanced tree,
-    p/q + r/s = (p s + r q)/(q s), unreduced, and the root is reduced once.
+    p/q + r/s = (p s + r q)/(q s), unreduced, and the root stays unreduced.
+    Its gcd would cost more than the tree at large sizes (for
+    oracles.counting_total at S = 1024, 226,419 norms and a 4.19-million
+    bit root: 13.6 s against 2.4 s for the tree on a 2-core shared host),
+    and no reader needs it: num / den is already the correctly rounded
+    float, and an equality or a ratio is a comparison of cross products.
     Over one common denominator L, the lcm of the norms, every term would
     cost a division and a product of the full-size L, so the work would
     grow like the number of norms times the size of L; in the tree the
@@ -186,7 +198,20 @@ def _exact_sum(norms: Sequence[int], counts: Sequence[int]) -> Fraction:
             j = i + step
             nums[i], dens[i] = nums[i] * dens[j] + nums[j] * dens[i], dens[i] * dens[j]
         step *= 2
-    return Fraction(nums[0], dens[0]) if dens else Fraction(0)
+    return (nums[0], dens[0]) if dens else (0, 1)
+
+
+def _direct_pair(S: int) -> tuple[int, int]:
+    """M(S) as the unreduced pair (num, den) of direct_total: the nonzero
+    entries of row S of farey's table, summed over norms by _exact_sum and
+    halved.  The row is read as one list, and its nonzero entries and
+    their norms are picked in C (filter, compress): at S <= 12, a row of
+    at most 145 entries, that costs about a quarter less than flatnonzero
+    and a fancy index when the caches are cold, as in the benchmark's
+    direct ladder."""
+    row = farey._finds(S)[S].tolist()
+    num, den = _exact_sum(list(itertools.compress(range(len(row)), row)), list(filter(None, row)))
+    return num, 2 * den
 
 
 def direct_total(S: int) -> Fraction:
@@ -210,11 +235,11 @@ def direct_total(S: int) -> Fraction:
     shell by shell, while G_S is built block by block and not kept.
     farey._finds(S)[S] reads c(n) at level S as one int64 row, so a call
     at a level already built runs no scan.  The nonzero entries of the
-    row go to the one exact sum over norms (_exact_sum), halved.
+    row go to the one exact sum over norms (_exact_sum), halved
+    (_direct_pair, which the route rounds), and the pair is reduced once
+    here.
     """
-    counts = farey._finds(S)[S]
-    norms = np.flatnonzero(counts)
-    return _exact_sum(norms.tolist(), counts[norms].tolist()) / 2
+    return Fraction(*_direct_pair(S))
 
 
 def real_axis_correction(S: int) -> Fraction:
@@ -232,7 +257,7 @@ def real_axis_correction(S: int) -> Fraction:
     S = 1 is the one candidate p = q = 1 no pair.  So
     extra(S) = 2 * sum over q <= S of phi(q)/q^2 for S >= 2, the exact
     sum over norms (_exact_sum) of the counts phi(q) at the norms q^2,
-    doubled.
+    doubled and reduced.
     """
     if S < 1:
         raise DomainError("S must be >= 1")
@@ -242,7 +267,8 @@ def real_axis_correction(S: int) -> Fraction:
     for p in range(2, S + 1):
         if phi[p] == p:  # p is prime: no smaller prime has touched it
             phi[p::p] -= phi[p::p] // p
-    return 2 * _exact_sum([q * q for q in range(1, S + 1)], phi[1:].tolist())
+    num, den = _exact_sum([q * q for q in range(1, S + 1)], phi[1:].tolist())
+    return Fraction(2 * num, den)
 
 
 def _check_level(S: int, cap: int, method: str, advice: str = "") -> None:
@@ -268,10 +294,14 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     larger denominator norm, for one fraction per orbit of the square's
     symmetries and weighted by the orbit size.
 
-    Rational accumulation throughout (direct_total); the float conversion
-    happens once at the end.  The work grows like S^4 (about 0.1 S^4
-    candidate denominators, about pi per scanned fraction, one fraction
-    in eight scanned), hence the cap; use the counting route beyond it.
+    Rational accumulation throughout (_direct_pair, the unreduced pair of
+    direct_total); the float conversion happens once at the end, as the
+    integer true division num / den, which CPython rounds correctly (it
+    is what float(Fraction(num, den)) computes, without the gcd), so the
+    value is the correctly rounded M(S), the float of direct_total(S).
+    The work grows like S^4 (about 0.1 S^4 candidate denominators, about
+    pi per scanned fraction, one fraction in eight scanned), hence the
+    cap; use the counting route beyond it.
     The counts of the scan's pair ends per level and norm are farey's
     cached table, so in a sweep over S only the first call at each new
     level builds the representatives of the shell of new denominators and
@@ -287,7 +317,8 @@ def moment_first_direct(S: int, cap: int = DIRECT_CAP_DEFAULT) -> MomentReport:
     _check_level(S, cap, "direct", "use method='counting' for larger S, or ")
     mt = main_term(S) / 4
     t0 = time.perf_counter()
-    return _row(S, "direct", "omega_quarter", float(direct_total(S)), mt, t0)
+    num, den = _direct_pair(S)
+    return _row(S, "direct", "omega_quarter", num / den, mt, t0)
 
 
 def consecutive_partner_counts(S: int) -> np.ndarray:

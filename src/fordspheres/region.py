@@ -210,9 +210,9 @@ def _bound_tables(uB: list, depth: int):
     pad; its prefix sum P, P[i] = half[0] + ... + half[i - 1],
     written in place after a zero; and the index of x = 0 in each segment
     (a list).  A bound of 2^52 or more raises ArithmeticError before
-    anything is built: the table's float roots are exact below it."""
-    if uB[0] < 0:
-        raise ValueError(f"norm bounds must be >= 0; got {uB[0]}")
+    anything is built: the table's float roots are exact below it.  A
+    negative bound, which only oracles.escape_counts_rows can pass,
+    raises ValueError from isqrt."""
     if uB[-1] >= KERNEL_BOUND_LIMIT:
         raise ArithmeticError(
             f"lattice kernel is exact for norm bounds below 2^52; got {uB[-1]}"

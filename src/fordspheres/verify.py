@@ -607,12 +607,16 @@ def check_direct_quarter_reconciliation() -> tuple[bool, str]:
     # quarter(S) = counting_total(S) / 4 (which raises on a full count
     # that is not a multiple of 4); real-axis pairs (classical consecutive
     # Farey denominators) realize eight, and extra(S) =
-    # real_axis_correction(S) adds four radius sums per such pair
+    # real_axis_correction(S) adds four radius sums per such pair.  The
+    # oracle's pair num/den stays unreduced, so direct - extra == num/(4 den)
+    # is compared cross-multiplied, in integers
     for S in RECONCILIATION_RANGE:
         direct = moment.direct_total(S)
-        expected = oracles.counting_total(S) / 4 + moment.real_axis_correction(S)
-        if direct != expected:
-            return False, f"mismatch at S = {S}: {direct} vs {expected}"
+        extra = moment.real_axis_correction(S)
+        num, den = oracles.counting_total(S)
+        rest = direct - extra
+        if 4 * den * rest.numerator != num * rest.denominator:
+            return False, f"mismatch at S = {S}: {direct} vs {Fraction(num, 4 * den) + extra}"
     lo, hi = RECONCILIATION_RANGE[0], RECONCILIATION_RANGE[-1]
     return True, f"S in {lo}..{hi}: direct == quarter + real-axis correction, exactly"
 
@@ -626,15 +630,21 @@ def check_counting_vs_per_denominator() -> tuple[bool, str]:
     # the route sums W(B) F(B) over bounds in floats; counting_total, the
     # exact rational of the per-denominator counts (each a Moebius sum
     # over the squarefree divisors built from the primes of |s|^2, sharing
-    # only the kernel with the route), is its oracle
-    worst = Fraction(0)
+    # only the kernel with the route), is its oracle.  With the value
+    # vn/vd and the oracle's unreduced pair num/den (num > 0), the relative
+    # error is |vn den - num vd| / (num vd), compared with the tolerance in
+    # integers; its float (integer true division) is correctly rounded
+    tol = COUNTING_ORACLE_TOLERANCE
+    worst = 0.0
     for S in COUNTING_ORACLE_RANGE:
-        error = abs(Fraction(moment.moment_first_counting(S).value) / oracles.counting_total(S) - 1)
-        if error > COUNTING_ORACLE_TOLERANCE:
-            return False, f"S = {S}: relative error {float(error):.2e} above 2^-50"
-        worst = max(worst, error)
+        num, den = oracles.counting_total(S)
+        vn, vd = moment.moment_first_counting(S).value.as_integer_ratio()
+        gap, scale = abs(vn * den - num * vd), num * vd
+        if gap * tol.denominator > scale * tol.numerator:
+            return False, f"S = {S}: relative error {gap / scale:.2e} above 2^-50"
+        worst = max(worst, gap / scale)
     lo, hi = COUNTING_ORACLE_RANGE[0], COUNTING_ORACLE_RANGE[-1]
-    return True, f"S in {lo}..{hi}: worst relative error {float(worst):.2e} (allowed 2^-50)"
+    return True, f"S in {lo}..{hi}: worst relative error {worst:.2e} (allowed 2^-50)"
 
 
 COUNTING_LADDER = (32, 64, 128)

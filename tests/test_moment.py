@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -5,6 +6,7 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fordspheres import arith, farey, moment, oracles, region, verify
 from fordspheres.gint import DomainError, GInt
@@ -99,8 +101,7 @@ class TestExactSum:
         return sum((Fraction(c, n) for n, c in zip(norms, counts)), Fraction(0))
 
     def test_empty_is_zero(self):
-        total = moment._exact_sum([], [])
-        assert total == 0 and isinstance(total, Fraction)
+        assert moment._exact_sum([], []) == (0, 1)
 
     def test_random_norms_and_counts(self):
         # every length from 1 to 70 (odd and even at each level of the
@@ -111,7 +112,8 @@ class TestExactSum:
             top = rng.choice((100, 10**4, 512**4))
             norms = rng.sample(range(1, top + 1), size)
             counts = [rng.choice((0, rng.randint(-(10**6), 10**6))) for _ in norms]
-            assert moment._exact_sum(norms, counts) == self.per_term(norms, counts), (size, top)
+            num, den = moment._exact_sum(norms, counts)
+            assert den > 0 and Fraction(num, den) == self.per_term(norms, counts), (size, top)
 
     def test_zero_counts_and_norms_near_the_top(self):
         # norms next to 512^4 (S^4 at S = 512) and two large divisors of
@@ -120,8 +122,22 @@ class TestExactSum:
         top = 512**4
         norms = [top - k for k in range(12)] + [top // 3, top // 5]
         counts = [0, 3, 0, 0, 7, 1, 0, 12, 0, 0, 5, 2, 0, 9]
-        assert moment._exact_sum(norms, counts) == self.per_term(norms, counts)
-        assert moment._exact_sum(norms, [0] * len(norms)) == 0
+        assert Fraction(*moment._exact_sum(norms, counts)) == self.per_term(norms, counts)
+        assert moment._exact_sum(norms, [0] * len(norms))[0] == 0
+
+    COUNT = st.integers(-(10**6), 10**6)
+    # every draw of LONG has a root of more than 220 * 48 > 10^4 bits
+    SHORT = st.lists(st.tuples(st.integers(1, 2**64), COUNT), max_size=40)
+    LONG = st.lists(st.tuples(st.integers(2**48, 2**64), COUNT), min_size=220, max_size=300)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(SHORT, LONG))
+    def test_true_division_is_the_float_of_the_sum(self, terms):
+        # num / den, CPython's correctly rounded integer true division of
+        # the unreduced root, is the float of the reduced per-term sum
+        norms, counts = [n for n, _ in terms], [c for _, c in terms]
+        num, den = moment._exact_sum(norms, counts)
+        assert num / den == float(self.per_term(norms, counts))
 
 
 class TestDirect:
@@ -260,6 +276,18 @@ class TestDirect:
         for S, (value, _) in self.PINNED.items():
             assert float(moment.direct_total(S)).hex() == value, S
 
+    def test_value_is_the_float_of_the_exact_total(self, monkeypatch):
+        # the route rounds the unreduced pair by integer true division:
+        # the float of the reduced total, cold (each level from an empty
+        # table) and warm (every level read from the table at S = 24)
+        cold_values = {}
+        for S in range(1, 25):
+            cold(monkeypatch)
+            cold_values[S] = moment.moment_first_direct(S).value
+        for S in range(1, 25):
+            total = moment.direct_total(S)
+            assert cold_values[S] == moment.moment_first_direct(S).value == float(total), S
+
     def test_residual_against_quarter_main_term(self):
         for S in (1, 5, 12, 24):
             rep = moment.moment_first_direct(S)
@@ -314,13 +342,16 @@ class TestCounting:
             counts = moment.consecutive_partner_counts(S).tolist()
             _, _, nrm = arith.canonical_cells(S * S)
             per_cell = 2 * sum((Fraction(c, n) for c, n in zip(counts, nrm.tolist())), Fraction(0))
-            assert oracles.counting_total(S) == per_cell, S
+            num, den = oracles.counting_total(S)
+            assert den > 0 and Fraction(num, den) == per_cell, S
 
     def test_counting_total_rounds_to_the_pinned_values(self):
         # the pinned route values are correctly rounded: the float of the
-        # exact total equals them bit for bit
+        # exact total (num / den of its unreduced pair) equals them bit for
+        # bit
         for S, (full, _) in self.PINNED.items():
-            assert float(oracles.counting_total(S)).hex() == full, S
+            num, den = oracles.counting_total(S)
+            assert (num / den).hex() == full, S
 
     def test_a_count_off_the_multiple_of_four_is_refused(self, monkeypatch):
         real = moment.consecutive_partner_counts
@@ -337,6 +368,33 @@ class TestCounting:
         failed = results["direct moment reconciles exactly with quarter counting"]
         assert not failed.passed
         assert failed.detail.startswith("raised ArithmeticError: N(s) = ")
+
+    def test_reconciliation_fails_on_a_count_four_off(self, monkeypatch):
+        # four more at one cell keeps every count a multiple of 4, so only
+        # the cross-multiplied identity can catch it, at the first S
+        real = moment.consecutive_partner_counts
+
+        def four_more(S):
+            counts = real(S).copy()
+            counts[-1] += 4
+            return counts
+
+        monkeypatch.setattr(moment, "consecutive_partner_counts", four_more)
+        ok, detail = verify.check_direct_quarter_reconciliation()
+        assert not ok and detail.startswith("mismatch at S = 2: "), detail
+
+    def test_oracle_check_fails_on_a_value_off_by_two_to_the_minus_49(self, monkeypatch):
+        # at S = 1 the route's 8.0 times 1 + 2^-49 is exact, a relative
+        # error of 2^-49, twice the tolerance
+        real = moment.moment_first_counting
+
+        def scaled(S, *args, **kwargs):
+            row = real(S, *args, **kwargs)
+            return dataclasses.replace(row, value=row.value * (1 + 2**-49))
+
+        monkeypatch.setattr(moment, "moment_first_counting", scaled)
+        ok, detail = verify.check_counting_vs_per_denominator()
+        assert not ok and detail == "S = 1: relative error 1.78e-15 above 2^-50", detail
 
     @staticmethod
     def _by_bound_exact(S):
@@ -364,7 +422,7 @@ class TestCounting:
     def test_bound_regrouping_is_exact(self):
         # the route's identity in rationals, and its float within 2^-50
         for S in range(1, 41):
-            exact = oracles.counting_total(S) / 2
+            exact = Fraction(*oracles.counting_total(S)) / 2
             assert self._by_bound_exact(S) == exact, S
             for normalization, scale in (("omega_full", 2), ("omega_quarter", Fraction(1, 2))):
                 value = moment.moment_first_counting(S, normalization).value

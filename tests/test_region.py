@@ -380,6 +380,14 @@ class TestLatticeCount:
                 escape_counts(t_re, t_im, bounds)
         assert escape_counts([], [], []).tolist() == []
 
+    def test_row_oracle_refuses_a_negative_bound(self):
+        # the oracle accepts t = 0 and |t|^2 > B, but a negative bound has
+        # no disc: the table's isqrt refuses it, alone, among valid bounds
+        # and as a scalar
+        for t_re, t_im, bounds in (([1], [0], [-1]), ([1, 2], [0, 0], [5, -3]), ([1, 0], [0, 0], -2)):
+            with pytest.raises(ValueError):
+                escape_counts_rows(t_re, t_im, bounds)
+
     def test_input_contract(self):
         # one bound per t, each t with 0 < |t|^2 <= B: t = 0 (the third t)
         # and 7 - 7i (|t|^2 = 98 > 60, the fourth) are refused, alone or in
