@@ -61,9 +61,7 @@ def _metadata(config: RunConfig, include_constants: bool = True) -> dict[str, An
         "config": dataclasses.asdict(config),
     }
     if include_constants:
-        constants = dataclasses.asdict(moment.constants_bundle())
-        del constants["z2_estimate"]
-        meta["constants"] = constants
+        meta["constants"] = dataclasses.asdict(moment.constants_bundle())
     return meta
 
 
@@ -150,7 +148,8 @@ def cmd_enumerate(args, config: RunConfig) -> int:
 
 
 def cmd_constants(args, config: RunConfig) -> int:
-    payload = dataclasses.asdict(moment.constants_bundle(with_z2=args.with_z2))
+    payload = dataclasses.asdict(moment.constants_bundle())
+    payload["z2_estimate"] = moment.z2_estimate() if args.with_z2 else None
     print(json.dumps(payload, sort_keys=True, indent=2))
     _emit(config, _metadata(config), tuple(payload), [payload])
     return EXIT_OK

@@ -28,9 +28,10 @@ and checked for each fraction as it is scanned.  A pair with |s'| < |s| is found
 once, a tie |s'| = |s| from both ends.  The partner r'/s' lies in the
 square when both parts of r conj(s) |s'|^2 - conj(s s') lie in
 [0, |s|^2 |s'|^2], a test with no division; r' itself is divided out
-only in consecutive_pairs, which needs the partner's index.  Only the
-escape test depends on S: the scan yields each find with its largest
-mediant norm M, and the consecutive ones are those with M > S^2.  The
+only in consecutive_pairs, which looks the partner up among the
+fractions of G_S it built.  Only the escape test depends on S: the scan
+yields each find with its largest mediant norm M, and the consecutive
+ones are those with M > S^2.  The
 eight symmetries of the unit square map G_S onto itself and each
 fraction's partners onto its image's, with the same norms, so
 moment.direct_total scans only one fraction per orbit (_orbit_sizes,
@@ -71,9 +72,8 @@ from .gint import (
 # below this S every quantity of gs_arrays and the neighbour solve stays
 # inside int64: the largest are at most S^4 < 2^52 (the disc bound |s|^4
 # and (n m + Re y)^2 of the row intervals, and the products r conj(s) |s'|^2
-# and |s|^2 |s'|^2 of the square test) and the partner keys, below
-# 4 (S + 1)^4; every root taken is of an integer below S^4, where
-# region._floor_sqrt is exact
+# and |s|^2 |s'|^2 of the square test); every root taken is of an integer
+# below S^4, where region._floor_sqrt is exact
 INT64_S_LIMIT = 1 << 13
 
 _UNIT_INV = {u: v for u, v in zip(UNITS, (UNITS[0], UNITS[3], UNITS[2], UNITS[1]))}
@@ -462,25 +462,21 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
     (f, f') with f first in sort_key order, sorted by (f, f'): the same
     list as oracles.consecutive_pairs_scan.
 
-    G_S is built once (gs_arrays), and the finds of the neighbour solve on
-    all of it (_neighbour_blocks) whose largest mediant escapes, M > S^2,
-    are turned into indices (i, j) into its columns: the partner r'/s' is
-    found in G_S by its numerator r' = (r s' - 1)/s, an exact division,
-    after rotating s' to its canonical associate.  Each pair is taken
+    G_S is built once (gs_arrays), with a dict from each of its fractions
+    to its index, and the finds of the neighbour solve on all of it
+    (_neighbour_blocks) whose largest mediant escapes, M > S^2, are turned
+    into index pairs: the partner r'/s', with r' = (r s' - 1)/s an exact
+    division, is rotated to its canonical denominator as GFraction.make
+    does (canonicalize, _UNIT_INV) and looked up in the dict.  It needs no
+    gcd, since an adjacent partner is already reduced.  Each pair is taken
     once, as the find whose partner j comes before i: sort_key order
     starts with the norm, so that is every find with norm(s_j) < norm(s_i)
     and one of the two finds of each tie."""
     cols = gs_arrays(S)
     n, s_re, s_im, r_re, r_im = cols
-    # every fraction has a key that increases along the sort_key order:
-    # the rank of its denominator, then its numerator offset in the box
-    # -S <= Re r <= S, 0 <= Im r <= 2S
-    width = 2 * S + 1
-    den_start = np.flatnonzero(np.r_[True, (np.diff(s_re) != 0) | (np.diff(s_im) != 0)])
-    den_rank = np.full((S + 1) * (S + 1), -1, dtype=np.int64)
-    den_rank[s_re[den_start] * (S + 1) + s_im[den_start]] = np.arange(len(den_start))
-    keys = (den_rank[s_re * (S + 1) + s_im] * width + r_re + S) * width + r_im
-    first, second = [], []
+    fractions = _fractions(cols)
+    index = {f: k for k, f in enumerate(fractions)}
+    pairs = []
     for i, sp_re, sp_im, mediant in _neighbour_blocks(cols):
         escape = mediant > S * S
         i, sp_re, sp_im = i[escape], sp_re[escape], sp_im[escape]
@@ -490,22 +486,12 @@ def consecutive_pairs(S: int) -> list[tuple[GFraction, GFraction]]:
         w_im = rr * sp_im + ri * sp_re
         rp_re = (w_re * sr + w_im * si) // ns
         rp_im = (w_im * sr - w_re * si) // ns
-        # rotate (r', s') by the unit that makes s' canonical
-        q1 = (sp_re <= 0) & (sp_im > 0)  # times -i
-        q2 = (sp_re < 0) & (sp_im <= 0)  # times -1
-        q3 = (sp_re >= 0) & (sp_im < 0)  # times i
-        for q, rot in ((q1, lambda u, v: (v, -u)), (q2, lambda u, v: (-u, -v)), (q3, lambda u, v: (-v, u))):
-            sp_re[q], sp_im[q] = rot(sp_re[q], sp_im[q])
-            rp_re[q], rp_im[q] = rot(rp_re[q], rp_im[q])
-        key = (den_rank[sp_re * (S + 1) + sp_im] * width + rp_re + S) * width + rp_im
-        j = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-        if np.any(keys[j] != key):
-            raise ArithmeticError("a consecutive partner is missing from G_S")
-        earlier = j < i
-        first.append(j[earlier])
-        second.append(i[earlier])
-    first, second = np.concatenate(first), np.concatenate(second)
-    order = np.lexsort((second, first))
-    fractions = _fractions(cols)
-    return [(fractions[a], fractions[b]) for a, b in zip(first[order].tolist(), second[order].tolist())]
-
+        for k, a, b, x, y in zip(*(v.tolist() for v in (i, sp_re, sp_im, rp_re, rp_im))):
+            unit, den = canonicalize(GInt(a, b))
+            j = index.get(GFraction(GInt(x, y) * _UNIT_INV[unit], den))
+            if j is None:
+                raise ArithmeticError("a consecutive partner is missing from G_S")
+            if j < k:
+                pairs.append((j, k))
+    pairs.sort()
+    return [(fractions[j], fractions[k]) for j, k in pairs]

@@ -86,8 +86,8 @@ class ConstantsBundle:
     """Numerical constants feeding the main term.
 
     main_coeff = pi * zeta_i_inv_2 * (8 C - 1);  z1 = (pi/8) zeta_i_inv_2.
-    z2_estimate (fitted intercept of the phi/norm^2 log law minus z1) is
-    filled only on request, it needs a large sieve.
+    z2 is not one of them: it needs a large sieve, and z2_estimate() fits
+    it on request.
     """
 
     C: float
@@ -95,13 +95,6 @@ class ConstantsBundle:
     zeta_i_inv_2: float
     main_coeff: float
     z1: float
-    z2_estimate: float | None = None
-
-    def validate(self) -> None:
-        if not self.C > 0.5:
-            raise ArithmeticError("C <= 1/2, main coefficient would lose positivity")
-        if not self.main_coeff > 0:
-            raise ArithmeticError("main coefficient must be positive")
 
 
 @dataclass(frozen=True)
@@ -133,25 +126,17 @@ def constant_C(terms: int = 60) -> float:
 
 
 @functools.cache
-def constants_bundle(with_z2: bool = False) -> ConstantsBundle:
+def constants_bundle() -> ConstantsBundle:
     """Compute (and cache) the constants used by every main-term evaluation."""
     C = constant_C()
     zeta_i_inv_2 = 1.0 / arith.ZETA_I_2
-    z1 = math.pi / 8.0 * zeta_i_inv_2
-    z2 = None
-    if with_z2:
-        _, intercept = fit_phi_over_norm4(PHI_NORM4_LADDER)
-        z2 = intercept - z1
-    bundle = ConstantsBundle(
+    return ConstantsBundle(
         C=C,
         zeta_i_2=arith.ZETA_I_2,
         zeta_i_inv_2=zeta_i_inv_2,
         main_coeff=math.pi * zeta_i_inv_2 * (8.0 * C - 1.0),
-        z1=z1,
-        z2_estimate=z2,
+        z1=math.pi / 8.0 * zeta_i_inv_2,
     )
-    bundle.validate()
-    return bundle
 
 
 def main_term(S: int) -> float:
@@ -510,6 +495,14 @@ def fit_phi_over_norm4(ladder: Sequence[int]) -> tuple[float, float]:
     ys = np.array([sum_phi_over_norm4(S) for S in ladder])
     slope, intercept = np.polyfit(xs, ys, 1)
     return float(slope), float(intercept)
+
+
+def z2_estimate() -> float:
+    """z2, the fitted intercept of sum_phi_over_norm4 over PHI_NORM4_LADDER
+    minus z1: the one body behind constants --with-z2 and the detail of
+    verify's slope check."""
+    _, intercept = fit_phi_over_norm4(PHI_NORM4_LADDER)
+    return intercept - constants_bundle().z1
 
 
 # ---------------------------------------------------------------------------

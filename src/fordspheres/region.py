@@ -469,7 +469,7 @@ def coprime_counts(s_re, s_im, S: int) -> np.ndarray:
     if 0 < len(mu) <= PER_T_BATCH:
         terms = [m * L for m, L in zip(mu, _escape_counts_per_t(t_re, t_im, bounds))]
         return np.array([sum(terms[i:j]) for i, j in zip(starts, starts[1:] + [len(mu)])], dtype=np.int64)
-    return np.add.reduceat(np.array(mu) * escape_counts(t_re, t_im, bounds), starts)
+    return np.add.reduceat(np.array(mu, dtype=np.int64) * escape_counts(t_re, t_im, bounds), starts)
 
 
 def coprime_count_prediction(spec: OmegaSpec) -> float:

@@ -693,16 +693,15 @@ PHI_NORM4_TOLERANCE = 0.05  # on the slope and on the two intercepts
 
 @_check("moment", "phi/norm^2 sum grows with the predicted log slope")
 def check_phi_norm4_slope() -> tuple[bool, str]:
-    bundle = moment.constants_bundle()
-    slope, intercept = moment.fit_phi_over_norm4(moment.PHI_NORM4_LADDER)
-    target = 4.0 * bundle.z1
+    slope, _ = moment.fit_phi_over_norm4(moment.PHI_NORM4_LADDER)
+    target = 4.0 * moment.constants_bundle().z1
     slope_ok = abs(slope / target - 1.0) <= PHI_NORM4_TOLERANCE
     _, i1 = moment.fit_phi_over_norm4(moment.PHI_NORM4_LADDER[0::2])
     _, i2 = moment.fit_phi_over_norm4(moment.PHI_NORM4_LADDER[1::2])
     intercept_ok = abs(i1 / i2 - 1.0) <= PHI_NORM4_TOLERANCE
     return slope_ok and intercept_ok, (
         f"slope {slope:.5f} vs 4 z1 = {target:.5f}; intercepts {i1:.5f} / {i2:.5f} "
-        f"on disjoint ladders; z2 estimate {intercept - bundle.z1:.5f}"
+        f"on disjoint ladders; z2 estimate {moment.z2_estimate():.5f}"
     )
 
 

@@ -481,7 +481,8 @@ class TestConsecutive:
             assert set(consecutive_pairs_for_denoms(s, sp, S)) == pairs
 
     def test_neighbour_solve_equals_scan(self):
-        for S in range(1, 9):
+        # every level whose pair count is pinned (tests/test_moment.py)
+        for S in range(1, 13):
             assert consecutive_pairs(S) == consecutive_pairs_scan(S), S
 
     def test_neighbour_solve_is_blockwise(self, monkeypatch):
@@ -545,6 +546,12 @@ class TestConsecutive:
         monkeypatch.setattr(farey, "gs_arrays", lambda level: tuple(cols))
         with pytest.raises(ArithmeticError, match="missing from G_S"):
             consecutive_pairs(S)
+
+    def test_neighbour_solve_refuses_a_wrong_rotation(self, monkeypatch):
+        # a partner rotated by the wrong unit is no fraction of G_S
+        monkeypatch.setattr(farey, "_UNIT_INV", {u: ONE for u in farey.UNITS})
+        with pytest.raises(ArithmeticError, match="missing from G_S"):
+            consecutive_pairs(4)
 
     def test_neighbour_solve_refuses_inexact_input(self, monkeypatch):
         # refused before any cell of G_S is allocated

@@ -70,10 +70,10 @@ class TestBundle:
         assert b.zeta_i_inv_2 == 1.0 / arith.ZETA_I_2
 
     def test_z2_estimate_is_the_checked_fit(self):
-        # the bundle and verify's slope check fit the one ladder
+        # constants --with-z2 and verify's slope check read the one fit
         detail = verify.check_phi_norm4_slope()[1]
         reported = detail.rsplit("z2 estimate ", 1)[1]
-        assert f"{moment.constants_bundle(with_z2=True).z2_estimate:.5f}" == reported
+        assert f"{moment.z2_estimate():.5f}" == reported
 
     def test_zeta_product_consistency(self):
         b = moment.constants_bundle()

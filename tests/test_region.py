@@ -541,6 +541,11 @@ class TestLatticeCount:
             assert region.coprime_counts([a], [b], 48).tolist() == [c], (a, b)
         assert region.coprime_counts([195], [195], 300).tolist() == [moebius_sum(g(195, 195), 300)]
 
+    def test_coprime_counts_of_no_s_are_int64(self):
+        # the empty batch keeps the promised dtype, as escape_counts does
+        assert region.coprime_counts([], [], 5).dtype == np.int64
+        assert region.escape_counts([], [], []).dtype == np.int64
+
     def test_coprime_counts_refuse_zero(self):
         for re, im in (([0], [0]), ([1, 0], [0, 0])):
             with pytest.raises(DomainError):
